@@ -366,11 +366,9 @@ class FeatureMatrix:
             if a.tag is not b.tag or a.data.dtype != b.data.dtype:
                 return False
             if a.data.dtype == object:
-                if len(a.data) != len(b.data):
+                # Object columns hold ints, bools, labels and None, never NaN.
+                if a.data.tolist() != b.data.tolist():
                     return False
-                for x, y in zip(a.data, b.data):
-                    if (x is None) != (y is None) or (x is not None and x != y):
-                        return False
             elif a.data.tobytes() != b.data.tobytes():
                 return False
         return True
@@ -495,16 +493,14 @@ def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
     return groups
 
 
-def _check_column_collisions(groups: list[_ResolvedGroup]) -> None:
+def _check_column_collisions(collection: FeatureCollection) -> None:
+    # The names and the set live only for this call, so nothing of them stays
+    # allocated while the functions run.
     seen: set[str] = set()
-    for g in groups:
-        series_names, w, s = g.key
-        for wrapper in g.wrappers:
-            for out_name in wrapper.output_names:
-                col = format_output_name(series_names, out_name, w, s)
-                if col in seen:
-                    raise DuplicateFeature(f"output column {col!r} produced twice")
-                seen.add(col)
+    for col in collection.column_names():
+        if col in seen:
+            raise DuplicateFeature(f"output column {col!r} produced twice")
+        seen.add(col)
 
 
 def _cells_to_array(cells: list, tag: ValueTag, categories) -> np.ndarray:
@@ -659,7 +655,7 @@ def extract(
     """
     options = options or ExtractOptions()
     groups = _resolve_groups(series_set, collection, options.output_position)
-    _check_column_collisions(groups)
+    _check_column_collisions(collection)
     warnings = [] if options.approve_sparsity else _sparsity_warnings(groups)
     results = _run_units(groups, max(1, options.n_workers))
     matrix = _merge(groups, results)

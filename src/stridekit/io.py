@@ -114,19 +114,89 @@ def format_rfc3339(ns: int) -> str:
     return f"{base}.{frac:09d}Z"
 
 
-def _parse_time_index(cells: list[str], first_data_line: int) -> np.ndarray:
-    # Fast path: numpy parses ISO timestamps without offsets in one shot.
+# Byte columns that hold a digit in every timestamp: YYYY-MM-DD?hh:mm:ss.
+_STAMP_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
+
+
+def _is_digit(column: np.ndarray) -> np.ndarray:
+    return column - np.uint8(ord("0")) <= 9
+
+
+def _parse_time_index_fast(cells: list[str]) -> np.ndarray | None:
+    """Integer nanoseconds for a column whose every cell matches ``_RFC_RE``
+    with a year in 1678-2261, or None so the caller parses cell by cell.
+
+    The layout is checked on the cells' bytes, one byte column at a time.
+    numpy then parses only the offset-free stamps: it warns on an offset, and
+    for bytes input can crash on one, so offsets are cut off and applied
+    here. The year limits keep every value inside int64 nanoseconds, where
+    numpy would wrap silently. Calendar and clock checks are numpy's; it
+    rejects the leap second 60, which the per-cell parser accepts.
+    """
     try:
-        stripped = [c[:-1] if c.endswith(("Z", "z")) else c for c in cells]
-        return np.array(stripped, dtype="datetime64[ns]").view(np.int64)
+        raw = np.array(cells, dtype="S")
+    except UnicodeEncodeError:
+        return None
+    n, width = len(cells), raw.dtype.itemsize
+    if n == 0 or width < 19:
+        return None
+    b = raw.view(np.uint8).reshape(n, width)
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=n)
+    ok = lengths >= 19
+    for j in _STAMP_DIGITS:
+        ok &= _is_digit(b[:, j])
+    for j, ch in ((4, "-"), (7, "-"), (13, ":"), (16, ":")):
+        ok &= b[:, j] == ord(ch)
+    ok &= np.isin(b[:, 10], list(b"Tt "))
+    year = (b[:, :4] - np.uint8(ord("0"))).astype(np.int32) @ np.array([1000, 100, 10, 1])
+    ok &= (year >= 1678) & (year <= 2261)
+
+    # Suffix: optional "." and 1-9 digits, then optional Z, z or +hh:mm/-hh:mm.
+    rows = np.arange(n)
+    last = b[rows, lengths - 1]
+    zulu = (last == ord("Z")) | (last == ord("z"))
+    sign = b[rows, lengths - 6]
+    offset = (lengths >= 25) & ((sign == ord("+")) | (sign == ord("-")))
+    offset &= b[rows, lengths - 3] == ord(":")
+    for d in (5, 4, 2, 1):
+        offset &= _is_digit(b[rows, lengths - d])
+    stop = lengths - np.where(offset, 6, zulu)
+    ok &= (stop == 19) | ((stop >= 21) & (stop <= 29))
+    shift_ns = np.zeros(n, dtype=np.int64)
+    if offset.any():
+        r = np.flatnonzero(offset)
+        digit = [b[r, lengths[r] - d].astype(np.int64) - ord("0") for d in (5, 4, 2, 1)]
+        minutes = (digit[0] * 10 + digit[1]) * 60 + digit[2] * 10 + digit[3]
+        shift_ns[r] = np.where(sign[r] == ord("+"), minutes, -minutes) * 60_000_000_000
+    for j in range(19, width):
+        inside = j < stop
+        ok &= ~inside | (_is_digit(b[:, j]) if j > 19 else b[:, j] == ord("."))
+        b[~inside, j] = 0
+    if not ok.all():
+        return None
+    b[:, 10] = ord("T")
+    try:
+        ns = raw.astype("datetime64[ns]").view(np.int64)
     except ValueError:
-        pass
+        return None
+    return ns - shift_ns
+
+
+def _parse_time_index(cells: list[str], first_data_line: int) -> np.ndarray:
+    fast = _parse_time_index_fast(cells)
+    if fast is not None:
+        return fast
     out = np.empty(len(cells), dtype=np.int64)
     for i, cell in enumerate(cells):
         try:
             out[i] = parse_rfc3339_ns(cell)
         except ValueError as exc:
             raise ParseError(str(exc), row=first_data_line + i) from None
+        except OverflowError:
+            raise ParseError(
+                f"timestamp {cell!r} is outside the int64 nanosecond range",
+                row=first_data_line + i,
+            ) from None
     return out
 
 
@@ -230,41 +300,38 @@ def _format_index_cells(kind: IndexKind, index: np.ndarray) -> list[str]:
     return [render_number(float(v)) for v in index]
 
 
-def _format_float(v: float) -> str:
-    return "" if math.isnan(v) else repr(float(v))
+def _format_value_cells(tag: ValueTag, data: np.ndarray, categories=None) -> list[str]:
+    """CSV cells of one value column: floats as repr, integers in decimal,
+    booleans as true/false, labels verbatim, NaN and None as empty cells.
+    ``categories`` decodes dictionary codes; columns that already hold labels
+    pass none."""
+    values = data.tolist()
+    if tag in FLOAT_TAGS:
+        return ["" if v != v else repr(v) for v in values]
+    if tag is ValueTag.BOOL:
+        return ["" if v is None else "true" if v else "false" for v in values]
+    if categories is not None:
+        values = [categories[code] for code in values]
+    return ["" if v is None else str(v) for v in values]
 
 
-def _format_object_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+def _write_csv(path, header: list[str], index_cells: list[str], columns: list[list[str]]) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(index_cells, *columns))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_matrix(matrix: FeatureMatrix, path) -> None:
     """Feature matrix to CSV: index first, NaN/None as empty cells; output is
     byte-stable for identical input."""
     names = matrix.column_names
-    cols = []
-    for name in names:
-        col = matrix[name]
-        if col.tag in FLOAT_TAGS:
-            cols.append([_format_float(float(v)) for v in col.data])
-        else:
-            cols.append([_format_object_cell(v) for v in col.data])
+    columns = [_format_value_cells(matrix[n].tag, matrix[n].data) for n in names]
     kind = matrix.kind if matrix.kind is not None else IndexKind.NUMERIC
-    index_cells = _format_index_cells(kind, matrix.index)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", *names])
-            for r in range(matrix.n_rows):
-                writer.writerow([index_cells[r], *(c[r] for c in cols)])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, ["index", *names], _format_index_cells(kind, matrix.index), columns)
 
 
 def write_series_csv(series_list: list[Series], path, index_column: str = "index") -> None:
@@ -278,26 +345,12 @@ def write_series_csv(series_list: list[Series], path, index_column: str = "index
             raise KindMismatch(f"{s.name!r} and {ref.name!r} have different index kinds")
         if len(s) != len(ref) or s.index.tobytes() != ref.index.tobytes():
             raise LengthMismatch(f"{s.name!r} is not index-aligned with {ref.name!r}")
-    cols = []
-    for s in series_list:
-        tag, data = s.values.tag, s.values.data
-        if tag in FLOAT_TAGS:
-            cols.append([_format_float(float(v)) for v in data])
-        elif tag is ValueTag.I64:
-            cols.append([str(int(v)) for v in data])
-        elif tag is ValueTag.BOOL:
-            cols.append(["true" if v else "false" for v in data])
-        else:
-            cols.append([s.values.decode(code) for code in data])
-    index_cells = _format_index_cells(ref.kind, ref.index)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([index_column, *(s.name for s in series_list)])
-            for r in range(len(ref)):
-                writer.writerow([index_cells[r], *(c[r] for c in cols)])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    columns = [
+        _format_value_cells(s.values.tag, s.values.data, s.values.categories)
+        for s in series_list
+    ]
+    header = [index_column, *(s.name for s in series_list)]
+    _write_csv(path, header, _format_index_cells(ref.kind, ref.index), columns)
 
 
 # ---------------------------------------------------------------------------

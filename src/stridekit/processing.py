@@ -106,10 +106,6 @@ class Pipeline:
         return len(self.steps)
 
 
-def add_step(pipeline: Pipeline, step: ProcessorStep) -> Pipeline:
-    return pipeline.add_step(step)
-
-
 def _normalize_outputs(raw, entry, views: list[SeriesView], si: int, label: str) -> list[Series]:
     """Turn a step function's return value into named Series.
 

@@ -3,8 +3,7 @@
 Windows are left-closed right-open intervals ``[begin + k*stride,
 begin + k*stride + window)`` expressed in index units, and only complete
 windows (fully inside the span) are generated. Sample positions for every
-window are located either by vectorized binary search or by a single
-two-pointer sweep; both give identical results.
+window are located by one vectorized binary search over all window bounds.
 """
 
 from __future__ import annotations
@@ -62,10 +61,6 @@ class SegmentGrid:
         return start, start + self.window
 
 
-def _coerce_span_value(value, kind: IndexKind):
-    return _index_scalar(value, kind)
-
-
 def build_grid(
     span_begin,
     span_end,
@@ -93,8 +88,8 @@ def build_grid(
         raise NonPositiveWindow(f"window must be positive, got {w.render()}")
     if s.value <= 0:
         raise NonPositiveStride(f"stride must be positive, got {s.render()}")
-    begin = _coerce_span_value(span_begin, kind)
-    end = _coerce_span_value(span_end, kind)
+    begin = _index_scalar(span_begin, kind)
+    end = _index_scalar(span_end, kind)
     if begin > end:
         raise DisjointSpans(f"span begin {begin} exceeds span end {end}")
 
@@ -112,44 +107,17 @@ def build_grid(
     return SegmentGrid(kind, begin, w.value, s.value, int(n), output_position)
 
 
-def segment_positions(
-    series: Series, grid: SegmentGrid, method: str = "bisect"
-) -> np.ndarray:
-    """(n_segments, 2) array of [lo, hi) sample positions per window.
-
-    ``bisect`` vectorizes searchsorted over all window bounds; ``sweep`` walks
-    the index once with two forward-only pointers. Output is identical.
-    """
+def segment_positions(series: Series, grid: SegmentGrid) -> np.ndarray:
+    """(n_segments, 2) array of [lo, hi) sample positions per window, found by
+    searchsorted over all window starts and ends at once."""
     if series.kind is not grid.kind:
         raise KindMismatch(
             f"series kind {series.kind.value} != grid kind {grid.kind.value}"
         )
-    if method == "bisect":
-        starts = grid.starts()
-        lo = np.searchsorted(series.index, starts, side="left")
-        hi = np.searchsorted(series.index, starts + grid.window, side="left")
-        return np.stack([lo, hi], axis=1).astype(np.int64)
-    if method == "sweep":
-        return _positions_sweep(series.index, grid)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _positions_sweep(index: np.ndarray, grid: SegmentGrid) -> np.ndarray:
-    out = np.empty((grid.n_segments, 2), dtype=np.int64)
-    n = len(index)
-    lo = hi = 0
-    for k in range(grid.n_segments):
-        start = grid.span_begin + k * grid.stride
-        end = start + grid.window
-        while lo < n and index[lo] < start:
-            lo += 1
-        if hi < lo:
-            hi = lo
-        while hi < n and index[hi] < end:
-            hi += 1
-        out[k, 0] = lo
-        out[k, 1] = hi
-    return out
+    starts = grid.starts()
+    lo = np.searchsorted(series.index, starts, side="left")
+    hi = np.searchsorted(series.index, starts + grid.window, side="left")
+    return np.stack([lo, hi], axis=1).astype(np.int64)
 
 
 def intersect_spans(series: Sequence[Series]) -> tuple:

@@ -45,13 +45,6 @@ class ValueTag(enum.Enum):
     CATEGORICAL = "categorical"
 
 
-_TAG_TO_DTYPE = {
-    ValueTag.F64: np.dtype(np.float64),
-    ValueTag.F32: np.dtype(np.float32),
-    ValueTag.I64: np.dtype(np.int64),
-    ValueTag.BOOL: np.dtype(np.bool_),
-}
-
 FLOAT_TAGS = (ValueTag.F64, ValueTag.F32)
 
 # Reserved by the output-name grammar: "__" separates name sections and "|"
@@ -270,16 +263,6 @@ class Series:
 
     def full_view(self) -> "SeriesView":
         return SeriesView(self, 0, len(self))
-
-    def first_index(self):
-        if len(self) == 0:
-            raise TooShort(f"series {self.name!r} is empty")
-        return self.index[0]
-
-    def last_index(self):
-        if len(self) == 0:
-            raise TooShort(f"series {self.name!r} is empty")
-        return self.index[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Series({self.name!r}, n={len(self)}, {self.kind.value}, {self.values.tag.value})"

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import NS, numeric_series, time_series
+from test_segment import positions_sweep
 
 from stridekit import (
     ChunkSpec,
@@ -121,8 +122,7 @@ def test_criterion_01_segmentation_oracle(announce):
                 lo = sum(1 for v in values if v < start)
                 hi = sum(1 for v in values if v < stop)
                 expected.append((lo, hi))
-            for method in ("bisect", "sweep"):
-                got = segment_positions(series, grid, method=method)
+            for got in (segment_positions(series, grid), positions_sweep(series.index, grid)):
                 assert [(int(a), int(b)) for a, b in got] == expected
 
         elapsed = time.perf_counter() - t0

@@ -5,11 +5,14 @@ Full-protocol runs (1 h at 1 kHz) live in the acceptance suite; everything
 here is scaled down to keep the unit tests fast.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stridekit import (
     BenchReport,
+    FuncWrapper,
     IndexKind,
     ValueTag,
     builtin,
@@ -184,6 +187,18 @@ def test_report_fields_and_window_count():
     assert report.runtime_s > 0.0
     assert report.peak_extra_bytes >= 0
     assert report.data_bytes == 200 * 8 + 200 * 4
+
+
+def test_runtime_is_timed_with_the_allocation_tracer_off():
+    tracing = []
+
+    def probe(values):
+        tracing.append(tracemalloc.is_tracing())
+        return 0.0
+
+    small_bench(functions=[FuncWrapper(probe, base_name="probe")])
+    # One untraced, timed extract, then one traced for the watermark.
+    assert tracing == [False] * 8 + [True] * 8
 
 
 def test_report_json_keys_are_exact():

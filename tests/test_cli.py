@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from conftest import NS, numeric_series, time_series
 
@@ -218,6 +219,36 @@ def test_extract_unsorted_data_exits_2_and_sort_flag_recovers(tmp_path, capsys):
     assert err.startswith("error:")
     assert "row 4" in err
     assert main(args + ["--sort"]) == 0
+
+
+@pytest.mark.parametrize("cell", ["2020-01-01T00:01", "2020-01-02"])
+def test_extract_truncated_timestamp_exits_2_and_names_row(tmp_path, capsys, cell):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(f"index,X\n2020-01-01T00:00:00Z,1.0\n{cell},2.0\n")
+    config_path = tmp_path / "config.json"
+    write_json(
+        {
+            "features": [
+                {
+                    "series": "X",
+                    "functions": [{"name": "count"}],
+                    "windows": ["1s"],
+                    "strides": ["1s"],
+                }
+            ]
+        },
+        str(config_path),
+    )
+    rc = main([
+        "extract",
+        "--data", str(data_path),
+        "--config", str(config_path),
+        "--out", str(tmp_path / "out.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "row 3" in err
 
 
 def test_extract_duplicate_series_across_files_exits_2(tmp_path, capsys):

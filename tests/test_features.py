@@ -11,7 +11,9 @@ from stridekit import (
     Delta,
     ExtractOptions,
     FeatureCollection,
+    FeatureColumn,
     FeatureDescriptor,
+    FeatureMatrix,
     FuncWrapper,
     IndexKind,
     OutputPosition,
@@ -480,6 +482,31 @@ def test_matrix_equality_is_strict():
     shifted = SeriesSet([tmp_4hz(99.0)])
     d, _, _ = extract(shifted, c)
     assert not a.equals(d)
+
+
+def test_matrix_equality_compares_object_cells():
+    s = numeric_series("S", np.arange(8.0))
+    c = collection_of(
+        ("S", FuncWrapper(lambda x: int(x.sum()), base_name="total",
+                          output_tags=[ValueTag.I64]), 2.0, 2.0),
+        ("S", FuncWrapper(lambda x: "lo" if x[0] < 3 else "hi", base_name="label",
+                          output_tags=[ValueTag.CATEGORICAL]), 3.0, 3.0),
+    )
+    a, _, _ = extract(SeriesSet([s]), c)
+    total, label = a.column_names
+    assert a[total].data.dtype == object and a[total].data[1] is None
+
+    def with_cell(name, row, value):
+        columns = {n: a[n] for n in a.column_names}
+        data = a[name].data.copy()
+        data[row] = value
+        columns[name] = FeatureColumn(a[name].tag, data)
+        return FeatureMatrix(a.kind, a.index, columns)
+
+    assert a.equals(with_cell(total, 0, a[total].data[0]))
+    assert not a.equals(with_cell(total, 1, 0))  # hole against a value
+    assert not with_cell(total, 0, None).equals(a)  # value against a hole
+    assert not a.equals(with_cell(label, 3, "lo"))  # one label changed
 
 
 # ---------------------------------------------------------------------------

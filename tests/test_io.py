@@ -1,6 +1,7 @@
 """CSV round trips, timestamp parsing, and JSON config documents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,76 @@ def test_unparseable_timestamp_names_row(tmp_path):
     assert "row 3" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["2020-01-01T00:01", "2020-01-02"])
+def test_truncated_timestamp_names_row_even_when_all_cells_parse(tmp_path, cell):
+    # numpy alone would accept every cell of this column.
+    path = write_text(tmp_path / "short.csv", [
+        "index,V",
+        "2020-01-01T00:00:00Z,1",
+        f"{cell},2",
+    ])
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert "row 3: not an RFC 3339 timestamp" in str(err.value)
+
+
+def test_offset_timestamps_load_exactly_without_warnings(tmp_path):
+    path = write_text(tmp_path / "offsets.csv", [
+        "index,V",
+        "2020-01-01T01:00:00+01:00,1",
+        "2019-12-31T18:30:00.5-05:30,2",
+        "2020-01-01t00:00:01z,3",
+        "2020-01-01 00:00:02.000000001,4",
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (s,) = load_csv(path)
+    base = parse_rfc3339_ns("2020-01-01T00:00:00Z")
+    assert s.index.tolist() == [base, base + NS // 2, base + NS, base + 2 * NS + 1]
+
+
+def test_timestamp_outside_int64_nanoseconds_names_row(tmp_path):
+    path = write_text(tmp_path / "old.csv", ["index,V", "1600-01-01T00:00:00Z,1"])
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert "row 2" in str(err.value)
+
+
+_STAMP_FORMS = st.tuples(
+    st.integers(-(2**62), 2**62),                           # nanoseconds
+    st.sampled_from(["T", "t", " "]),                       # date/time separator
+    st.integers(0, 9),                                      # fraction digits
+    st.sampled_from(["", "Z", "z", "+01:00", "-05:30", "+00:00", "-23:59"]),
+)
+
+
+def _render_stamp(ns, sep, digits, zone):
+    text = format_rfc3339(ns)[:19].replace("T", sep)
+    if digits:
+        text += "." + f"{ns % NS:09d}"[:digits]
+    return text + zone
+
+
+@settings(max_examples=100)
+@given(forms=st.lists(_STAMP_FORMS, min_size=1, max_size=20),
+       cut=st.integers(0, 40))
+def test_time_index_matches_per_cell_parser(tmp_path_factory, forms, cut):
+    cells = [_render_stamp(*f) for f in forms]
+    cells[0] = cells[0][:cut] or cells[0]  # sometimes a malformed first cell
+    try:
+        expected = [parse_rfc3339_ns(c) for c in cells]
+    except ValueError:
+        expected = None
+    path = tmp_path_factory.mktemp("ts") / "t.csv"
+    path.write_text("index,V\n" + "".join(f"{c},0\n" for c in cells), encoding="utf-8")
+    if expected is None:
+        with pytest.raises(ParseError):
+            load_csv(str(path), kind_hint=IndexKind.TIME_NS, sort=True)
+    else:
+        (s,) = load_csv(str(path), kind_hint=IndexKind.TIME_NS, sort=True)
+        assert s.index.tolist() == sorted(expected)
+
+
 def test_kind_hint_forces_index_interpretation(tmp_path):
     path = write_text(tmp_path / "n.csv", ["timestamp,V", "0.5,1", "1.5,2"])
     (s,) = load_csv(path, index_column="timestamp")
@@ -333,6 +404,33 @@ def test_write_matrix_shape_and_nan_cells(tmp_path):
     assert first[0] == format_rfc3339(int(matrix.index[0]))
     assert first[2] == ""
     assert lines[4].split(",")[2] != ""
+
+
+def test_write_matrix_golden_cells_for_every_tag(tmp_path):
+    # Two grids over one series: w=2/s=2 ends at 2, 4, 6 and w=3/s=3 at 3, 6,
+    # so each grid's columns have holes where only the other grid has a row.
+    s = numeric_series("S", np.arange(8.0))
+    c = FeatureCollection([
+        FeatureDescriptor("S", FuncWrapper(lambda x: x[0] / 10, base_name="tenth",
+                                           output_tags=[ValueTag.F32]), 2.0, 2.0),
+        FeatureDescriptor("S", FuncWrapper(lambda x: int(x.sum()), base_name="total",
+                                           output_tags=[ValueTag.I64]), 2.0, 2.0),
+        FeatureDescriptor("S", FuncWrapper(lambda x: bool(x[0] > 2), base_name="big",
+                                           output_tags=[ValueTag.BOOL]), 3.0, 3.0),
+        FeatureDescriptor("S", FuncWrapper(lambda x: "a,b" if x[0] < 3 else 'say "hi"',
+                                           base_name="label",
+                                           output_tags=[ValueTag.CATEGORICAL]), 3.0, 3.0),
+    ])
+    path = tmp_path / "out.csv"
+    write_matrix(extract(SeriesSet([s]), c).matrix, path)
+    assert path.read_bytes().decode("utf-8").split("\r\n") == [
+        "index,S__tenth__w=2_s=2,S__total__w=2_s=2,S__big__w=3_s=3,S__label__w=3_s=3",
+        "2,0.0,1,,",
+        '3,,,false,"a,b"',
+        "4,0.20000000298023224,5,,",
+        '6,0.4000000059604645,9,true,"say ""hi"""',
+        "",
+    ]
 
 
 def test_write_matrix_is_byte_stable(tmp_path):

@@ -10,7 +10,6 @@ from stridekit import (
     ProcessorStep,
     Series,
     SeriesSet,
-    add_step,
     builtin_processor,
     required_inputs,
     run_pipeline,
@@ -57,7 +56,7 @@ def test_add_step_appends_in_order():
     p = Pipeline()
     clip = builtin_processor("clip", ["TMP"], {"hi": 1.0})
     smv = builtin_processor("smv", [("ACC_x", "ACC_y")], {"output": "ACC_SMV"})
-    assert len(add_step(p, clip)) == 1
+    assert len(p.add_step(clip)) == 1
     p.add_step(smv)
     assert len(p) == 2
     assert [s.label for s in p.steps] == ["clip", "smv"]

@@ -144,14 +144,33 @@ def _series_and_grid(draw):
     return series, grid
 
 
+def positions_sweep(index: np.ndarray, grid) -> np.ndarray:
+    """Oracle for segment_positions: one pass over the index with two
+    forward-only pointers."""
+    out = np.empty((grid.n_segments, 2), dtype=np.int64)
+    n = len(index)
+    lo = hi = 0
+    for k in range(grid.n_segments):
+        start = grid.span_begin + k * grid.stride
+        end = start + grid.window
+        while lo < n and index[lo] < start:
+            lo += 1
+        if hi < lo:
+            hi = lo
+        while hi < n and index[hi] < end:
+            hi += 1
+        out[k, 0] = lo
+        out[k, 1] = hi
+    return out
+
+
 @settings(max_examples=150)
 @given(case=_series_and_grid())
 def test_positions_match_linear_scan_and_sweep(case):
     series, grid = case
-    pos = segment_positions(series, grid, method="bisect")
+    pos = segment_positions(series, grid)
     assert pos.shape == (grid.n_segments, 2)
-    sweep = segment_positions(series, grid, method="sweep")
-    assert np.array_equal(pos, sweep)
+    assert np.array_equal(pos, positions_sweep(series.index, grid))
     idx = series.index
     for k in range(grid.n_segments):
         start, end = grid.segment_bounds(k)
