@@ -17,12 +17,14 @@ Exact semantics, fixed here so results are reproducible bit for bit:
 - count outputs an I64 column (and therefore rejects a NaN robust fill);
   first and last preserve the input series' value tag.
 
-Empty windows: count, zero_cross return 0 and sum, abs_energy return 0.0;
+Empty windows: count returns 0 and sum, abs_energy, zero_cross return 0.0;
 every other function raises, which extract surfaces as FunctionFailure unless
 the wrapper is made robust.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,116 +33,52 @@ from .features import FuncWrapper, InputMode, PRESERVE
 from .series import ValueTag, render_number
 
 
-def _f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+def _per_window(name: str, kernel, empty: float | None = None, raw: bool = False):
+    """The builtins' one per-window path. An empty window returns ``empty``,
+    or raises when that is None; any other window reaches ``kernel`` as
+    float64 values, whose result returns as a Python float. ``raw`` kernels
+    get the window as stored and return their result untouched. Further
+    arguments (slope's index) pass through to the kernel."""
+
+    def func(x, *rest):
+        if len(x) == 0:
+            if empty is None:
+                raise ValueError(f"{name} of an empty window is undefined")
+            return empty
+        if raw:
+            return kernel(x)
+        return float(kernel(np.asarray(x, dtype=np.float64), *rest))
+
+    return func
 
 
-def _require_nonempty(x, what: str) -> None:
-    if len(x) == 0:
-        raise ValueError(f"{what} of an empty window is undefined")
-
-
-def _count(x):
-    return len(x)
-
-
-def _sum(x):
-    return float(np.sum(_f64(x)))
-
-
-def _mean(x):
-    _require_nonempty(x, "mean")
-    return float(np.mean(_f64(x)))
-
-
-def _var(x):
-    _require_nonempty(x, "var")
-    return float(np.var(_f64(x)))
-
-
-def _std(x):
-    _require_nonempty(x, "std")
-    return float(np.sqrt(np.var(_f64(x))))
-
-
-def _min(x):
-    _require_nonempty(x, "min")
-    return float(np.min(_f64(x)))
-
-
-def _max(x):
-    _require_nonempty(x, "max")
-    return float(np.max(_f64(x)))
-
-
-def _median(x):
-    _require_nonempty(x, "median")
-    return float(np.median(_f64(x)))
-
-
-def _rms(x):
-    _require_nonempty(x, "rms")
-    v = _f64(x)
-    return float(np.sqrt(np.mean(v * v)))
-
-
-def _abs_energy(x):
-    v = _f64(x)
-    return float(np.sum(v * v))
-
-
-def _skewness(x):
-    _require_nonempty(x, "skewness")
-    v = _f64(x)
+def _central_moments(v):
+    """Deviations from the window mean, their squares, and m2."""
     d = v - np.mean(v)
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return 0.0
-    m3 = float(np.mean(d * d * d))
-    return m3 / m2 ** 1.5
+    d2 = d * d
+    return d, d2, float(np.mean(d2))
 
 
-def _kurtosis(x):
-    _require_nonempty(x, "kurtosis")
-    v = _f64(x)
-    d = v - np.mean(v)
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return 0.0
-    m4 = float(np.mean(d ** 4))
-    return m4 / m2 ** 2 - 3.0
+def _skewness(v):
+    d, d2, m2 = _central_moments(v)
+    return 0.0 if m2 == 0.0 else float(np.mean(d2 * d)) / m2 ** 1.5
 
 
-def _slope(pair):
-    values, index = pair
-    _require_nonempty(values, "slope")
-    y = _f64(values)
-    if index.dtype == np.int64:
-        t = (index - index[0]).astype(np.float64) / 1e9
-    else:
-        t = _f64(index) - float(index[0])
+def _kurtosis(v):
+    d2, m2 = _central_moments(v)[1:]  # d is freed before d2 * d2 is allocated
+    return 0.0 if m2 == 0.0 else float(np.mean(d2 * d2)) / m2 ** 2 - 3.0
+
+
+def _slope(y, index):
+    t = index - index[0]
+    if t.dtype == np.int64:
+        t = t.astype(np.float64) / 1e9
     tc = t - np.mean(t)
     denom = float(np.sum(tc * tc))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(tc * (y - np.mean(y))) / denom)
+    return 0.0 if denom == 0.0 else np.sum(tc * (y - np.mean(y))) / denom
 
 
-def _first(x):
-    _require_nonempty(x, "first")
-    return x[0]
-
-
-def _last(x):
-    _require_nonempty(x, "last")
-    return x[-1]
-
-
-def _zero_cross(x):
-    if len(x) < 2:
-        return 0.0
-    v = _f64(x)
-    return float(np.count_nonzero(v[:-1] * v[1:] < 0.0))
+_slope_window = _per_window("slope", _slope)
 
 
 def _no_params(params: dict, name: str) -> None:
@@ -155,34 +93,35 @@ def _make_quantile(params: dict) -> FuncWrapper:
     if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 <= float(q) <= 1.0:
         raise BadParam(f"quantile q must be a number in [0, 1], got {q!r}")
     q = float(q)
-
-    def quantile(x):
-        _require_nonempty(x, "quantile")
-        return float(np.quantile(_f64(x), q))
-
     label = f"quantile_{render_number(q)}"
+    quantile = _per_window("quantile", lambda v: np.quantile(v, q))
     return FuncWrapper(quantile, base_name=label, output_names=label,
                        recipe=("builtin", "quantile", {"q": q}))
 
 
 _SIMPLE: dict[str, tuple] = {
     # name -> (func, input_mode, output_tag)
-    "count": (_count, InputMode.VALUES_ONLY, ValueTag.I64),
-    "sum": (_sum, InputMode.VALUES_ONLY, ValueTag.F64),
-    "mean": (_mean, InputMode.VALUES_ONLY, ValueTag.F64),
-    "std": (_std, InputMode.VALUES_ONLY, ValueTag.F64),
-    "var": (_var, InputMode.VALUES_ONLY, ValueTag.F64),
-    "min": (_min, InputMode.VALUES_ONLY, ValueTag.F64),
-    "max": (_max, InputMode.VALUES_ONLY, ValueTag.F64),
-    "median": (_median, InputMode.VALUES_ONLY, ValueTag.F64),
-    "rms": (_rms, InputMode.VALUES_ONLY, ValueTag.F64),
-    "abs_energy": (_abs_energy, InputMode.VALUES_ONLY, ValueTag.F64),
-    "skewness": (_skewness, InputMode.VALUES_ONLY, ValueTag.F64),
-    "kurtosis": (_kurtosis, InputMode.VALUES_ONLY, ValueTag.F64),
-    "slope": (_slope, InputMode.VALUES_AND_INDEX, ValueTag.F64),
-    "first": (_first, InputMode.VALUES_ONLY, PRESERVE),
-    "last": (_last, InputMode.VALUES_ONLY, PRESERVE),
-    "zero_cross": (_zero_cross, InputMode.VALUES_ONLY, ValueTag.F64),
+    "count": (len, InputMode.VALUES_ONLY, ValueTag.I64),
+    "sum": (_per_window("sum", np.sum, empty=0.0), InputMode.VALUES_ONLY, ValueTag.F64),
+    "mean": (_per_window("mean", np.mean), InputMode.VALUES_ONLY, ValueTag.F64),
+    "std": (_per_window("std", lambda v: np.sqrt(np.var(v))),
+            InputMode.VALUES_ONLY, ValueTag.F64),
+    "var": (_per_window("var", np.var), InputMode.VALUES_ONLY, ValueTag.F64),
+    "min": (_per_window("min", np.min), InputMode.VALUES_ONLY, ValueTag.F64),
+    "max": (_per_window("max", np.max), InputMode.VALUES_ONLY, ValueTag.F64),
+    "median": (_per_window("median", np.median), InputMode.VALUES_ONLY, ValueTag.F64),
+    "rms": (_per_window("rms", lambda v: np.sqrt(np.mean(v * v))),
+            InputMode.VALUES_ONLY, ValueTag.F64),
+    "abs_energy": (_per_window("abs_energy", lambda v: np.sum(v * v), empty=0.0),
+                   InputMode.VALUES_ONLY, ValueTag.F64),
+    "skewness": (_per_window("skewness", _skewness), InputMode.VALUES_ONLY, ValueTag.F64),
+    "kurtosis": (_per_window("kurtosis", _kurtosis), InputMode.VALUES_ONLY, ValueTag.F64),
+    "slope": (lambda pair: _slope_window(*pair), InputMode.VALUES_AND_INDEX, ValueTag.F64),
+    "first": (_per_window("first", itemgetter(0), raw=True), InputMode.VALUES_ONLY, PRESERVE),
+    "last": (_per_window("last", itemgetter(-1), raw=True), InputMode.VALUES_ONLY, PRESERVE),
+    "zero_cross": (_per_window("zero_cross", lambda v: np.count_nonzero(v[:-1] * v[1:] < 0.0),
+                               empty=0.0),
+                   InputMode.VALUES_ONLY, ValueTag.F64),
 }
 
 BUILTIN_NAMES: tuple[str, ...] = tuple(list(_SIMPLE) + ["quantile"])

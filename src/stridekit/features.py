@@ -269,13 +269,6 @@ class FeatureCollection:
     def n_descriptors(self) -> int:
         return sum(len(v) for v in self._groups.values())
 
-    def descriptors(self) -> list[FeatureDescriptor]:
-        out = []
-        for (names, w, s), wrappers in self._groups.items():
-            for wrapper in wrappers:
-                out.append(FeatureDescriptor(names, wrapper, w, s))
-        return out
-
     def column_names(self) -> list[str]:
         names = []
         for (series_names, w, s), wrappers in self._groups.items():
@@ -503,21 +496,22 @@ def _check_column_collisions(collection: FeatureCollection) -> None:
         seen.add(col)
 
 
-def _cells_to_array(cells: list, tag: ValueTag, categories) -> np.ndarray:
+def _missing_column(tag: ValueTag, n: int) -> np.ndarray:
+    """A column of n missing cells: NaN for float tags, None otherwise."""
     if tag in FLOAT_TAGS:
-        dtype = np.float64 if tag is ValueTag.F64 else np.float32
-        return np.array([float(c) for c in cells], dtype=dtype)
-    out = np.empty(len(cells), dtype=object)
+        return np.full(n, np.nan, dtype=np.float64 if tag is ValueTag.F64 else np.float32)
+    return np.full(n, None, dtype=object)
+
+
+def _cell_converter(tag: ValueTag, categories) -> Callable:
+    if tag in FLOAT_TAGS:
+        return float
     if tag is ValueTag.I64:
-        for i, c in enumerate(cells):
-            out[i] = int(c)
-    elif tag is ValueTag.BOOL:
-        for i, c in enumerate(cells):
-            out[i] = bool(c)
-    else:  # CATEGORICAL: function results are dictionary codes
-        for i, c in enumerate(cells):
-            out[i] = c if isinstance(c, str) else categories[int(c)]
-    return out
+        return int
+    if tag is ValueTag.BOOL:
+        return bool
+    # CATEGORICAL: function results are labels or dictionary codes
+    return lambda c: c if isinstance(c, str) else categories[int(c)]
 
 
 def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], float]:
@@ -525,8 +519,9 @@ def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], flo
     tags = group.wrapper_tags[fi]
     want_index = wrapper.input_mode is InputMode.VALUES_AND_INDEX
     n = group.grid.n_segments
-    n_out = wrapper.n_outputs
-    cells: list[list] = [[None] * n for _ in range(n_out)]
+    categories = group.series[0].values.categories
+    columns = [_missing_column(tag, n) for tag in tags]
+    converters = [_cell_converter(tag, categories) for tag in tags]
     t0 = time.perf_counter()
     for k in range(n):
         inputs = []
@@ -538,18 +533,15 @@ def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], flo
             else:
                 inputs.append(values)
         try:
-            outs = wrapper.apply(inputs)
+            for column, convert, out in zip(columns, converters, wrapper.apply(inputs)):
+                column[k] = convert(out)
         except Exception as exc:
             series_names = "|".join(group.key[0])
             raise FunctionFailure(
                 f"function {wrapper.base_name!r} failed on group {series_names!r} "
                 f"segment {k}: {exc}"
             ) from exc
-        for j in range(n_out):
-            cells[j][k] = outs[j]
-    categories = group.series[0].values.categories
-    arrays = [_cells_to_array(cells[j], tags[j], categories) for j in range(n_out)]
-    return arrays, time.perf_counter() - t0
+    return columns, time.perf_counter() - t0
 
 
 # Worker context, inherited through fork; never pickled.
@@ -611,15 +603,10 @@ def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> Feature
             tags = g.wrapper_tags[fi]
             for j, out_name in enumerate(wrapper.output_names):
                 col_name = format_output_name(series_names, out_name, w, s)
-                tag = tags[j]
-                if tag in FLOAT_TAGS:
-                    dtype = np.float64 if tag is ValueTag.F64 else np.float32
-                    data = np.full(len(index), np.nan, dtype=dtype)
-                else:
-                    data = np.full(len(index), None, dtype=object)
+                data = _missing_column(tags[j], len(index))
                 if len(rows):
                     data[rows] = arrays[j]
-                columns[col_name] = FeatureColumn(tag, data)
+                columns[col_name] = FeatureColumn(tags[j], data)
     return FeatureMatrix(kind, index, columns)
 
 

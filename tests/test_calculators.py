@@ -103,11 +103,11 @@ def test_empty_windows_zero_or_raise():
     assert call("abs_energy", []) == 0.0
     for name in ("mean", "std", "var", "min", "max", "median", "rms",
                  "skewness", "kurtosis", "first", "last"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{name} of an empty window is undefined"):
             call(name, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quantile of an empty window is undefined"):
         call("quantile", [], {"q": 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slope of an empty window is undefined"):
         call_with_index("slope", [], np.array([], dtype=np.float64))
 
 
@@ -209,6 +209,34 @@ def test_accumulations_match_fsum_oracle(values):
     assert call("min", arr) == min(values)
     assert call("max", arr) == max(values)
     assert call("count", arr) == n
+
+
+integer_windows = st.one_of(
+    st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=50),
+    # constant windows: zero variance
+    st.builds(lambda v, n: [v] * n, st.integers(min_value=-1000, max_value=1000),
+              st.integers(min_value=1, max_value=50)),
+)
+
+
+@given(integer_windows)
+def test_moments_match_fsum_two_pass_oracle(values):
+    # Integer samples keep the two-pass moments well conditioned. Skewness and
+    # kurtosis can be 0 in exact arithmetic, where only an absolute bound holds.
+    arr = np.array(values, dtype=np.float64)
+    n = len(values)
+    mean = math.fsum(values) / n
+    d = [v - mean for v in values]
+    m2, m3, m4 = (math.fsum(x ** k for x in d) / n for k in (2, 3, 4))
+    energy = math.fsum(v * v for v in values)
+    assert math.isclose(call("std", arr), math.sqrt(m2), rel_tol=1e-9)
+    assert math.isclose(call("rms", arr), math.sqrt(energy / n), rel_tol=1e-9)
+    assert math.isclose(call("abs_energy", arr), energy, rel_tol=1e-9)
+    if m2 == 0.0:
+        assert call("std", arr) == call("skewness", arr) == call("kurtosis", arr) == 0.0
+    else:
+        assert math.isclose(call("skewness", arr), m3 / m2 ** 1.5, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(call("kurtosis", arr), m4 / m2 ** 2 - 3.0, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @given(finite_lists)

@@ -223,6 +223,24 @@ def test_function_failure_names_group_and_segment():
     assert "'S'" in str(err.value) and "segment 2" in str(err.value)
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("result, tag", [
+    (None, ValueTag.F64),
+    ("x", ValueTag.I64),
+    (0, ValueTag.CATEGORICAL),  # a dictionary code, but the series is float
+])
+def test_output_that_misfits_its_tag_names_group_and_segment(result, tag, n_workers):
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(
+        ("S", FuncWrapper(lambda x: result, base_name="odd", output_tags=[tag]), 2.0, 2.0),
+        ("S", builtin("mean"), 2.0, 2.0),  # a second unit, so two workers use the pool
+    )
+    with pytest.raises(FunctionFailure) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
+    message = str(err.value)
+    assert "'odd'" in message and "'S'" in message and "segment 0" in message
+
+
 def test_joint_function_intersects_spans():
     a = numeric_series("A", np.arange(0.0, 21.0), values=np.full(21, 2.0))
     b = numeric_series("B", np.arange(5.0, 31.0), values=np.full(26, 3.0))
