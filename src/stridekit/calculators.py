@@ -1,4 +1,11 @@
-"""Built-in per-window feature functions.
+"""Built-in window functions, one block kernel each.
+
+Every builtin is a single :class:`~stridekit.features.BlockKernel`: a numpy
+function from a block of b windows of c samples each, shape (b, c), to one
+value per window (slope also gets the matching index block). extract runs it
+once per block of equal-count windows; called on one window, it is the same
+kernel applied to a one-row block. Reductions run along each row, so a
+window's value does not depend on the block it was computed in.
 
 Exact semantics, fixed here so results are reproducible bit for bit:
 
@@ -24,61 +31,68 @@ the wrapper is made robust.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import partial
 
 import numpy as np
 
 from .errors import BadParam, UnknownBuiltin
-from .features import FuncWrapper, InputMode, PRESERVE
+from .features import BlockKernel, FuncWrapper, InputMode, PRESERVE
 from .series import ValueTag, render_number
 
 
-def _per_window(name: str, kernel, empty: float | None = None, raw: bool = False):
-    """The builtins' one per-window path. An empty window returns ``empty``,
-    or raises when that is None; any other window reaches ``kernel`` as
-    float64 values, whose result returns as a Python float. ``raw`` kernels
-    get the window as stored and return their result untouched. Further
-    arguments (slope's index) pass through to the kernel."""
+def _mean(v, keepdims=False):
+    """Row means with np.mean's arithmetic (sum, then divide by the count)
+    but without its per-call overhead, which single-window blocks pay per
+    window."""
+    return np.add.reduce(v, axis=1, keepdims=keepdims) / v.shape[1]
 
-    def func(x, *rest):
-        if len(x) == 0:
-            if empty is None:
-                raise ValueError(f"{name} of an empty window is undefined")
-            return empty
-        if raw:
-            return kernel(x)
-        return float(kernel(np.asarray(x, dtype=np.float64), *rest))
 
-    return func
+def _var(v):
+    """Row variances with np.var's arithmetic."""
+    d = v - _mean(v, keepdims=True)
+    return _mean(np.multiply(d, d, out=d))
 
 
 def _central_moments(v):
-    """Deviations from the window mean, their squares, and m2."""
-    d = v - np.mean(v)
+    """Deviations from each window's mean, their squares, and m2 per window."""
+    d = v - _mean(v, keepdims=True)
     d2 = d * d
-    return d, d2, float(np.mean(d2))
+    return d, d2, _mean(d2)
+
+
+def _moment_ratio(m, m2, power, shift=0.0):
+    """m / m2**power - shift per window; 0.0 where m2 is 0."""
+    out = np.full_like(m2, shift)
+    np.divide(m, m2 ** power, out=out, where=m2 != 0.0)
+    return out - shift
 
 
 def _skewness(v):
     d, d2, m2 = _central_moments(v)
-    return 0.0 if m2 == 0.0 else float(np.mean(d2 * d)) / m2 ** 1.5
+    return _moment_ratio(_mean(d2 * d), m2, 1.5)
 
 
 def _kurtosis(v):
     d2, m2 = _central_moments(v)[1:]  # d is freed before d2 * d2 is allocated
-    return 0.0 if m2 == 0.0 else float(np.mean(d2 * d2)) / m2 ** 2 - 3.0
+    return _moment_ratio(_mean(d2 * d2), m2, 2, shift=3.0)
 
 
 def _slope(y, index):
-    t = index - index[0]
+    t = index - index[:, :1]
     if t.dtype == np.int64:
         t = t.astype(np.float64) / 1e9
-    tc = t - np.mean(t)
-    denom = float(np.sum(tc * tc))
-    return 0.0 if denom == 0.0 else np.sum(tc * (y - np.mean(y))) / denom
+    tc = t - _mean(t, keepdims=True)
+    denom = np.add.reduce(tc * tc, axis=1)
+    num = np.add.reduce(tc * (y - _mean(y, keepdims=True)), axis=1)
+    return np.divide(num, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
-_slope_window = _per_window("slope", _slope)
+def _zero_cross(v):
+    # Summing the comparison as int8 into int32 is about twice as fast as
+    # count_nonzero along an axis; int32 cannot overflow, as a window of 2**31
+    # samples would need a 16 GiB float64 block.
+    crossings = (v[:, :-1] * v[:, 1:] < 0.0).view(np.int8)
+    return np.add.reduce(crossings, axis=1, dtype=np.int32).astype(np.float64)
 
 
 def _no_params(params: dict, name: str) -> None:
@@ -94,34 +108,36 @@ def _make_quantile(params: dict) -> FuncWrapper:
         raise BadParam(f"quantile q must be a number in [0, 1], got {q!r}")
     q = float(q)
     label = f"quantile_{render_number(q)}"
-    quantile = _per_window("quantile", lambda v: np.quantile(v, q))
+    quantile = BlockKernel("quantile", partial(np.quantile, q=q, axis=1))
     return FuncWrapper(quantile, base_name=label, output_names=label,
                        recipe=("builtin", "quantile", {"q": q}))
 
 
+def _f64(name: str, func, empty: float | None = None) -> tuple:
+    return BlockKernel(name, func, empty=empty), InputMode.VALUES_ONLY, ValueTag.F64
+
+
 _SIMPLE: dict[str, tuple] = {
-    # name -> (func, input_mode, output_tag)
-    "count": (len, InputMode.VALUES_ONLY, ValueTag.I64),
-    "sum": (_per_window("sum", np.sum, empty=0.0), InputMode.VALUES_ONLY, ValueTag.F64),
-    "mean": (_per_window("mean", np.mean), InputMode.VALUES_ONLY, ValueTag.F64),
-    "std": (_per_window("std", lambda v: np.sqrt(np.var(v))),
-            InputMode.VALUES_ONLY, ValueTag.F64),
-    "var": (_per_window("var", np.var), InputMode.VALUES_ONLY, ValueTag.F64),
-    "min": (_per_window("min", np.min), InputMode.VALUES_ONLY, ValueTag.F64),
-    "max": (_per_window("max", np.max), InputMode.VALUES_ONLY, ValueTag.F64),
-    "median": (_per_window("median", np.median), InputMode.VALUES_ONLY, ValueTag.F64),
-    "rms": (_per_window("rms", lambda v: np.sqrt(np.mean(v * v))),
-            InputMode.VALUES_ONLY, ValueTag.F64),
-    "abs_energy": (_per_window("abs_energy", lambda v: np.sum(v * v), empty=0.0),
-                   InputMode.VALUES_ONLY, ValueTag.F64),
-    "skewness": (_per_window("skewness", _skewness), InputMode.VALUES_ONLY, ValueTag.F64),
-    "kurtosis": (_per_window("kurtosis", _kurtosis), InputMode.VALUES_ONLY, ValueTag.F64),
-    "slope": (lambda pair: _slope_window(*pair), InputMode.VALUES_AND_INDEX, ValueTag.F64),
-    "first": (_per_window("first", itemgetter(0), raw=True), InputMode.VALUES_ONLY, PRESERVE),
-    "last": (_per_window("last", itemgetter(-1), raw=True), InputMode.VALUES_ONLY, PRESERVE),
-    "zero_cross": (_per_window("zero_cross", lambda v: np.count_nonzero(v[:-1] * v[1:] < 0.0),
-                               empty=0.0),
-                   InputMode.VALUES_ONLY, ValueTag.F64),
+    # name -> (kernel, input_mode, output_tag)
+    # One shared int per block: I64 cells are Python ints in an object column.
+    "count": (BlockKernel("count", lambda v: np.full(len(v), v.shape[1], dtype=object),
+                          empty=0, raw=True),
+              InputMode.VALUES_ONLY, ValueTag.I64),
+    "sum": _f64("sum", partial(np.add.reduce, axis=1), empty=0.0),
+    "mean": _f64("mean", _mean),
+    "std": _f64("std", lambda v: np.sqrt(_var(v))),
+    "var": _f64("var", _var),
+    "min": _f64("min", partial(np.minimum.reduce, axis=1)),
+    "max": _f64("max", partial(np.maximum.reduce, axis=1)),
+    "median": _f64("median", partial(np.median, axis=1)),
+    "rms": _f64("rms", lambda v: np.sqrt(_mean(v * v))),
+    "abs_energy": _f64("abs_energy", lambda v: np.add.reduce(v * v, axis=1), empty=0.0),
+    "skewness": _f64("skewness", _skewness),
+    "kurtosis": _f64("kurtosis", _kurtosis),
+    "slope": (BlockKernel("slope", _slope), InputMode.VALUES_AND_INDEX, ValueTag.F64),
+    "first": (BlockKernel("first", lambda v: v[:, 0], raw=True), InputMode.VALUES_ONLY, PRESERVE),
+    "last": (BlockKernel("last", lambda v: v[:, -1], raw=True), InputMode.VALUES_ONLY, PRESERVE),
+    "zero_cross": _f64("zero_cross", _zero_cross, empty=0.0),
 }
 
 BUILTIN_NAMES: tuple[str, ...] = tuple(list(_SIMPLE) + ["quantile"])

@@ -11,16 +11,19 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
 import multiprocessing
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DuplicateFeature,
@@ -53,12 +56,52 @@ class InputMode(enum.Enum):
 PRESERVE = "preserve"
 
 
+@dataclass(frozen=True)
+class BlockKernel:
+    """A builtin's one implementation. ``func`` maps a block of b windows of
+    c samples each, shape (b, c), to one value per window. Blocks are
+    float64, or as stored when ``raw``; an index-aware kernel also gets the
+    matching index block. extract runs the kernel once per block of
+    equal-count windows; calling it on one window runs ``func`` on a one-row
+    block, so both paths give the same bits.
+
+    An empty window yields ``empty``, or raises when that is None.
+    ``make_robust`` sets ``min_samples`` and ``fill``: a window with fewer
+    samples yields ``fill`` instead.
+    """
+
+    name: str
+    func: Callable
+    empty: object = None
+    raw: bool = False
+    min_samples: int = 0
+    fill: object = None
+
+    def empty_value(self):
+        if self.empty is None:
+            raise ValueError(f"{self.name} of an empty window is undefined")
+        return self.empty
+
+    def __call__(self, x):
+        values, index = x if isinstance(x, tuple) else (x, None)
+        if len(values) < self.min_samples:
+            return self.fill
+        if len(values) == 0:
+            return self.empty_value()
+        rows = [np.asarray(values, dtype=None if self.raw else np.float64)[None, :]]
+        if index is not None:
+            rows.append(np.asarray(index)[None, :])
+        return self.func(*rows).tolist()[0]
+
+
 class FuncWrapper:
     """A feature function plus its output naming, typing, and bound kwargs.
 
     The callable receives one argument per input series - the window's value
     array, or a ``(values, index)`` pair in VALUES_AND_INDEX mode - followed by
     the bound keyword arguments, and must return one scalar per output name.
+    A :class:`BlockKernel` callable (the builtins) also lets extract run the
+    function over blocks of windows.
     """
 
     __slots__ = ("func", "base_name", "output_names", "input_mode", "bound_kwargs",
@@ -129,10 +172,13 @@ def make_robust(
 ) -> FuncWrapper:
     """Wrapper that returns ``fill_value`` for every output when any input
     window holds fewer than ``min_samples`` samples, instead of calling the
-    inner function.
+    inner function. A block kernel stays a block kernel, with the threshold
+    as a count mask.
 
     A NaN fill requires every output to be float-tagged; integer, boolean,
-    categorical, or tag-preserving outputs cannot represent it.
+    categorical, or tag-preserving outputs cannot represent it. An integral
+    float fill becomes an int for I64 outputs; otherwise the fill must fit
+    each output's tag like any function output.
     """
     if min_samples < 0:
         raise InvalidDescriptor("min_samples must be >= 0")
@@ -144,14 +190,20 @@ def make_robust(
                     f"{wrapper.base_name!r}: NaN fill requires float outputs "
                     f"(offending tag: {getattr(tag, 'value', tag)})"
                 )
-    fills = (fill_value,) * wrapper.n_outputs
-
-    def robust(*inputs):
-        for x in inputs:
-            values = x[0] if isinstance(x, tuple) else x
-            if len(values) < min_samples:
-                return fills
-        return wrapper.apply(inputs)
+    integral = isinstance(fill_value, float) and fill_value.is_integer()
+    fills = tuple(int(fill_value) if integral and tag is ValueTag.I64 else fill_value
+                  for tag in wrapper.output_tags)
+    inner = wrapper.func
+    if isinstance(inner, BlockKernel) and inner.min_samples <= min_samples:
+        # The inner threshold, if any, is covered by this one.
+        robust = dataclasses.replace(inner, min_samples=min_samples, fill=fills[0])
+    else:
+        def robust(*inputs):
+            for x in inputs:
+                values = x[0] if isinstance(x, tuple) else x
+                if len(values) < min_samples:
+                    return fills
+            return wrapper.apply(inputs)
 
     recipe = None
     if wrapper.recipe is not None:
@@ -375,6 +427,7 @@ class LogRecord:
     stride: Delta
     n_segments: int
     duration_s: float
+    path: str = "window"  # "block": a builtin's kernel over blocks of windows
 
     def to_json_obj(self) -> dict:
         return {
@@ -384,6 +437,7 @@ class LogRecord:
             "stride": self.stride.render(),
             "n_segments": self.n_segments,
             "duration_s": self.duration_s,
+            "path": self.path,
         }
 
 
@@ -503,27 +557,46 @@ def _missing_column(tag: ValueTag, n: int) -> np.ndarray:
     return np.full(n, None, dtype=object)
 
 
-def _cell_converter(tag: ValueTag, categories) -> Callable:
+def _cell_converter(tag: ValueTag, series: Series) -> Callable:
+    """The strict conversion of one function output to a ``tag`` cell."""
     if tag in FLOAT_TAGS:
         return float
     if tag is ValueTag.I64:
-        return int
+        return operator.index
     if tag is ValueTag.BOOL:
-        return bool
-    # CATEGORICAL: function results are labels or dictionary codes
-    return lambda c: c if isinstance(c, str) else categories[int(c)]
+        def boolean(c):
+            if not isinstance(c, (bool, np.bool_)):
+                raise TypeError(f"a BOOL output must be a bool, got {c!r}")
+            return bool(c)
+        return boolean
+    categories = series.values.categories
+
+    def label(c):  # a label, or a code into the series' dictionary
+        if isinstance(c, str):
+            return c
+        code = operator.index(c)
+        if categories is None:
+            raise TypeError(f"a CATEGORICAL code ({code}) needs a label dictionary, "
+                            f"but series {series.name!r} has none")
+        if not 0 <= code < len(categories):
+            raise ValueError(f"CATEGORICAL code {code} is outside the {len(categories)} "
+                             f"labels of series {series.name!r}")
+        return categories[code]
+    return label
 
 
-def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], float]:
-    wrapper = group.wrappers[fi]
-    tags = group.wrapper_tags[fi]
+def _failure(wrapper: FuncWrapper, group: _ResolvedGroup, k: int, exc: Exception):
+    return FunctionFailure(
+        f"function {wrapper.base_name!r} failed on group {'|'.join(group.key[0])!r} "
+        f"segment {k}: {exc}"
+    )
+
+
+def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> None:
+    """One Python call per window: user functions and multi-series groups."""
+    converters = [_cell_converter(tag, group.series[0]) for tag in tags]
     want_index = wrapper.input_mode is InputMode.VALUES_AND_INDEX
-    n = group.grid.n_segments
-    categories = group.series[0].values.categories
-    columns = [_missing_column(tag, n) for tag in tags]
-    converters = [_cell_converter(tag, categories) for tag in tags]
-    t0 = time.perf_counter()
-    for k in range(n):
+    for k in range(group.grid.n_segments):
         inputs = []
         for series, pos in zip(group.series, group.positions):
             lo, hi = int(pos[k, 0]), int(pos[k, 1])
@@ -536,12 +609,77 @@ def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], flo
             for column, convert, out in zip(columns, converters, wrapper.apply(inputs)):
                 column[k] = convert(out)
         except Exception as exc:
-            series_names = "|".join(group.key[0])
-            raise FunctionFailure(
-                f"function {wrapper.base_name!r} failed on group {series_names!r} "
-                f"segment {k}: {exc}"
-            ) from exc
-    return columns, time.perf_counter() - t0
+            raise _failure(wrapper, group, k, exc) from exc
+
+
+#: Bytes of float64 samples per block of windows (a block holds at least one).
+BLOCK_BYTES = 256 * 1024
+
+
+def _run_blocks(group: _ResolvedGroup, wrapper: FuncWrapper, tag: ValueTag, column) -> None:
+    """A kernel over blocks of windows with equal sample counts, each block a
+    (strided) slice of the series' sliding-window view, so extra memory is
+    bounded by BLOCK_BYTES. Short and empty windows take their fill or empty
+    value; a failure names the first segment the per-window loop fails on."""
+    kernel = wrapper.func
+    series, pos = group.series[0], group.positions[0]
+    convert = _cell_converter(tag, series)
+    counts = pos[:, 1] - pos[:, 0]
+    short = counts < kernel.min_samples
+    empty = (counts == 0) & ~short  # none when min_samples > 0
+    for where, value in ((short, lambda: kernel.fill), (empty, kernel.empty_value)):
+        if where.any():
+            try:
+                column[where] = convert(value())
+            except Exception as exc:
+                raise _failure(wrapper, group, int(np.argmax(where)), exc) from exc
+
+    labels = None  # a raw kernel's dictionary codes become labels
+    if tag is ValueTag.CATEGORICAL:
+        labels = np.array(series.values.categories, dtype=object)
+    sources = [series.values.data]
+    if wrapper.input_mode is InputMode.VALUES_AND_INDEX:
+        sources.append(series.index)
+    todo = np.flatnonzero((counts > 0) & ~short)
+    todo = todo[np.argsort(counts[todo], kind="stable")]
+    for run in np.split(todo, np.flatnonzero(np.diff(counts[todo])) + 1):
+        if not len(run):
+            continue
+        c = int(counts[run[0]])
+        views = [sliding_window_view(src, c) for src in sources]
+        starts = pos[run, 0]
+        steps = np.diff(starts)
+        lo = starts.tolist()
+        per_block = max(1, BLOCK_BYTES // (8 * c))
+        for a in range(0, len(run), per_block):
+            b = min(a + per_block, len(run))
+            step = lo[a + 1] - lo[a] if b - a > 1 else 1
+            if step > 0 and (b - a == 1 or (steps[a:b - 1] == step).all()):
+                rows = slice(lo[a], lo[b - 1] + 1, step)
+            else:
+                rows = starts[a:b]
+            blocks = [v[rows] for v in views]
+            if not kernel.raw:
+                blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
+            try:
+                out = kernel.func(*blocks)
+                column[run[a:b]] = out if labels is None else labels[out]
+            except Exception as exc:
+                raise _failure(wrapper, group, int(run[a]), exc) from exc
+
+
+def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], float, str]:
+    wrapper = group.wrappers[fi]
+    tags = group.wrapper_tags[fi]
+    columns = [_missing_column(tag, group.grid.n_segments) for tag in tags]
+    t0 = time.perf_counter()
+    if isinstance(wrapper.func, BlockKernel) and len(group.series) == 1:
+        path = "block"
+        _run_blocks(group, wrapper, tags[0], columns[0])
+    else:
+        path = "window"
+        _run_windows(group, wrapper, tags, columns)
+    return columns, time.perf_counter() - t0, path
 
 
 # Worker context, inherited through fork; never pickled.
@@ -551,8 +689,7 @@ _WORKER_GROUPS: list[_ResolvedGroup] | None = None
 def _unit_worker(unit: tuple[int, int]):
     gi, fi = unit
     assert _WORKER_GROUPS is not None
-    arrays, duration = _compute_unit(_WORKER_GROUPS[gi], fi)
-    return unit, arrays, duration
+    return unit, _compute_unit(_WORKER_GROUPS[gi], fi)
 
 
 def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tuple]:
@@ -565,8 +702,7 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
     )
     if not use_pool:
         for gi, fi in units:
-            arrays, duration = _compute_unit(groups[gi], fi)
-            results[(gi, fi)] = (arrays, duration)
+            results[(gi, fi)] = _compute_unit(groups[gi], fi)
         return results
     global _WORKER_GROUPS
     _WORKER_GROUPS = groups
@@ -574,8 +710,8 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
         ctx = multiprocessing.get_context("fork")
         chunksize = max(1, len(units) // (n_workers * 4))
         with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-            for unit, arrays, duration in pool.map(_unit_worker, units, chunksize=chunksize):
-                results[unit] = (arrays, duration)
+            for unit, result in pool.map(_unit_worker, units, chunksize=chunksize):
+                results[unit] = result
     finally:
         _WORKER_GROUPS = None
     return results
@@ -599,7 +735,7 @@ def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> Feature
         series_names, w, s = g.key
         rows = np.searchsorted(index, g.grid.output_index())
         for fi, wrapper in enumerate(g.wrappers):
-            arrays, _ = results[(gi, fi)]
+            arrays = results[(gi, fi)][0]
             tags = g.wrapper_tags[fi]
             for j, out_name in enumerate(wrapper.output_names):
                 col_name = format_output_name(series_names, out_name, w, s)
@@ -651,7 +787,7 @@ def extract(
     for gi, g in enumerate(groups):
         series_names, w, s = g.key
         for fi, wrapper in enumerate(g.wrappers):
-            _, duration = results[(gi, fi)]
+            _, duration, path = results[(gi, fi)]
             records.append(
                 LogRecord(
                     func=wrapper.base_name,
@@ -660,6 +796,7 @@ def extract(
                     stride=s,
                     n_segments=g.grid.n_segments,
                     duration_s=duration,
+                    path=path,
                 )
             )
     if options.log_path:

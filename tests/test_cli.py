@@ -334,8 +334,9 @@ def test_extract_writes_a_duration_log(tmp_path):
     for line in lines:
         record = json.loads(line)
         assert set(record) == {
-            "func", "series", "window", "stride", "n_segments", "duration_s",
+            "func", "series", "window", "stride", "n_segments", "duration_s", "path",
         }
+        assert record["path"] == "block"
         assert record["n_segments"] > 0
         assert record["duration_s"] >= 0.0
 

@@ -223,14 +223,36 @@ def test_function_failure_names_group_and_segment():
     assert "'S'" in str(err.value) and "segment 2" in str(err.value)
 
 
+LABELS = np.array(["lo", "hi", "lo"] * 3, dtype=object)
+
+
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("result, tag", [
-    (None, ValueTag.F64),
-    ("x", ValueTag.I64),
-    (0, ValueTag.CATEGORICAL),  # a dictionary code, but the series is float
+@pytest.mark.parametrize("result, tag, values, reason", [
+    pytest.param(None, ValueTag.F64, None, "'NoneType'", id="None-ValueTag.F64"),
+    pytest.param("x", ValueTag.I64, None, "cannot be interpreted as an integer",
+                 id="x-ValueTag.I64"),
+    pytest.param(2.7, ValueTag.I64, None, "cannot be interpreted as an integer",
+                 id="2.7-ValueTag.I64"),
+    pytest.param("false", ValueTag.BOOL, None, "a BOOL output must be a bool, got 'false'",
+                 id="false-ValueTag.BOOL"),
+    pytest.param(1, ValueTag.BOOL, None, "a BOOL output must be a bool, got 1",
+                 id="1-ValueTag.BOOL"),
+    # a dictionary code, but the series is float
+    pytest.param(0, ValueTag.CATEGORICAL, None,
+                 "needs a label dictionary, but series 'S' has none",
+                 id="0-ValueTag.CATEGORICAL"),
+    pytest.param(-1, ValueTag.CATEGORICAL, LABELS,
+                 "code -1 is outside the 2 labels of series 'S'",
+                 id="-1-ValueTag.CATEGORICAL-labels"),
+    pytest.param(2, ValueTag.CATEGORICAL, LABELS,
+                 "code 2 is outside the 2 labels of series 'S'",
+                 id="2-ValueTag.CATEGORICAL-labels"),
+    pytest.param(0.0, ValueTag.CATEGORICAL, LABELS, "cannot be interpreted as an integer",
+                 id="0.0-ValueTag.CATEGORICAL-labels"),
 ])
-def test_output_that_misfits_its_tag_names_group_and_segment(result, tag, n_workers):
-    s = numeric_series("S", np.arange(0.0, 9.0))
+def test_output_that_misfits_its_tag_names_group_and_segment(result, tag, values, reason,
+                                                             n_workers):
+    s = numeric_series("S", np.arange(0.0, 9.0), values=values)
     c = collection_of(
         ("S", FuncWrapper(lambda x: result, base_name="odd", output_tags=[tag]), 2.0, 2.0),
         ("S", builtin("mean"), 2.0, 2.0),  # a second unit, so two workers use the pool
@@ -239,6 +261,23 @@ def test_output_that_misfits_its_tag_names_group_and_segment(result, tag, n_work
         extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
     message = str(err.value)
     assert "'odd'" in message and "'S'" in message and "segment 0" in message
+    assert reason in message
+
+
+@pytest.mark.parametrize("result, tag, want", [
+    (np.int64(3), ValueTag.I64, 3),
+    (True, ValueTag.I64, 1),
+    (np.bool_(False), ValueTag.BOOL, False),
+    (1, ValueTag.CATEGORICAL, "lo"),
+    ("new", ValueTag.CATEGORICAL, "new"),
+])
+def test_output_that_fits_its_tag_is_stored_as_a_python_scalar(result, tag, want):
+    s = numeric_series("S", np.arange(0.0, 9.0), values=LABELS)
+    c = collection_of(("S", FuncWrapper(lambda x: result, base_name="odd", output_tags=[tag]),
+                       2.0, 2.0))
+    cells = extract(SeriesSet([s]), c).matrix["S__odd__w=2_s=2"].data.tolist()
+    assert cells == [want] * 4
+    assert {type(v) for v in cells} == {type(want)}
 
 
 def test_joint_function_intersects_spans():
@@ -403,8 +442,9 @@ def test_log_path_writes_json_lines(tmp_path):
     lines = log_file.read_text().splitlines()
     assert len(lines) == 1
     obj = json.loads(lines[0])
-    assert set(obj) == {"func", "series", "window", "stride", "n_segments", "duration_s"}
+    assert set(obj) == {"func", "series", "window", "stride", "n_segments", "duration_s", "path"}
     assert obj["func"] == "mean" and obj["window"] == "30s" and obj["n_segments"] == 8
+    assert obj["path"] == "block"
 
 
 # ---------------------------------------------------------------------------
