@@ -521,6 +521,13 @@ def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
                     output_position: OutputPosition) -> list[_ResolvedGroup]:
     groups = []
     for (series_names, w, s), wrappers in collection.groups():
+        if len(series_names) > 1:
+            for wrapper in wrappers:
+                if isinstance(wrapper.func, BlockKernel):
+                    raise InvalidDescriptor(
+                        f"builtin {wrapper.base_name!r} takes one series, but group "
+                        f"{'|'.join(series_names)!r} has {len(series_names)}"
+                    )
         members = [series_set[name] for name in series_names]  # raises UnknownSeries
         kinds = {m.kind for m in members}
         if len(kinds) > 1 or next(iter(kinds)) is not w.kind:
@@ -593,7 +600,7 @@ def _failure(wrapper: FuncWrapper, group: _ResolvedGroup, k: int, exc: Exception
 
 
 def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> None:
-    """One Python call per window: user functions and multi-series groups."""
+    """One Python call per window: user functions."""
     converters = [_cell_converter(tag, group.series[0]) for tag in tags]
     want_index = wrapper.input_mode is InputMode.VALUES_AND_INDEX
     for k in range(group.grid.n_segments):
@@ -673,7 +680,7 @@ def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], flo
     tags = group.wrapper_tags[fi]
     columns = [_missing_column(tag, group.grid.n_segments) for tag in tags]
     t0 = time.perf_counter()
-    if isinstance(wrapper.func, BlockKernel) and len(group.series) == 1:
+    if isinstance(wrapper.func, BlockKernel):
         path = "block"
         _run_blocks(group, wrapper, tags[0], columns[0])
     else:
@@ -772,8 +779,9 @@ def extract(
     """Run every registered feature over its strided windows and outer-join
     the per-group results on the output index.
 
-    Raises UnknownSeries, KindMismatch, or DisjointSpans before any function
-    runs; FunctionFailure (naming the group and segment) aborts the whole
+    Raises UnknownSeries, KindMismatch, DisjointSpans, or InvalidDescriptor
+    (a builtin on a multi-series group) before any function runs;
+    FunctionFailure (naming the group and segment) aborts the whole
     extraction.
     """
     options = options or ExtractOptions()

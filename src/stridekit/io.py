@@ -16,10 +16,18 @@ Formats, bit-exactly:
   the registered processors.
 
 Column typing on load is inferred per column: all-``true``/``false`` cells
-make BOOL, all plain integers make I64, anything fully numeric (empty cells
-allowed, read as NaN) makes F64, everything else is dictionary-encoded
-CATEGORICAL. Float32 data therefore reloads as F64: values survive exactly,
-the narrower tag does not.
+make BOOL, all plain integers make I64 (one outside int64 is a ParseError),
+anything fully numeric (empty cells allowed, read as NaN) makes F64,
+everything else is dictionary-encoded CATEGORICAL. Float32 data therefore
+reloads as F64: values survive exactly, the narrower tag does not.
+
+``load_csv`` reads UTF-8 with LF or CRLF line ends. It parses a file once,
+from its bytes, column by column with numpy: one scan finds the delimiters,
+each column is cut out as a fixed-width bytes array in row blocks, a byte
+automaton decides BOOL/I64/F64, and numpy's casts produce the values. Files
+that need the CSV quoting rules go through ``csv.reader``; cells outside the
+numeric grammar, and every row-numbered ParseError, come from the per-cell
+parsers.
 """
 
 from __future__ import annotations
@@ -29,8 +37,11 @@ import datetime as _dt
 import json
 import math
 import re
+from io import StringIO
+from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigError,
@@ -114,6 +125,24 @@ def format_rfc3339(ns: int) -> str:
     return f"{base}.{frac:09d}Z"
 
 
+# ---------------------------------------------------------------------------
+# load_csv: column-wise parsing of the file's bytes
+# ---------------------------------------------------------------------------
+
+#: Bytes of the file scanned for delimiters at a time.
+_SCAN_BYTES = 256 * 1024
+#: Bytes of cells copied per row block when a column is cut out.
+_GATHER_BYTES = 256 * 1024
+#: Columns with a longer cell are parsed cell by cell, so one long cell
+#: cannot turn into a fixed-width array of that many bytes per row.
+_MAX_CELL_BYTES = 64
+#: Integer cells of at most this many bytes, sign included, fit int64.
+_SAFE_INT_BYTES = 18
+#: Timestamps checked and parsed at a time.
+_STAMP_ROWS = 16 * 1024
+
+_COMMA, _LF, _CR = ord(","), ord("\n"), ord("\r")
+
 # Byte columns that hold a digit in every timestamp: YYYY-MM-DD?hh:mm:ss.
 _STAMP_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
 
@@ -122,26 +151,34 @@ def _is_digit(column: np.ndarray) -> np.ndarray:
     return column - np.uint8(ord("0")) <= 9
 
 
-def _parse_time_index_fast(cells: list[str]) -> np.ndarray | None:
-    """Integer nanoseconds for a column whose every cell matches ``_RFC_RE``
-    with a year in 1678-2261, or None so the caller parses cell by cell.
+def _parse_time_index_fast(raw: np.ndarray) -> np.ndarray | None:
+    """Integer nanoseconds for an ``S`` array of NUL-free cells that each
+    match ``_RFC_RE`` with a year in 1678-2261, or None so the caller parses
+    cell by cell. ``raw`` is used up: its bytes are rewritten in place.
 
-    The layout is checked on the cells' bytes, one byte column at a time.
-    numpy then parses only the offset-free stamps: it warns on an offset, and
-    for bytes input can crash on one, so offsets are cut off and applied
-    here. The year limits keep every value inside int64 nanoseconds, where
-    numpy would wrap silently. Calendar and clock checks are numpy's; it
-    rejects the leap second 60, which the per-cell parser accepts.
+    The layout is checked on the cells' bytes, one byte column at a time,
+    in blocks of _STAMP_ROWS rows so the temporaries stay small. numpy then
+    parses only the offset-free stamps: it warns on an offset, and for bytes
+    input can crash on one, so offsets are cut off and applied here. The
+    year limits keep every value inside int64 nanoseconds, where numpy would
+    wrap silently. Calendar and clock checks are numpy's; it rejects the
+    leap second 60, which the per-cell parser accepts.
     """
-    try:
-        raw = np.array(cells, dtype="S")
-    except UnicodeEncodeError:
+    if len(raw) == 0 or raw.dtype.itemsize < 19:
         return None
-    n, width = len(cells), raw.dtype.itemsize
-    if n == 0 or width < 19:
-        return None
+    out = np.empty(len(raw), dtype=np.int64)
+    for lo in range(0, len(raw), _STAMP_ROWS):
+        block = _parse_stamps(raw[lo:lo + _STAMP_ROWS])
+        if block is None:
+            return None
+        out[lo:lo + _STAMP_ROWS] = block
+    return out
+
+
+def _parse_stamps(raw: np.ndarray) -> np.ndarray | None:
+    n, width = len(raw), raw.dtype.itemsize
     b = raw.view(np.uint8).reshape(n, width)
-    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=n)
+    lengths = np.count_nonzero(b, axis=1)
     ok = lengths >= 19
     for j in _STAMP_DIGITS:
         ok &= _is_digit(b[:, j])
@@ -182,10 +219,7 @@ def _parse_time_index_fast(cells: list[str]) -> np.ndarray | None:
     return ns - shift_ns
 
 
-def _parse_time_index(cells: list[str], first_data_line: int) -> np.ndarray:
-    fast = _parse_time_index_fast(cells)
-    if fast is not None:
-        return fast
+def _parse_time_cells(cells: list[str], first_data_line: int) -> np.ndarray:
     out = np.empty(len(cells), dtype=np.int64)
     for i, cell in enumerate(cells):
         try:
@@ -202,6 +236,58 @@ def _parse_time_index(cells: list[str], first_data_line: int) -> np.ndarray:
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$|^[+-]?(?:inf|nan)$", re.IGNORECASE)
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+(_EMPTY, _SIGN, _INT, _INT_DOT, _FRAC, _LEAD_DOT, _EXP_MARK, _EXP_SIGN, _EXP,
+ _I, _IN, _INF, _N, _NA, _NAN, _DEAD) = range(16)
+
+
+def _numeric_automaton() -> np.ndarray:
+    """Transitions of a DFA that accepts exactly ``_INT_RE`` and ``_FLOAT_RE``
+    on ASCII: entry ``256 * state + byte`` is ``256 * next_state``. NUL, the
+    padding after a cell, keeps the state."""
+    digit = b"0123456789"
+    moves = {
+        _EMPTY: {digit: _INT, b"+-": _SIGN, b".": _LEAD_DOT, b"iI": _I, b"nN": _N},
+        _SIGN: {digit: _INT, b".": _LEAD_DOT, b"iI": _I, b"nN": _N},
+        _INT: {digit: _INT, b".": _INT_DOT, b"eE": _EXP_MARK},
+        _INT_DOT: {digit: _FRAC, b"eE": _EXP_MARK},
+        _FRAC: {digit: _FRAC, b"eE": _EXP_MARK},
+        _LEAD_DOT: {digit: _FRAC},
+        _EXP_MARK: {digit: _EXP, b"+-": _EXP_SIGN},
+        _EXP_SIGN: {digit: _EXP},
+        _EXP: {digit: _EXP},
+        _I: {b"nN": _IN}, _IN: {b"fF": _INF}, _N: {b"aA": _NA}, _NA: {b"nN": _NAN},
+    }
+    table = np.full((_DEAD + 1, 256), _DEAD, dtype=np.uint16)
+    table[:, 0] = np.arange(_DEAD + 1)
+    for state, row in moves.items():
+        for chars, target in row.items():
+            table[state, list(chars)] = target
+    return (table << 8).ravel()
+
+
+_NUMERIC_NEXT = _numeric_automaton()
+_IS_FLOAT = np.isin(np.arange(_DEAD + 1), [_INT, _INT_DOT, _FRAC, _EXP, _INF, _NAN])
+
+
+def _numeric_states(raw: np.ndarray) -> np.ndarray:
+    """The automaton's final state for each cell of an ``S`` array."""
+    b = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)
+    state = np.zeros(len(raw), dtype=np.uint16)
+    for j in range(b.shape[1]):
+        state = _NUMERIC_NEXT[state + b[:, j]]
+    return state >> 8
+
+
+def _parse_numeric_index_fast(raw: np.ndarray) -> np.ndarray | None:
+    """Float64 positions when every cell is a non-NaN ``_FLOAT_RE`` number,
+    else None so the caller parses cell by cell."""
+    if not _IS_FLOAT[_numeric_states(raw)].all():
+        return None
+    values = raw.astype(np.float64)
+    return None if np.isnan(values).any() else values
 
 
 def _parse_numeric_index(cells: list[str], first_data_line: int) -> np.ndarray:
@@ -216,12 +302,48 @@ def _parse_numeric_index(cells: list[str], first_data_line: int) -> np.ndarray:
     return out
 
 
+def _parse_index(kind: IndexKind, raw: np.ndarray | None, cells: Callable) -> np.ndarray:
+    if kind is IndexKind.TIME_NS:
+        fast, per_cell = _parse_time_index_fast, _parse_time_cells
+    else:
+        fast, per_cell = _parse_numeric_index_fast, _parse_numeric_index
+    values = None if raw is None else fast(raw)
+    return values if values is not None else per_cell(cells(), first_data_line=2)
+
+
+def _value_column_fast(raw: np.ndarray) -> np.ndarray | None:
+    """BOOL, I64 or F64 values by the rules of ``_infer_value_column``, or
+    None for a column that rule would make categorical or reject, or whose
+    integers might not fit int64."""
+    state = _numeric_states(raw)
+    if (state == _INT).all():
+        return raw.astype(np.int64) if raw.dtype.itemsize <= _SAFE_INT_BYTES else None
+    empty = state == _EMPTY
+    if (_IS_FLOAT[state] | empty).all():
+        if not empty.any():
+            return raw.astype(np.float64)
+        values = np.full(len(raw), np.nan)
+        values[~empty] = raw[~empty].astype(np.float64)
+        return values
+    true = raw == b"true"
+    if (true | (raw == b"false")).all():
+        return true
+    return None
+
+
 def _infer_value_column(name: str, cells: list[str], first_data_line: int):
     non_empty = [c for c in cells if c != ""]
     if non_empty and all(c in ("true", "false") for c in non_empty) and len(non_empty) == len(cells):
         return np.array([c == "true" for c in cells], dtype=np.bool_)
     if non_empty and len(non_empty) == len(cells) and all(_INT_RE.match(c) for c in cells):
-        return np.array([int(c) for c in cells], dtype=np.int64)
+        values = [int(c) for c in cells]
+        if min(values) < _I64_MIN or max(values) > _I64_MAX:
+            i = next(i for i, v in enumerate(values) if not _I64_MIN <= v <= _I64_MAX)
+            raise ParseError(
+                f"integer {cells[i]!r} in column {name!r} is outside the I64 range",
+                row=first_data_line + i,
+            )
+        return np.array(values, dtype=np.int64)
     if all(c == "" or _FLOAT_RE.match(c) for c in cells):
         return np.array([math.nan if c == "" else float(c) for c in cells], dtype=np.float64)
     for i, c in enumerate(cells):
@@ -230,6 +352,146 @@ def _infer_value_column(name: str, cells: list[str], first_data_line: int):
                 f"empty cell in non-numeric column {name!r}", row=first_data_line + i
             )
     return np.asarray(cells)
+
+
+def _value_column(name: str, raw: np.ndarray | None, cells: Callable) -> np.ndarray:
+    values = None if raw is None else _value_column_fast(raw)
+    return values if values is not None else _infer_value_column(name, cells(), 2)
+
+
+def _check_header(path, header: list[str], index_column: str) -> None:
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DuplicateHeader(f"{path}: repeated column names {dupes}")
+    if index_column not in header:
+        raise ParseError(f"{path}: no column named {index_column!r} in header")
+
+
+def _cut_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """The cells ``buf[starts[i]:stops[i]]`` as one fixed-width ``S`` array,
+    or None when a cell is longer than _MAX_CELL_BYTES. Rows are copied in
+    blocks of _GATHER_BYTES from a strided view of ``buf``, then the bytes
+    past each cell are zeroed."""
+    widths = stops - starts
+    width = max(int(widths.max()), 1)
+    if width > _MAX_CELL_BYTES:
+        return None
+    out = np.empty(len(starts), dtype=f"S{width}")
+    b = out.view(np.uint8).reshape(len(starts), width)
+    last = len(buf) - width  # the last start with `width` bytes after it
+    windows = as_strided(buf, shape=(last + 1, width), strides=(1, 1), writeable=False)
+    offsets = np.arange(width, dtype=np.int32)
+    step = max(1, _GATHER_BYTES // width)
+    for lo in range(0, len(starts), step):
+        block = b[lo:lo + step]
+        block[...] = windows[np.minimum(starts[lo:lo + step], last)]
+        block *= offsets < widths[lo:lo + step, None]
+    for i in np.flatnonzero(starts > last).tolist():  # cells near the file's end
+        cell = buf[starts[i]:stops[i]]
+        b[i] = 0
+        b[i, :len(cell)] = cell
+    return out
+
+
+def _byte_table(path, raw: bytes, index_column: str):
+    """``(header, column)`` for a file that needs none of the CSV quoting
+    rules (ASCII without quote or NUL bytes, LF or CRLF line ends, no blank
+    line, every row as wide as the header), else None. ``column(j)`` is
+    ``(S array or None, cells)`` where ``cells()`` returns the column as a
+    list of str. A column whose cells are all NUL-free ASCII is typed from
+    its ``S`` array; the per-cell parsers run on ``cells()`` only for what
+    that declines."""
+    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+        return None
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None  # a lone CR ends a row for csv.reader
+    head_end = raw.find(b"\n")
+    body = head_end + 1
+    if head_end < 0 or body == len(raw):
+        return None  # no data rows
+    header_line = raw[:head_end].removesuffix(b"\r")
+    if not header_line:
+        return None  # csv.reader reads a blank line as a row of no fields
+    header = header_line.decode("ascii").split(",")
+    k = len(header)
+
+    # Every comma and line end after the header, plus the file's end when
+    # the last row has no line end: row i's k delimiters are ends[i].
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    dtype = np.int32 if len(raw) < 2**31 else np.int64
+    parts = []
+    for lo in range(body, len(raw), _SCAN_BYTES):
+        chunk = buf[lo:lo + _SCAN_BYTES]
+        hits = np.flatnonzero((chunk == _COMMA) | (chunk == _LF))
+        hits += lo
+        parts.append(hits.astype(dtype))
+    if not raw.endswith(b"\n"):
+        parts.append(np.array([len(raw)], dtype=dtype))
+    ends = np.concatenate(parts)
+    del parts
+    if len(ends) % k:
+        return None
+    ends = ends.reshape(-1, k)
+    # Each row is k fields: its last delimiter is a line end, the others are
+    # commas.
+    line_ends = ends[:, -1] if raw.endswith(b"\n") else ends[:-1, -1]
+    if not (buf[line_ends] == _LF).all() or (buf[ends[:, :-1]] == _LF).any():
+        return None
+    row_starts = np.concatenate(([body], ends[:-1, -1] + 1)).astype(dtype)
+    row_stops = ends[:, -1] - (buf[ends[:, -1] - 1] == _CR)
+    if k == 1 and (row_stops == row_starts).any():
+        return None  # a blank line
+
+    _check_header(path, header, index_column)
+
+    def column(j):
+        starts = ends[:, j - 1] + 1 if j else row_starts
+        stops = ends[:, j] if j < k - 1 else row_stops
+
+        def cells():
+            return [raw[a:b].decode("ascii") for a, b in zip(starts.tolist(), stops.tolist())]
+        return _cut_cells(buf, starts, stops), cells
+    return header, column
+
+
+def _ascii_cells(cells: list[str]) -> np.ndarray | None:
+    """``cells`` as an ``S`` array when they are NUL-free ASCII no longer
+    than _MAX_CELL_BYTES, else None."""
+    if not cells or max(map(len, cells)) > _MAX_CELL_BYTES:
+        return None
+    joined = "".join(cells)
+    if not joined.isascii() or "\0" in joined:
+        return None
+    return np.array(cells, dtype="S")
+
+
+def _text_table(path, raw: bytes, index_column: str):
+    """``(header, column)`` by ``csv.reader``, as ``_byte_table``."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The row holding the bad byte is the last one of the text before it
+        # with one more character appended.
+        before = raw[:exc.start].decode("utf-8") + "?"
+        row = sum(1 for _ in csv.reader(StringIO(before, newline="")))
+        raise ParseError(
+            f"{path}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})", row=row
+        ) from None
+    rows = list(csv.reader(StringIO(text, newline="")))
+    if not rows:
+        raise ParseError(f"{path}: file is empty, expected a header row")
+    header, data = rows[0], rows[1:]
+    _check_header(path, header, index_column)
+    for i, row in enumerate(data):
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", row=i + 2
+            )
+
+    def column(j):
+        cells = [row[j] for row in data]
+        return _ascii_cells(cells), lambda: cells
+    return header, column
 
 
 def load_csv(path, index_column: str = "index", kind_hint: IndexKind | None = None,
@@ -241,40 +503,29 @@ def load_csv(path, index_column: str = "index", kind_hint: IndexKind | None = No
     unless ``sort`` is set, which stable-sorts rows by index instead.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: file is empty, expected a header row")
-    header, data = rows[0], rows[1:]
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise DuplicateHeader(f"{path}: repeated column names {dupes}")
-    if index_column not in header:
-        raise ParseError(f"{path}: no column named {index_column!r} in header")
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", row=i + 2
-            )
+    header, column = _byte_table(path, raw, index_column) or _text_table(path, raw, index_column)
     idx_pos = header.index(index_column)
-    index_cells = [row[idx_pos] for row in data]
+    index_raw, index_cells = column(idx_pos)
 
     kind = kind_hint
     if kind is None:
-        probe = index_cells[0] if index_cells else ""
+        if index_raw is not None:
+            probe = index_raw[0].decode("ascii")
+        else:
+            probe = next(iter(index_cells()), "")
         kind = IndexKind.TIME_NS if _RFC_RE.match(probe) else IndexKind.NUMERIC
-    if kind is IndexKind.TIME_NS:
-        index = _parse_time_index(index_cells, first_data_line=2)
-    else:
-        index = _parse_numeric_index(index_cells, first_data_line=2)
+    index = _parse_index(kind, index_raw, index_cells)
+    del index_raw, index_cells
 
     columns = {}
     for pos, name in enumerate(header):
-        if pos == idx_pos:
-            continue
-        columns[name] = _infer_value_column(name, [row[pos] for row in data], 2)
+        if pos != idx_pos:
+            columns[name] = _value_column(name, *column(pos))
+    del raw, column  # the file's bytes are not needed past this point
 
     if len(index) > 1:
         decreasing = np.nonzero(index[1:] < index[:-1])[0]

@@ -251,6 +251,39 @@ def test_extract_truncated_timestamp_exits_2_and_names_row(tmp_path, capsys, cel
     assert "row 3" in err
 
 
+def run_extract(tmp_path, data: bytes, series):
+    data_path = tmp_path / "data.csv"
+    data_path.write_bytes(data)
+    config_path = tmp_path / "config.json"
+    write_json(
+        {"features": [{"series": series, "functions": [{"name": "count"}],
+                       "windows": ["1s"], "strides": ["1s"]}]},
+        str(config_path),
+    )
+    return main([
+        "extract",
+        "--data", str(data_path),
+        "--config", str(config_path),
+        "--out", str(tmp_path / "out.csv"),
+    ]), data_path
+
+
+@pytest.mark.parametrize("data, series, message", [
+    pytest.param(b"index,X\n0,1\n1,caf\xe9\n", "X", "row 3: {path}: not valid UTF-8 (byte 0xe9)",
+                 id="not-utf8"),
+    pytest.param(b"index,X\n0,1\n1,99999999999999999999\n", "X",
+                 "row 3: integer '99999999999999999999' in column 'X' is outside the I64 range",
+                 id="int-overflow"),
+    pytest.param(b"index,X,Y\n0,1,2\n1,3,4\n", [["X", "Y"]],
+                 "builtin 'count' takes one series, but group 'X|Y' has 2",
+                 id="builtin-on-two-series"),
+])
+def test_extract_input_errors_exit_2_with_one_line(tmp_path, capsys, data, series, message):
+    rc, data_path = run_extract(tmp_path, data, series)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=data_path)}\n"
+
+
 def test_extract_duplicate_series_across_files_exits_2(tmp_path, capsys):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"

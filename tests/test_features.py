@@ -295,6 +295,32 @@ def test_joint_function_intersects_spans():
     assert np.allclose(got, 5.0)
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("wrapper", [
+    builtin("count"),
+    builtin("mean"),
+    make_robust(builtin("std"), min_samples=2),
+], ids=["count", "mean", "robust-std"])
+def test_builtin_on_a_multi_series_group_is_rejected_before_any_unit_runs(n_workers, wrapper):
+    a = numeric_series("A", np.arange(0.0, 21.0))
+    b = numeric_series("B", np.arange(0.0, 21.0))
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return 0.0
+
+    c = collection_of(
+        ("A", FuncWrapper(spy, base_name="spy"), 5.0, 5.0),
+        (("A", "B"), wrapper, 5.0, 5.0),
+    )
+    with pytest.raises(InvalidDescriptor) as err:
+        extract(SeriesSet([a, b]), c, ExtractOptions(n_workers=n_workers))
+    assert str(err.value) == (f"builtin {wrapper.base_name!r} takes one series, "
+                              f"but group 'A|B' has 2")
+    assert calls == []
+
+
 def test_multi_output_function_emits_one_column_per_name():
     def span_ends(x):
         return float(x[0]), float(x[-1])

@@ -1,6 +1,9 @@
 """CSV round trips, timestamp parsing, and JSON config documents."""
 
+import csv
+import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,6 +47,8 @@ from stridekit.errors import (
     StridekitError,
     UnknownBuiltin,
 )
+
+from stridekit import io as stridekit_io
 
 from conftest import NS, numeric_series, time_series
 
@@ -302,6 +307,221 @@ def test_empty_cell_in_label_column_rejected(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csv(path)
     assert "row 3" in str(err.value)
+
+
+@pytest.mark.parametrize("cell", ["99999999999999999999", "9223372036854775808",
+                                  "-9223372036854775809"])
+def test_integer_outside_int64_names_column_and_row(tmp_path, cell):
+    path = write_text(tmp_path / "big.csv", ["index,N", "0,1", f"1,{cell}", "2,3"])
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert str(err.value) == f"row 3: integer {cell!r} in column 'N' is outside the I64 range"
+
+
+@pytest.mark.parametrize("data, row, byte", [
+    (b"index,V\n0,walk\n1,caf\xe9\n2,run\n", 3, "0xe9"),
+    (b"ind\xffex,V\n0,1\n", 1, "0xff"),
+    # A quoted line break keeps the fourth line inside row 2; a truncated
+    # two-byte sequence is reported at its first byte.
+    (b'index,V\r\n0,"two\r\nlines"\r\n1,\xc3\r\n', 3, "0xc3"),
+])
+def test_invalid_utf8_names_file_and_row(tmp_path, data, row, byte):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_csv(str(path))
+    assert str(err.value) == f"row {row}: {path}: not valid UTF-8 (byte {byte})"
+
+
+def reference_load(path, index_column="index", kind_hint=None, sort=False):
+    """load_csv by csv.reader and the per-cell parsers alone."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError(f"{path}: file is empty, expected a header row")
+    header, data = rows[0], rows[1:]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DuplicateHeader(f"{path}: repeated column names {dupes}")
+    if index_column not in header:
+        raise ParseError(f"{path}: no column named {index_column!r} in header")
+    for i, row in enumerate(data):
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=i + 2)
+    idx_pos = header.index(index_column)
+    cells = [row[idx_pos] for row in data]
+    kind = kind_hint
+    if kind is None:
+        probe = cells[0] if cells else ""
+        kind = IndexKind.TIME_NS if stridekit_io._RFC_RE.match(probe) else IndexKind.NUMERIC
+    if kind is IndexKind.TIME_NS:
+        index = stridekit_io._parse_time_cells(cells, 2)
+    else:
+        index = stridekit_io._parse_numeric_index(cells, 2)
+    columns = {
+        name: stridekit_io._infer_value_column(name, [row[pos] for row in data], 2)
+        for pos, name in enumerate(header) if pos != idx_pos
+    }
+    decreasing = np.flatnonzero(index[1:] < index[:-1])
+    if len(decreasing):
+        if not sort:
+            raise NonMonotonicIndex(f"{path}: index decreases at row {decreasing[0] + 3} "
+                                    f"(pass sort=True / --sort to sort)")
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        columns = {n: v[order] for n, v in columns.items()}
+    return [Series(name, index, values, kind=kind) for name, values in columns.items()]
+
+
+def assert_loads_like_reference(path, **kw):
+    try:
+        expected = reference_load(path, **kw)
+    except StridekitError as exc:
+        with pytest.raises(type(exc)) as err:
+            load_csv(path, **kw)
+        assert str(err.value) == str(exc)
+        return
+    got = load_csv(path, **kw)
+    assert [s.name for s in got] == [s.name for s in expected]
+    for g, e in zip(got, expected):
+        assert g.kind is e.kind
+        assert (g.index.dtype, g.index.tobytes()) == (e.index.dtype, e.index.tobytes())
+        assert g.values.tag is e.values.tag
+        assert (g.values.data.dtype, g.values.data.tobytes()) == (
+            e.values.data.dtype, e.values.data.tobytes())
+        assert g.values.categories == e.values.categories
+
+
+_DECIMALS = st.from_regex(r"[+-]?[0-9]{1,20}\.[0-9]{0,20}([eE][+-]?[0-9]{1,3})?", fullmatch=True)
+_FLOATS = st.floats(width=64).map(repr) | _DECIMALS | st.sampled_from(
+    ["-0.0", "5e-324", "1e400", "-1E400", "inf", "-Inf", "+nan", "NaN", ".5", "5.", "1.e5",
+     "0.123456789", "1.000000001e-7"])
+
+_CELLS = {
+    "int": st.integers(-10**6, 10**6).map(str) | st.sampled_from(["+7", "-0", "007"]),
+    "wide_int": st.integers(-(10**20), 10**20).map(str),
+    "float": _FLOATS,
+    "gappy": _FLOATS | st.just(""),
+    "empty": st.just(""),
+    "bool": st.sampled_from(["true", "false"]),
+    "label": st.sampled_from(["walk", "run, fast", 'say "hi"', "TRUE", "café", "two\nlines"]),
+    # Tokens that numpy or float() would read as numbers but that keep a
+    # column categorical.
+    "near_numeric": st.sampled_from(["1_0", " 1", "1 ", "0x10", "infinity", "e5", ".", "+",
+                                     "1e", "--1", "1.2.3", "nan1", "+-1", "True", "1\t"]),
+}
+
+_INDEX_CELLS = {
+    "time": _STAMP_FORMS.map(lambda f: _render_stamp(*f)),
+    "numeric": st.floats(allow_nan=False, width=64).map(repr)
+    | st.integers(-10**6, 10**6).map(str) | st.sampled_from(["-0.0", "1e400", "nan", "x"]),
+}
+
+
+_index_sort_key = {
+    "time": parse_rfc3339_ns,
+    "numeric": lambda c: float(c) if stridekit_io._FLOAT_RE.match(c) else 0.0,
+}
+
+
+@st.composite
+def csv_documents(draw):
+    n_rows = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(sorted(_INDEX_CELLS)))
+    index = draw(st.lists(_INDEX_CELLS[kind], min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        index.sort(key=_index_sort_key[kind])
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        flavors = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=2,
+                                unique=True))
+        cells = st.one_of(*(_CELLS[f] for f in flavors))
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    rows = [["index", *(f"C{j}" for j in range(len(columns)))]]
+    rows += [list(cells) for cells in zip(index, *columns)]
+    defect = draw(st.sampled_from([None, None, None, "ragged", "blank", "extra"]))
+    if defect and n_rows:
+        at = draw(st.integers(1, n_rows))
+        if defect == "ragged":
+            rows[at] = rows[at][:-1]
+        elif defect == "blank":
+            rows.insert(at, [])
+        else:
+            rows[at] = rows[at] + ["1"]
+    out = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    csv.writer(out, quoting=quoting, lineterminator=end).writerows(rows)
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix(end)
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(doc=csv_documents(), sort=st.booleans())
+def test_load_matches_csv_reader_reference(tmp_path_factory, doc, sort):
+    path = tmp_path_factory.mktemp("ingest") / "doc.csv"
+    path.write_bytes(doc)
+    assert_loads_like_reference(str(path), sort=sort)
+
+
+@pytest.mark.parametrize("doc", [
+    b"index,V\n1,123456\n2,5\n",  # the last cell is shorter than the widest
+    b"index,V\n1,123456\n2,5",
+    b"index,V\r\n1,123456\r\n2,5\r\n",
+    b"index,V\n1,2\r\n3,4\n",
+    b'index,V\n1,"1.5"\n2,2\n',
+    b"index,V\n1,1_0\n2,2\n",
+    b"index,V\n1, 1\n2,2\n",
+    b"index,V\r1,2\r3,4\r",
+    b"index,V\n1,a\rb\n2,c\n",  # a lone CR inside a line ends a row
+    b"index,V\r\n1,2\r\n3,4\r",
+    b"index,V\n1,a\x00b\n2,c\n",
+    b"index\n1\n\n3\n",
+    b"index,V\n1,2\n\n",
+    b"index,V\n",
+    b"index,V",
+    b"",
+    b"\n1,2\n",
+    b"\xef\xbb\xbfindex,V\n1,2\n",
+    b"index,V,V\n1,2,3\n",
+    b"index,V\n1,2,3\n",
+    b"index,V\n1,\n2,\n",
+    b"index,V\n1,true\n2,\n",
+    b"index,V\n1,true\n2,false\n",
+    b"index,V\n1,123456789012345678\n2,-12345678901234567\n",
+    b"index,V\n1,1234567890123456789\n",
+    b"index,V\n1,9223372036854775807\n2,-9223372036854775808\n3,+000000000000000000007\n",
+    b"index,V\n1," + b"1" * 70 + b"\n",
+    b"index,V\n1,0." + b"1" * 70 + b"\n",
+    b"index,V\n1,nan\n2,-nan\n",
+    b"index,V\nnan,1\n",
+    b"index,V\n2020-01-01T00:00:60Z,1\n2020-01-01 00:00:00.5+01:00,2\n",
+])
+def test_edge_documents_load_like_reference(tmp_path, doc):
+    path = tmp_path / "doc.csv"
+    path.write_bytes(doc)
+    assert_loads_like_reference(str(path), sort=True)
+
+
+def test_load_peak_is_bounded_by_array_and_file_bytes(tmp_path):
+    n = 100_000
+    index = 1_700_000_000 * NS + np.arange(n, dtype=np.int64) * 31_250_000
+    rng = np.random.default_rng(5)
+    series = [Series(f"V{j}", index, np.round(rng.normal(0.0, 0.3, n), 3),
+                     kind=IndexKind.TIME_NS) for j in range(3)]
+    path = tmp_path / "big.csv"
+    write_series_csv(series, path)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array_bytes = loaded[0].index.nbytes + sum(s.values.data.nbytes for s in loaded)
+    assert array_bytes == 4 * 8 * n
+    assert peak < 3 * array_bytes + path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
