@@ -7,6 +7,14 @@ once per block of equal-count windows; called on one window, it is the same
 kernel applied to a one-row block. Reductions run along each row, so a
 window's value does not depend on the block it was computed in.
 
+Two families share work between builtins. The order family (median and
+quantile at any q) sorts each block once; the moment family (sum, mean, var,
+std, rms, abs_energy, skewness, kurtosis) takes one row sum, one deviation
+array and its square per block. A member's kernel is its family run on that
+member alone, so a builtin has one compute path whether extract fuses it
+with others of its family or not. min, max, count, first, last, slope and
+zero_cross stay single kernels.
+
 Exact semantics, fixed here so results are reproducible bit for bit:
 
 - accumulations (sum, mean, std, var, rms, abs_energy, skewness, kurtosis,
@@ -14,7 +22,9 @@ Exact semantics, fixed here so results are reproducible bit for bit:
 - std and var are population moments (divide by n);
 - skewness is Fisher-Pearson g1 = m3 / m2^1.5, kurtosis is excess
   g2 = m4 / m2^2 - 3; zero-variance windows yield 0.0 for both;
-- quantile interpolates linearly between order statistics;
+- median is the middle value or the mean of the middle pair; quantile
+  interpolates linearly between order statistics with numpy.quantile's
+  rules; both return +0.0 for a zero result and NaN for a window holding NaN;
 - slope is the least-squares slope of values against the index, with a time
   index shifted to the window start and cast to float seconds (the shift keeps
   nanosecond timestamps inside float64 precision); a zero-spread index yields
@@ -31,6 +41,7 @@ the wrapper is made robust.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -47,19 +58,6 @@ def _mean(v, keepdims=False):
     return np.add.reduce(v, axis=1, keepdims=keepdims) / v.shape[1]
 
 
-def _var(v):
-    """Row variances with np.var's arithmetic."""
-    d = v - _mean(v, keepdims=True)
-    return _mean(np.multiply(d, d, out=d))
-
-
-def _central_moments(v):
-    """Deviations from each window's mean, their squares, and m2 per window."""
-    d = v - _mean(v, keepdims=True)
-    d2 = d * d
-    return d, d2, _mean(d2)
-
-
 def _moment_ratio(m, m2, power, shift=0.0):
     """m / m2**power - shift per window; 0.0 where m2 is 0."""
     out = np.full_like(m2, shift)
@@ -67,14 +65,70 @@ def _moment_ratio(m, m2, power, shift=0.0):
     return out - shift
 
 
-def _skewness(v):
-    d, d2, m2 = _central_moments(v)
-    return _moment_ratio(_mean(d2 * d), m2, 1.5)
+_ENERGY = {"rms", "abs_energy"}
+_CENTRAL = {"var", "std", "skewness", "kurtosis"}
 
 
-def _kurtosis(v):
-    d2, m2 = _central_moments(v)[1:]  # d is freed before d2 * d2 is allocated
-    return _moment_ratio(_mean(d2 * d2), m2, 2, shift=3.0)
+def _moments(v, members):
+    """The moment family: one row sum, one d = v - mean and one d*d per
+    block, plus one v*v for rms and abs_energy, each computed only when a
+    member needs it. d is squared in place unless skewness or kurtosis needs
+    it too, so var and std hold two block-sized arrays."""
+    n = v.shape[1]
+    want = set(members)
+    out = {}
+    if want & _ENERGY:
+        energy = np.add.reduce(v * v, axis=1)
+        out["abs_energy"], out["rms"] = energy, np.sqrt(energy / n)
+    if want - _ENERGY:
+        total = np.add.reduce(v, axis=1)
+        out["sum"], out["mean"] = total, total / n
+    if want & _CENTRAL:
+        d = v - out["mean"][:, None]
+        d2 = d * d if want & {"skewness", "kurtosis"} else np.multiply(d, d, out=d)
+        m2 = _mean(d2)
+        out["var"], out["std"] = m2, np.sqrt(m2)
+        if "skewness" in want:
+            out["skewness"] = _moment_ratio(_mean(np.multiply(d2, d, out=d)), m2, 1.5)
+        del d
+        if "kurtosis" in want:
+            out["kurtosis"] = _moment_ratio(_mean(np.multiply(d2, d2, out=d2)), m2, 2,
+                                            shift=3.0)
+    return [out[m] for m in members]
+
+
+def order_stats(v, members):
+    """The order family: "median" and quantiles at q from one sort per block.
+    median is the middle value or the mean of the middle pair, as np.median;
+    a quantile interpolates linearly between its neighbouring sorted values
+    with np.quantile's index and rounding rules. A zero result is +0.0 and a
+    row holding NaN, which sorts last, yields NaN."""
+    s = np.sort(v, axis=1)
+    n = v.shape[1]
+    nan_rows = np.isnan(s[:, -1])
+    out = []
+    for q in members:
+        if q == "median":
+            h = n // 2
+            r = s[:, h] + 0.0 if n % 2 else (s[:, h - 1] + s[:, h]) / 2 + 0.0
+        else:
+            at = (n - 1) * q  # np.quantile's virtual index, clamped to the last value
+            lo = hi = -1
+            if at < n - 1:
+                lo = math.floor(at)
+                hi = lo + 1
+            g = at - lo
+            a, b = s[:, lo], s[:, hi]
+            r = (b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g) + 0.0
+        r[nan_rows] = np.nan
+        out.append(r)
+    return out
+
+
+def _member(name: str, family, member, empty: float | None = None) -> BlockKernel:
+    """A family member's kernel: the family run on that member alone."""
+    return BlockKernel(name, lambda v: family(v, (member,))[0], empty=empty,
+                       family=family, member=member)
 
 
 def _slope(y, index):
@@ -108,13 +162,12 @@ def _make_quantile(params: dict) -> FuncWrapper:
         raise BadParam(f"quantile q must be a number in [0, 1], got {q!r}")
     q = float(q)
     label = f"quantile_{render_number(q)}"
-    quantile = BlockKernel("quantile", partial(np.quantile, q=q, axis=1))
-    return FuncWrapper(quantile, base_name=label, output_names=label,
+    return FuncWrapper(_member("quantile", order_stats, q), base_name=label, output_names=label,
                        recipe=("builtin", "quantile", {"q": q}))
 
 
-def _f64(name: str, func, empty: float | None = None) -> tuple:
-    return BlockKernel(name, func, empty=empty), InputMode.VALUES_ONLY, ValueTag.F64
+def _f64(kernel: BlockKernel) -> tuple:
+    return kernel, InputMode.VALUES_ONLY, ValueTag.F64
 
 
 _SIMPLE: dict[str, tuple] = {
@@ -123,21 +176,21 @@ _SIMPLE: dict[str, tuple] = {
     "count": (BlockKernel("count", lambda v: np.full(len(v), v.shape[1], dtype=object),
                           empty=0, raw=True),
               InputMode.VALUES_ONLY, ValueTag.I64),
-    "sum": _f64("sum", partial(np.add.reduce, axis=1), empty=0.0),
-    "mean": _f64("mean", _mean),
-    "std": _f64("std", lambda v: np.sqrt(_var(v))),
-    "var": _f64("var", _var),
-    "min": _f64("min", partial(np.minimum.reduce, axis=1)),
-    "max": _f64("max", partial(np.maximum.reduce, axis=1)),
-    "median": _f64("median", partial(np.median, axis=1)),
-    "rms": _f64("rms", lambda v: np.sqrt(_mean(v * v))),
-    "abs_energy": _f64("abs_energy", lambda v: np.add.reduce(v * v, axis=1), empty=0.0),
-    "skewness": _f64("skewness", _skewness),
-    "kurtosis": _f64("kurtosis", _kurtosis),
+    "sum": _f64(_member("sum", _moments, "sum", empty=0.0)),
+    "mean": _f64(_member("mean", _moments, "mean")),
+    "std": _f64(_member("std", _moments, "std")),
+    "var": _f64(_member("var", _moments, "var")),
+    "min": _f64(BlockKernel("min", partial(np.minimum.reduce, axis=1))),
+    "max": _f64(BlockKernel("max", partial(np.maximum.reduce, axis=1))),
+    "median": _f64(_member("median", order_stats, "median")),
+    "rms": _f64(_member("rms", _moments, "rms")),
+    "abs_energy": _f64(_member("abs_energy", _moments, "abs_energy", empty=0.0)),
+    "skewness": _f64(_member("skewness", _moments, "skewness")),
+    "kurtosis": _f64(_member("kurtosis", _moments, "kurtosis")),
     "slope": (BlockKernel("slope", _slope), InputMode.VALUES_AND_INDEX, ValueTag.F64),
     "first": (BlockKernel("first", lambda v: v[:, 0], raw=True), InputMode.VALUES_ONLY, PRESERVE),
     "last": (BlockKernel("last", lambda v: v[:, -1], raw=True), InputMode.VALUES_ONLY, PRESERVE),
-    "zero_cross": _f64("zero_cross", _zero_cross, empty=0.0),
+    "zero_cross": _f64(BlockKernel("zero_cross", _zero_cross, empty=0.0)),
 }
 
 BUILTIN_NAMES: tuple[str, ...] = tuple(list(_SIMPLE) + ["quantile"])

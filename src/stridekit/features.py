@@ -4,9 +4,10 @@ engine.
 Descriptors are grouped by (series names, window, stride) so each group's
 window grid and sample positions are computed once and shared by every
 function registered under it. The unit of parallel work is one (group,
-function) pair; workers inherit the resolved groups through a fork and the
-collector merges results in registration order, which makes the output
-bit-identical for any worker count.
+function) pair, or the builtins of one family in a group, which share each
+cast block (see BlockKernel); workers inherit the resolved groups through a
+fork and the collector merges results in registration order, which makes the
+output bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ class BlockKernel:
     An empty window yields ``empty``, or raises when that is None.
     ``make_robust`` sets ``min_samples`` and ``fill``: a window with fewer
     samples yields ``fill`` instead.
+
+    Builtins that share work belong to a ``family``: ``family(block,
+    members)`` returns one value per window for each ``member`` asked for,
+    and a member's ``func`` is its family run on that member alone. extract
+    runs the members of one group that share a family and ``min_samples``
+    as one unit, with one cast block and one ``family`` call per block.
     """
 
     name: str
@@ -76,6 +83,8 @@ class BlockKernel:
     raw: bool = False
     min_samples: int = 0
     fill: object = None
+    family: Callable | None = None
+    member: object = None
 
     def empty_value(self):
         if self.empty is None:
@@ -427,7 +436,9 @@ class LogRecord:
     stride: Delta
     n_segments: int
     duration_s: float
-    path: str = "window"  # "block": a builtin's kernel over blocks of windows
+    # "block": a builtin's kernel over blocks of windows; "fused": one family
+    # call for several builtins, whose wall time is split evenly over them
+    path: str = "window"
 
     def to_json_obj(self) -> dict:
         return {
@@ -593,10 +604,12 @@ def _cell_converter(tag: ValueTag, series: Series) -> Callable:
 
 
 def _failure(wrapper: FuncWrapper, group: _ResolvedGroup, k: int, exc: Exception):
-    return FunctionFailure(
+    failure = FunctionFailure(
         f"function {wrapper.base_name!r} failed on group {'|'.join(group.key[0])!r} "
         f"segment {k}: {exc}"
     )
+    failure.__cause__ = exc
+    return failure
 
 
 def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> None:
@@ -623,29 +636,64 @@ def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> 
 BLOCK_BYTES = 256 * 1024
 
 
-def _run_blocks(group: _ResolvedGroup, wrapper: FuncWrapper, tag: ValueTag, column) -> None:
-    """A kernel over blocks of windows with equal sample counts, each block a
-    (strided) slice of the series' sliding-window view, so extra memory is
-    bounded by BLOCK_BYTES. Short and empty windows take their fill or empty
-    value; a failure names the first segment the per-window loop fails on."""
-    kernel = wrapper.func
-    series, pos = group.series[0], group.positions[0]
-    convert = _cell_converter(tag, series)
-    counts = pos[:, 1] - pos[:, 0]
-    short = counts < kernel.min_samples
-    empty = (counts == 0) & ~short  # none when min_samples > 0
-    for where, value in ((short, lambda: kernel.fill), (empty, kernel.empty_value)):
-        if where.any():
-            try:
-                column[where] = convert(value())
-            except Exception as exc:
-                raise _failure(wrapper, group, int(np.argmax(where)), exc) from exc
+def _block_values(kernels: list[BlockKernel], live: list[int], blocks) -> list:
+    """Each live member's values on one block: its own kernel, or one call
+    of the family they share."""
+    if len(live) == 1:
+        return [kernels[live[0]].func(*blocks)]
+    return kernels[live[0]].family(blocks[0], [kernels[j].member for j in live])
 
-    labels = None  # a raw kernel's dictionary codes become labels
-    if tag is ValueTag.CATEGORICAL:
-        labels = np.array(series.values.categories, dtype=object)
+
+def _first_failing(kernels: list[BlockKernel], live: list[int], blocks, exc: Exception):
+    """The first live member whose own kernel fails on ``blocks``, with its
+    exception; the first live member with ``exc`` when none fails alone."""
+    if len(live) > 1:
+        for j in live:
+            try:
+                kernels[j].func(*blocks)
+            except Exception as alone:
+                return j, alone
+    return live[0], exc
+
+
+def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> tuple[int, FunctionFailure] | None:
+    """Kernels over blocks of windows with equal sample counts, each block a
+    (strided) slice of the series' sliding-window view, so extra memory is
+    bounded by BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member:
+    one builtin, or builtins of one family sharing ``min_samples``, which
+    share each cast block. Short and empty windows take each member's fill
+    or empty value.
+
+    Returns None, or the position in ``unit`` of the first failing member
+    with its FunctionFailure, which names the first segment the per-window
+    loop fails on. Members after a failing one are not computed further.
+    """
+    kernels = [wrapper.func for wrapper, _, _ in unit]
+    series, pos = group.series[0], group.positions[0]
+    counts = pos[:, 1] - pos[:, 0]
+    short = counts < kernels[0].min_samples
+    empty = (counts == 0) & ~short  # none when min_samples > 0
+    failed = None
+    live = []  # members still computed
+    for j, (wrapper, tag, column) in enumerate(unit):
+        convert, kernel = _cell_converter(tag, series), kernels[j]
+        try:
+            for where, value in ((short, lambda: kernel.fill), (empty, kernel.empty_value)):
+                if where.any():
+                    k = int(np.argmax(where))
+                    column[where] = convert(value())
+        except Exception as exc:
+            failed = j, _failure(wrapper, group, k, exc)
+            break
+        live.append(j)
+    if not live:
+        return failed
+
+    # a raw kernel's dictionary codes become labels
+    labels = [np.array(series.values.categories, dtype=object)
+              if tag is ValueTag.CATEGORICAL else None for _, tag, _ in unit]
     sources = [series.values.data]
-    if wrapper.input_mode is InputMode.VALUES_AND_INDEX:
+    if unit[0][0].input_mode is InputMode.VALUES_AND_INDEX:
         sources.append(series.index)
     todo = np.flatnonzero((counts > 0) & ~short)
     todo = todo[np.argsort(counts[todo], kind="stable")]
@@ -666,62 +714,112 @@ def _run_blocks(group: _ResolvedGroup, wrapper: FuncWrapper, tag: ValueTag, colu
             else:
                 rows = starts[a:b]
             blocks = [v[rows] for v in views]
-            if not kernel.raw:
+            if not kernels[0].raw:
                 blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
-            try:
-                out = kernel.func(*blocks)
-                column[run[a:b]] = out if labels is None else labels[out]
-            except Exception as exc:
-                raise _failure(wrapper, group, int(run[a]), exc) from exc
+            while live:
+                try:
+                    for j, out in zip(live, _block_values(kernels, live, blocks)):
+                        unit[j][2][run[a:b]] = out if labels[j] is None else labels[j][out]
+                    break
+                except Exception as exc:
+                    j, exc = _first_failing(kernels, live, blocks, exc)
+                    failed = j, _failure(unit[j][0], group, int(run[a]), exc)
+                    live = live[:live.index(j)]
+            if not live:
+                return failed
+    return failed
 
 
-def _compute_unit(group: _ResolvedGroup, fi: int) -> tuple[list[np.ndarray], float, str]:
-    wrapper = group.wrappers[fi]
-    tags = group.wrapper_tags[fi]
-    columns = [_missing_column(tag, group.grid.n_segments) for tag in tags]
+def _compute_unit(group: _ResolvedGroup, fis: tuple[int, ...]) -> tuple:
+    """Run one unit: the functions ``fis`` of ``group``. Returns the output
+    columns per function, the unit's wall time, its path, and None or
+    (fi, FunctionFailure) of its first failing function."""
+    n = group.grid.n_segments
+    columns = [[_missing_column(tag, n) for tag in group.wrapper_tags[fi]] for fi in fis]
     t0 = time.perf_counter()
-    if isinstance(wrapper.func, BlockKernel):
-        path = "block"
-        _run_blocks(group, wrapper, tags[0], columns[0])
+    failure = None
+    if isinstance(group.wrappers[fis[0]].func, BlockKernel):
+        path = "fused" if len(fis) > 1 else "block"
+        failed = _run_blocks(group, [(group.wrappers[fi], group.wrapper_tags[fi][0], cols[0])
+                                     for fi, cols in zip(fis, columns)])
+        if failed is not None:
+            failure = fis[failed[0]], failed[1]
     else:
         path = "window"
-        _run_windows(group, wrapper, tags, columns)
-    return columns, time.perf_counter() - t0, path
+        try:
+            _run_windows(group, group.wrappers[fis[0]], group.wrapper_tags[fis[0]], columns[0])
+        except FunctionFailure as exc:
+            failure = fis[0], exc
+    return columns, time.perf_counter() - t0, path, failure
+
+
+def _units(groups: list[_ResolvedGroup]) -> list[tuple[int, tuple[int, ...]]]:
+    """(group, function indices) per unit, in the order of each unit's first
+    function. The builtins of a group that share a family and
+    ``min_samples`` make one unit; every other function is a unit alone."""
+    units = []
+    for gi, g in enumerate(groups):
+        families: dict[tuple, list[int]] = {}
+        for fi, wrapper in enumerate(g.wrappers):
+            kernel = wrapper.func
+            if isinstance(kernel, BlockKernel) and kernel.family is not None:
+                key = (kernel.family, kernel.min_samples)
+                if key in families:
+                    families[key].append(fi)
+                    continue
+                units.append((gi, families.setdefault(key, [fi])))
+            else:
+                units.append((gi, [fi]))
+    return [(gi, tuple(fis)) for gi, fis in units]
 
 
 # Worker context, inherited through fork; never pickled.
 _WORKER_GROUPS: list[_ResolvedGroup] | None = None
 
 
-def _unit_worker(unit: tuple[int, int]):
-    gi, fi = unit
+def _unit_worker(unit: tuple[int, tuple[int, ...]]):
+    gi, fis = unit
     assert _WORKER_GROUPS is not None
-    return unit, _compute_unit(_WORKER_GROUPS[gi], fi)
+    return _compute_unit(_WORKER_GROUPS[gi], fis)
+
+
+def _collect(units: list[tuple], outcomes: Iterable) -> dict[tuple, tuple]:
+    """(columns, duration_s, path) per (group, function), a unit's wall time
+    split evenly over its functions. Raises the FunctionFailure of the first
+    failing (group, function) in registration order, without waiting for
+    units that start after it."""
+    results: dict[tuple, tuple] = {}
+    first = None  # ((gi, fi), FunctionFailure)
+    for (gi, fis), (columns, duration, path, failure) in zip(units, outcomes):
+        if first is not None and (gi, fis[0]) > first[0]:
+            break
+        if failure is not None and (first is None or (gi, failure[0]) < first[0]):
+            first = (gi, failure[0]), failure[1]
+        for fi, cols in zip(fis, columns):
+            results[gi, fi] = cols, duration / len(fis), path
+    if first is not None:
+        raise first[1]
+    return results
 
 
 def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tuple]:
-    units = [(gi, fi) for gi, g in enumerate(groups) for fi in range(len(g.wrappers))]
-    results: dict[tuple, tuple] = {}
+    units = _units(groups)
     use_pool = (
         n_workers > 1
         and len(units) > 1
         and "fork" in multiprocessing.get_all_start_methods()
     )
     if not use_pool:
-        for gi, fi in units:
-            results[(gi, fi)] = _compute_unit(groups[gi], fi)
-        return results
+        return _collect(units, (_compute_unit(groups[gi], fis) for gi, fis in units))
     global _WORKER_GROUPS
     _WORKER_GROUPS = groups
     try:
         ctx = multiprocessing.get_context("fork")
         chunksize = max(1, len(units) // (n_workers * 4))
         with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-            for unit, result in pool.map(_unit_worker, units, chunksize=chunksize):
-                results[unit] = result
+            return _collect(units, pool.map(_unit_worker, units, chunksize=chunksize))
     finally:
         _WORKER_GROUPS = None
-    return results
 
 
 def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> FeatureMatrix:

@@ -25,9 +25,10 @@ reloads as F64: values survive exactly, the narrower tag does not.
 from its bytes, column by column with numpy: one scan finds the delimiters,
 each column is cut out as a fixed-width bytes array in row blocks, a byte
 automaton decides BOOL/I64/F64, and numpy's casts produce the values. Files
-that need the CSV quoting rules go through ``csv.reader``; cells outside the
-numeric grammar, and every row-numbered ParseError, come from the per-cell
-parsers.
+that need the CSV quoting rules go through ``csv.reader``, whose errors (a
+quoted field over ``csv.field_size_limit()``) become row-numbered
+ParseErrors; cells outside the numeric grammar, and every other row-numbered
+ParseError, come from the per-cell parsers.
 """
 
 from __future__ import annotations
@@ -477,7 +478,12 @@ def _text_table(path, raw: bytes, index_column: str):
         raise ParseError(
             f"{path}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})", row=row
         ) from None
-    rows = list(csv.reader(StringIO(text, newline="")))
+    rows = []
+    try:
+        for row in csv.reader(StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:  # e.g. a quoted field over csv.field_size_limit()
+        raise ParseError(f"{path}: {exc}", row=len(rows) + 1) from None
     if not rows:
         raise ParseError(f"{path}: file is empty, expected a header row")
     header, data = rows[0], rows[1:]

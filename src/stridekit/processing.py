@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .calculators import order_stats
 from .errors import (
     BadParam,
     DynamicStepUnresolvable,
@@ -226,7 +227,7 @@ def _median_filter(view: SeriesView, size: int = 3):
     pad = size // 2
     padded = np.pad(values, pad, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, size)
-    return np.median(windows, axis=1)
+    return order_stats(windows, ("median",))[0]
 
 
 def _resample_linear(view: SeriesView, period: Delta):

@@ -346,7 +346,9 @@ def infer_period(series: Series) -> float:
     """Median consecutive index difference (ns for time kind)."""
     if len(series) < 2:
         raise TooShort(f"series {series.name!r} has fewer than 2 samples")
-    return float(np.median(np.diff(series.index)))
+    diffs = np.sort(np.diff(series.index)).astype(np.float64)
+    h = len(diffs) // 2
+    return float(diffs[h] if len(diffs) % 2 else (diffs[h - 1] + diffs[h]) / 2)
 
 
 class SeriesSet:

@@ -1,6 +1,7 @@
 """Builtins run as block kernels over equal-count windows: the block path must
 give the same bits as the per-window path, and the same failure text."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -57,12 +58,12 @@ def outcome(series, wrappers, window, stride, n_workers=1):
     return result.matrix, [r.path for r in result.log_records]
 
 
-def assert_same(block, window):
+def assert_same(block, window, block_paths=frozenset({"block"})):
     if isinstance(window, str):
         assert block == window
         return
     (a, paths), (b, window_paths) = block, window
-    assert set(paths) == {"block"} and set(window_paths) == {"window"}
+    assert set(paths) <= block_paths and set(window_paths) == {"window"}
     assert a.equals(b)
     for name in a.column_names:  # equals compares object cells by ==, so 1 == True
         assert [type(v) for v in a[name].data] == [type(v) for v in b[name].data]
@@ -127,7 +128,8 @@ def test_block_path_equals_per_window_path_bitwise(series, window, stride, robus
                         outcome(series, [per_window(wrapper)], w, s))
         if n_workers > 1:  # every unit at once, on the fork pool
             assert_same(outcome(series, wrappers, w, s, n_workers),
-                        outcome(series, [per_window(x) for x in wrappers], w, s))
+                        outcome(series, [per_window(x) for x in wrappers], w, s),
+                        block_paths={"block", "fused"})
 
 
 def test_block_path_names_the_first_empty_segment():
@@ -163,3 +165,154 @@ def test_block_extra_memory_is_bounded_by_the_budget():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 100_000 * 8  # two window-sized temporaries, not n * 8
+
+
+# ---------------------------------------------------------------------------
+# fused families: median/quantile share one sort, the moments one pass
+# ---------------------------------------------------------------------------
+
+MOMENTS = ("sum", "mean", "var", "std", "rms", "abs_energy", "skewness", "kurtosis")
+SINGLES = ("min", "max", "count", "first", "last", "slope", "zero_cross")
+FUSED_QUANTILES = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0)
+
+
+def expected_paths(wrappers):
+    """"fused" for a builtin whose family and min_samples it shares with
+    another builtin of the group, "block" otherwise."""
+    keys = [(w.func.family, w.func.min_samples) if w.func.family else id(w) for w in wrappers]
+    return ["fused" if keys.count(k) > 1 else "block" for k in keys]
+
+
+@settings(max_examples=60)
+@given(
+    series=sampled_series(),
+    picks=st.lists(st.sampled_from(MOMENTS + SINGLES + ("median",) + FUSED_QUANTILES),
+                   unique=True, min_size=1, max_size=12),
+    robust=st.lists(st.sampled_from([None, (1, math.nan), (2, math.nan), (2, 0.0), (5, 0.0)]),
+                    min_size=12, max_size=12),
+    window=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
+    stride=st.sampled_from([0.1, 0.3, 1.0]),
+    block_bytes=st.sampled_from([8, 40, features.BLOCK_BYTES]),
+)
+def test_fused_families_equal_per_window_path_bitwise(series, picks, robust, window, stride,
+                                                      block_bytes):
+    # Random subsets and orders of family members, several quantiles,
+    # other builtins in between, and mixed min_samples, so only some fuse.
+    w, s = deltas(series.kind, window, stride)
+    wrappers = []
+    for pick, rob in zip(picks, robust):
+        wrapper = builtin("quantile", {"q": pick}) if isinstance(pick, float) else builtin(pick)
+        if rob is not None and not (math.isnan(rob[1]) and pick in ("count", "first", "last")):
+            wrapper = make_robust(wrapper, *rob)
+        wrappers.append(wrapper)
+    with mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+        window_path = outcome(series, [per_window(x) for x in wrappers], w, s)
+        for n_workers in (1, 2):
+            fused = outcome(series, wrappers, w, s, n_workers)
+            assert_same(fused, window_path, block_paths={"block", "fused"})
+            if not isinstance(fused, str):
+                assert fused[1] == expected_paths(wrappers)
+
+
+def order_blocks(rng):
+    """Blocks with +-0.0 ties, NaN, infinities and repeated values, n from 1
+    to 3000."""
+    pools = [np.array([-0.0, 0.0]), np.array([-0.0, 0.0, 1.0, -1.0]),
+             np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 2.5]), np.array([-0.0, 0.0, np.nan])]
+    for n in [1, 2, 3, 4, 5, 2999, 3000] + rng.integers(1, 60, 200).tolist():
+        b = int(rng.integers(1, 6))
+        kind = int(rng.integers(0, 5))
+        if kind < len(pools):
+            yield rng.choice(pools[kind], size=(b, n))
+        else:
+            v = np.round(rng.normal(size=(b, n)), 1)
+            v[rng.random((b, n)) < 0.01] = np.nan
+            yield v
+
+
+def test_fused_order_statistics_equal_numpy():
+    kernel = builtin("median").func
+    members = ["median", *FUSED_QUANTILES]
+    rng = np.random.default_rng(7)
+    with np.errstate(invalid="ignore"):
+        for v in order_blocks(rng):
+            reference = [np.median(v, axis=1) + 0.0]
+            reference += [np.quantile(v, q, axis=1) + 0.0 for q in FUSED_QUANTILES]
+            fused = kernel.family(v, members)
+            alone = [builtin("median").func.func(v)]
+            alone += [builtin("quantile", {"q": q}).func.func(v) for q in FUSED_QUANTILES]
+            for want, got, one in zip(reference, fused, alone):
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(one), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes() == one[~nan].tobytes()
+                assert not np.signbit(got[got == 0.0]).any()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_fused_unit_raises_the_first_failing_function_in_registration_order(n_workers):
+    # sum and mean fuse into one unit scheduled before min, but min is
+    # registered before mean, so its failure is the one raised.
+    s = numeric_series("S", [0.0, 1.0, 4.0, 5.0, 9.0, 10.0, 11.0, 12.0])
+    wrappers = [builtin("sum"), builtin("min"), builtin("mean")]
+    got = outcome(s, wrappers, 2.0, 2.0, n_workers)
+    assert got == ("function 'min' failed on group 'S' segment 1: "
+                   "min of an empty window is undefined")
+    assert got == outcome(s, [per_window(x) for x in wrappers], 2.0, 2.0)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_fused_unit_names_its_first_failing_member(n_workers):
+    s = numeric_series("S", [0.0, 1.0, 4.0, 5.0, 9.0, 10.0, 11.0, 12.0])
+    wrappers = [builtin("sum"), builtin("max"), builtin("std"), builtin("mean")]
+    got = outcome(s, wrappers, 2.0, 2.0, n_workers)
+    assert got == ("function 'max' failed on group 'S' segment 1: "
+                   "max of an empty window is undefined")
+    wrappers = [builtin("sum"), builtin("std"), builtin("mean"), builtin("max")]
+    got = outcome(s, wrappers, 2.0, 2.0, n_workers)
+    assert got == ("function 'std' failed on group 'S' segment 1: "
+                   "std of an empty window is undefined")
+    assert got == outcome(s, [per_window(x) for x in wrappers], 2.0, 2.0)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_kernel_error_in_a_fused_call_names_the_member_that_raises_it(n_workers):
+    # v * v overflows for rms but not for sum, which fuses with it and comes
+    # first: the failure is rms's, as on the per-window path.
+    s = numeric_series("S", np.arange(8.0), values=np.full(8, 1e200))
+    wrappers = [builtin("sum"), builtin("rms")]
+    with np.errstate(over="raise"):
+        got = outcome(s, wrappers, 2.0, 2.0, n_workers)
+        assert got == outcome(s, [per_window(x) for x in wrappers], 2.0, 2.0)
+    assert got == ("function 'rms' failed on group 'S' segment 0: "
+                   "overflow encountered in multiply")
+
+
+def test_fused_log_splits_the_unit_time_evenly():
+    s = numeric_series("S", np.arange(100.0))
+    names = ["mean", "min", "std", "median", "quantile"]
+    c = FeatureCollection(FeatureDescriptor("S", builtin(n, {"q": 0.5} if n == "quantile" else None),
+                                            10.0, 5.0) for n in names)
+    clock = itertools.count()  # every unit takes one tick
+    with mock.patch.object(features.time, "perf_counter", lambda: float(next(clock))):
+        records = extract(SeriesSet([s]), c).log_records
+    assert [r.func for r in records] == ["mean", "min", "std", "median", "quantile_0.5"]
+    assert [r.path for r in records] == ["fused", "block", "fused", "fused", "fused"]
+    assert [r.duration_s for r in records] == [0.5, 1.0, 0.5, 0.5, 0.5]
+
+
+def test_fused_moment_family_memory_is_one_cast_block_d_and_d2():
+    # All eight moment builtins on 100k-sample windows, one window per
+    # block: the cast block, d and d*d, not a set of temporaries per builtin.
+    n, window = 300_000, 100_000
+    s = numeric_series("S", np.arange(float(n)),
+                       values=np.random.default_rng(0).normal(size=n).astype(np.float32))
+    c = FeatureCollection(FeatureDescriptor("S", builtin(name), float(window), float(window))
+                          for name in MOMENTS)
+    tracemalloc.start()
+    try:
+        result = extract(SeriesSet([s]), c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {r.path for r in result.log_records} == {"fused"}
+    assert peak < 3.5 * window * 8

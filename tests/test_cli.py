@@ -274,6 +274,9 @@ def run_extract(tmp_path, data: bytes, series):
     pytest.param(b"index,X\n0,1\n1,99999999999999999999\n", "X",
                  "row 3: integer '99999999999999999999' in column 'X' is outside the I64 range",
                  id="int-overflow"),
+    pytest.param(b'index,X\n0,1\n1,"' + b"x" * 200_000 + b'"\n', "X",
+                 "row 3: {path}: field larger than field limit (131072)",
+                 id="quoted-field-over-csv-limit"),
     pytest.param(b"index,X,Y\n0,1,2\n1,3,4\n", [["X", "Y"]],
                  "builtin 'count' takes one series, but group 'X|Y' has 2",
                  id="builtin-on-two-series"),

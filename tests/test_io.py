@@ -333,6 +333,28 @@ def test_invalid_utf8_names_file_and_row(tmp_path, data, row, byte):
     assert str(err.value) == f"row {row}: {path}: not valid UTF-8 (byte {byte})"
 
 
+@pytest.mark.parametrize("data, row", [
+    (b'index,V\n1,"' + b"x" * 200_000 + b'"\n', 2),
+    # Rows are counted as records: the quoted line break keeps row 2 one row.
+    (b'index,V\r\n0,"two\r\nlines"\r\n1,"' + b"x" * 200_000 + b'"\r\n', 3),
+], ids=["first-row", "after-a-quoted-line-break"])
+def test_quoted_field_over_the_csv_limit_names_file_row_and_limit(tmp_path, data, row):
+    path = tmp_path / "long.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_csv(str(path))
+    limit = csv.field_size_limit()
+    assert str(err.value) == f"row {row}: {path}: field larger than field limit ({limit})"
+
+
+def test_quoted_field_at_the_csv_limit_loads(tmp_path):
+    path = tmp_path / "long.csv"
+    label = "x" * csv.field_size_limit()
+    path.write_bytes(b'index,V\n0,"' + label.encode() + b'"\n1,y\n')
+    (s,) = load_csv(str(path))
+    assert s.values.categories[s.values.data[0]] == label
+
+
 def reference_load(path, index_column="index", kind_hint=None, sort=False):
     """load_csv by csv.reader and the per-cell parsers alone."""
     with open(path, newline="", encoding="utf-8") as fh:
