@@ -8,6 +8,8 @@ Formats, bit-exactly:
   as decimal text, booleans as ``true``/``false``, categorical labels
   verbatim. Timestamps written by this module always end in ``Z`` with the
   fraction trimmed to 0, 3, 6, or 9 digits.
+- The writers stream rows in blocks of WRITE_BLOCK_CELLS cells, joined by
+  hand unless a cell needs CSV quoting, in the bytes ``csv.writer`` writes.
 - Feature config JSON: {"features": [{"series", "functions", "windows",
   "strides"}], "options": {...}} where a series entry is a name (single), a
   list of names (fan-out, one group per name), or a nested list (joint
@@ -85,6 +87,8 @@ _RFC_RE = re.compile(
 )
 
 _EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()
+#: numpy reads int64's minimum as NaT, so its text is built from its seconds.
+_NAT_TEXT = f"{np.datetime64(-2**63 // 10**9, 's')}.{-2**63 % 10**9:09d}"
 
 
 def parse_rfc3339_ns(text: str) -> int:
@@ -111,19 +115,20 @@ def parse_rfc3339_ns(text: str) -> int:
 
 
 def format_rfc3339(ns: int) -> str:
-    sec, frac = divmod(int(ns), 1_000_000_000)
-    dt = _dt.datetime(1970, 1, 1) + _dt.timedelta(seconds=sec)
-    base = (
-        f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
-        f"T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}"
-    )
-    if frac == 0:
-        return base + "Z"
-    if frac % 1_000_000 == 0:
-        return f"{base}.{frac // 1_000_000:03d}Z"
-    if frac % 1_000 == 0:
-        return f"{base}.{frac // 1_000:06d}Z"
-    return f"{base}.{frac:09d}Z"
+    return _format_stamps([ns])[0]
+
+
+def _format_stamps(ns) -> list[str]:
+    """RFC 3339 UTC text of int64 nanosecond stamps, ending in ``Z``, each
+    fraction trimmed to 0, 3, 6 or 9 digits."""
+    stamps = np.asarray(ns, dtype=np.int64).view("M8[ns]")
+    frac = stamps.view(np.int64) % 1_000_000_000
+    digits = (frac != 0).astype(np.int8) + (frac % 1_000_000 != 0) + (frac % 1_000 != 0)
+    text = np.empty(len(stamps), dtype="U29")
+    for k, unit in enumerate(("s", "ms", "us", "ns")):
+        text[digits == k] = np.datetime_as_string(stamps[digits == k], unit=unit)
+    text[np.isnat(stamps)] = _NAT_TEXT
+    return np.char.add(text, "Z").tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +556,13 @@ def load_csv(path, index_column: str = "index", kind_hint: IndexKind | None = No
 # CSV writers
 # ---------------------------------------------------------------------------
 
+#: Cells, index included, per written block of rows: bounds the writers' memory.
+WRITE_BLOCK_CELLS = 8192
+
+
 def _format_index_cells(kind: IndexKind, index: np.ndarray) -> list[str]:
     if kind is IndexKind.TIME_NS:
-        return [format_rfc3339(int(v)) for v in index]
+        return _format_stamps(index)
     return [render_number(float(v)) for v in index]
 
 
@@ -564,7 +573,10 @@ def _format_value_cells(tag: ValueTag, data: np.ndarray, categories=None) -> lis
     pass none."""
     values = data.tolist()
     if tag in FLOAT_TAGS:
-        return ["" if v != v else repr(v) for v in values]
+        cells = list(map(repr, values))
+        for i in np.flatnonzero(np.isnan(data)).tolist():
+            cells[i] = ""
+        return cells
     if tag is ValueTag.BOOL:
         return ["" if v is None else "true" if v else "false" for v in values]
     if categories is not None:
@@ -572,12 +584,26 @@ def _format_value_cells(tag: ValueTag, data: np.ndarray, categories=None) -> lis
     return ["" if v is None else str(v) for v in values]
 
 
-def _write_csv(path, header: list[str], index_cells: list[str], columns: list[list[str]]) -> None:
+def _write_csv(path, header: list[str], kind: IndexKind, index: np.ndarray, columns) -> None:
+    """The header through csv.writer, then the rows in blocks of
+    WRITE_BLOCK_CELLS cells, joined by hand unless a cell of the block holds
+    a comma, quote, CR, LF or NUL. ``columns``: (tag, data, categories)."""
+    step = max(1, WRITE_BLOCK_CELLS // (len(columns) + 1))
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(zip(index_cells, *columns))
+            for lo in range(0, len(index), step):
+                rows = list(zip(_format_index_cells(kind, index[lo:lo + step]),
+                                *(_format_value_cells(tag, data[lo:lo + step], cats)
+                                  for tag, data, cats in columns)))
+                text = "\r\n".join(map(",".join, rows))
+                # no cell needs quoting when the joins put in every comma, CR and LF
+                seps = text.count(",") + text.count("\r") + text.count("\n")
+                if seps == len(rows) * (len(columns) + 2) - 2 and not ('"' in text or "\0" in text):
+                    fh.writelines((text, "\r\n"))
+                else:
+                    writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -586,9 +612,9 @@ def write_matrix(matrix: FeatureMatrix, path) -> None:
     """Feature matrix to CSV: index first, NaN/None as empty cells; output is
     byte-stable for identical input."""
     names = matrix.column_names
-    columns = [_format_value_cells(matrix[n].tag, matrix[n].data) for n in names]
+    columns = [(matrix[n].tag, matrix[n].data, None) for n in names]
     kind = matrix.kind if matrix.kind is not None else IndexKind.NUMERIC
-    _write_csv(path, ["index", *names], _format_index_cells(kind, matrix.index), columns)
+    _write_csv(path, ["index", *names], kind, matrix.index, columns)
 
 
 def write_series_csv(series_list: list[Series], path, index_column: str = "index") -> None:
@@ -597,17 +623,20 @@ def write_series_csv(series_list: list[Series], path, index_column: str = "index
     if not series_list:
         raise LengthMismatch("write_series_csv needs at least one series")
     ref = series_list[0]
-    for s in series_list[1:]:
+    for s in series_list:
+        cats, codes = s.values.categories, s.values.data
         if s.kind is not ref.kind:
             raise KindMismatch(f"{s.name!r} and {ref.name!r} have different index kinds")
-        if len(s) != len(ref) or s.index.tobytes() != ref.index.tobytes():
+        # int64 views compare bitwise, their memoryviews without a copy
+        if len(s) != len(ref) or (memoryview(s.index.view(np.int64))
+                                  != memoryview(ref.index.view(np.int64))):
             raise LengthMismatch(f"{s.name!r} is not index-aligned with {ref.name!r}")
-    columns = [
-        _format_value_cells(s.values.tag, s.values.data, s.values.categories)
-        for s in series_list
-    ]
+        # so that no cell can fail once the file is open
+        if cats is not None and len(codes) and not 0 <= codes.min() <= codes.max() < len(cats):
+            raise LengthMismatch(f"{s.name!r} has codes outside its {len(cats)} categories")
+    columns = [(s.values.tag, s.values.data, s.values.categories) for s in series_list]
     header = [index_column, *(s.name for s in series_list)]
-    _write_csv(path, header, _format_index_cells(ref.kind, ref.index), columns)
+    _write_csv(path, header, ref.kind, ref.index, columns)
 
 
 # ---------------------------------------------------------------------------

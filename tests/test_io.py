@@ -1,10 +1,12 @@
 """CSV round trips, timestamp parsing, and JSON config documents."""
 
 import csv
+import datetime as dt
 import io
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 from stridekit import (
     ExtractOptions,
     FeatureCollection,
+    FeatureColumn,
     FeatureDescriptor,
+    FeatureMatrix,
     FuncWrapper,
     IndexKind,
     OutputPosition,
     Series,
     SeriesSet,
+    ValueColumn,
     ValueTag,
     builtin,
     extract,
@@ -49,6 +54,7 @@ from stridekit.errors import (
 )
 
 from stridekit import io as stridekit_io
+from stridekit.series import render_number
 
 from conftest import NS, numeric_series, time_series
 
@@ -96,6 +102,54 @@ def test_format_trims_fraction_to_unit_boundaries():
                    max_value=9_200_000_000_000_000_000))
 def test_rfc3339_round_trip(ns):
     assert parse_rfc3339_ns(format_rfc3339(ns)) == ns
+
+
+def format_rfc3339_reference(ns: int) -> str:
+    """Scalar oracle for the block stamp formatter: one datetime per stamp."""
+    sec, frac = divmod(int(ns), 1_000_000_000)
+    t = dt.datetime(1970, 1, 1) + dt.timedelta(seconds=sec)
+    base = (
+        f"{t.year:04d}-{t.month:02d}-{t.day:02d}"
+        f"T{t.hour:02d}:{t.minute:02d}:{t.second:02d}"
+    )
+    if frac == 0:
+        return base + "Z"
+    if frac % 1_000_000 == 0:
+        return f"{base}.{frac // 1_000_000:03d}Z"
+    if frac % 1_000 == 0:
+        return f"{base}.{frac // 1_000:06d}Z"
+    return f"{base}.{frac:09d}Z"
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+# A whole second (pre-1970 ones included) plus a fraction of 0, 3, 6 or 9
+# digits, or any int64, or a named edge.
+stamps = st.one_of(
+    st.builds(lambda sec, frac: sec * NS + frac,
+              st.integers(min_value=INT64_MIN // NS + 1, max_value=INT64_MAX // NS - 1),
+              st.one_of(st.just(0),
+                        st.integers(0, 999).map(lambda f: f * 1_000_000),
+                        st.integers(0, 999_999).map(lambda f: f * 1_000),
+                        st.integers(0, NS - 1))),
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+    st.sampled_from([0, -1, 1, 999_999_999, -999_999_999, -NS, NS, INT64_MIN, INT64_MIN + 1,
+                     INT64_MAX, INT64_MAX - 1, -1_000_000, -1_000]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(stamps, max_size=40))
+def test_block_stamp_formatter_equals_scalar_oracle(ns):
+    cells = stridekit_io._format_stamps(np.array(ns, dtype=np.int64))
+    assert cells == [format_rfc3339_reference(v) for v in ns]
+    assert [format_rfc3339(v) for v in ns] == cells
+
+
+@pytest.mark.parametrize("ns", [0, -1, 999_999_999, INT64_MIN, INT64_MAX])
+def test_stamp_formatter_edges_equal_oracle(ns):
+    assert format_rfc3339(ns) == format_rfc3339_reference(ns)
+    assert format_rfc3339(np.int64(ns)) == format_rfc3339_reference(ns)
 
 
 @given(st.integers(min_value=-(2**62), max_value=2**62))
@@ -691,6 +745,218 @@ def test_write_empty_matrix_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_matrix(matrix, path)
     assert path.read_bytes() == b"index,S__mean__w=50_s=10\r\n"
+
+
+# ---------------------------------------------------------------------------
+# block writer against the csv.writer oracle
+# ---------------------------------------------------------------------------
+
+def reference_cells(tag, data, categories=None):
+    values = data.tolist()
+    if tag in (ValueTag.F64, ValueTag.F32):
+        return ["" if v != v else repr(v) for v in values]
+    if tag is ValueTag.BOOL:
+        return ["" if v is None else "true" if v else "false" for v in values]
+    if categories is not None:
+        values = [categories[code] for code in values]
+    return ["" if v is None else str(v) for v in values]
+
+
+def reference_write(path, header, kind, index, columns):
+    """The writers as they were before they streamed: every cell formatted
+    first, then all rows through csv.writer. ``columns`` holds (tag, data,
+    categories) per value column."""
+    if kind is IndexKind.TIME_NS:
+        index_cells = [format_rfc3339_reference(int(v)) for v in index]
+    else:
+        index_cells = [render_number(float(v)) for v in index]
+    cells = [reference_cells(*c) for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(index_cells, *cells))
+
+
+def written(write, path, *args):
+    """The bytes ``write`` leaves at ``path``, or the csv.Error it raises
+    (csv.writer refuses a NUL cell before Python 3.11)."""
+    try:
+        write(*args)
+    except csv.Error as exc:
+        return type(exc)
+    return path.read_bytes()
+
+
+NASTY_LABELS = ["", "a,b", 'say "hi"', "cr\ronly", "lf\nonly", "crlf\r\n", "nul\0", "ünï€", "x",
+                '"', ",", " lead", "trail "]
+labels = st.one_of(st.sampled_from(NASTY_LABELS),
+                   st.text(alphabet=st.sampled_from('ab ,"\r\n\0é'), max_size=4))
+floats = st.one_of(st.floats(width=64), st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf,
+                                                          5e-324, -5e-324, 1e16, 0.1]))
+TAGS = [ValueTag.F64, ValueTag.F32, ValueTag.I64, ValueTag.BOOL, ValueTag.CATEGORICAL]
+
+
+@st.composite
+def value_cells(draw, tag, n):
+    """``n`` cells of one FeatureMatrix column of ``tag``."""
+    if tag in (ValueTag.F64, ValueTag.F32):
+        dtype = np.float64 if tag is ValueTag.F64 else np.float32
+        with np.errstate(over="ignore"):
+            return np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=dtype)
+    cell = {ValueTag.I64: st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+            ValueTag.BOOL: st.booleans(), ValueTag.CATEGORICAL: labels}[tag]
+    data = np.empty(n, dtype=object)
+    data[:] = draw(st.lists(st.one_of(st.none(), cell), min_size=n, max_size=n))
+    return data
+
+
+@st.composite
+def sorted_index(draw, kind, n):
+    """``n`` increasing stamps (from int64's extremes too) or numbers."""
+    if kind is IndexKind.TIME_NS:
+        start = draw(st.sampled_from([0, -3 * NS - 7, 1_700_000_000 * NS, INT64_MIN,
+                                      INT64_MAX - 40 * NS]))
+        steps = draw(st.lists(st.sampled_from([1, 1_000, 1_000_000, NS, 250_000_000, 7]),
+                              min_size=n, max_size=n))
+        return start + np.cumsum([0, *steps[1:]], dtype=np.int64)[:n]
+    steps = draw(st.lists(st.sampled_from([0.1, 1.0, 2.5, 1e-7, 3e15]), min_size=n, max_size=n))
+    return draw(st.sampled_from([0.0, -5.0, 1e15])) + np.cumsum(steps)
+
+
+@settings(max_examples=150)
+@given(data=st.data(),
+       kind=st.sampled_from([IndexKind.TIME_NS, IndexKind.NUMERIC]),
+       n_rows=st.integers(0, 25),
+       tags=st.lists(st.sampled_from(TAGS), max_size=5),
+       block_cells=st.sampled_from([1, 2, 5, 12, stridekit_io.WRITE_BLOCK_CELLS]))
+def test_write_matrix_equals_csv_writer_oracle(tmp_path_factory, data, kind, n_rows, tags,
+                                               block_cells):
+    names = [data.draw(st.sampled_from(["c", "a,b", 'q"q', "nl\nx", "é", "", "m" * 3]))
+             + str(j) for j in range(len(tags))]
+    index = data.draw(sorted_index(kind, n_rows))
+    cols = {name: FeatureColumn(tag, data.draw(value_cells(tag, n_rows)))
+            for name, tag in zip(names, tags)}
+    matrix = FeatureMatrix(kind, index, cols)
+    tmp = tmp_path_factory.mktemp("w")
+    expected = written(reference_write, tmp / "ref.csv", tmp / "ref.csv", ["index", *names],
+                       kind, index, [(c.tag, c.data, None) for c in cols.values()])
+    # Small budgets put block boundaries inside the drawn row counts.
+    with mock.patch.object(stridekit_io, "WRITE_BLOCK_CELLS", block_cells):
+        assert written(write_matrix, tmp / "out.csv", matrix, tmp / "out.csv") == expected
+
+
+@st.composite
+def series_column(draw, tag, n):
+    """Values for ``Series`` of ``tag``: typed arrays, labels as a dictionary."""
+    if tag is ValueTag.I64:
+        return np.array(draw(st.lists(st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+                                      min_size=n, max_size=n)), dtype=np.int64)
+    if tag is ValueTag.BOOL:
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    if tag is ValueTag.CATEGORICAL:
+        cats = tuple(draw(st.lists(labels, min_size=1, max_size=5, unique=True)))
+        codes = draw(st.lists(st.integers(0, len(cats) - 1), min_size=n, max_size=n))
+        return ValueColumn(tag, np.array(codes, dtype=np.int32), cats)
+    return draw(value_cells(tag, n))
+
+
+@settings(max_examples=150)
+@given(data=st.data(),
+       kind=st.sampled_from([IndexKind.TIME_NS, IndexKind.NUMERIC]),
+       n_rows=st.integers(0, 25),
+       tags=st.lists(st.sampled_from(TAGS), min_size=1, max_size=4),
+       index_column=st.sampled_from(["index", "t,s", 'say "t"', "line\r\nbreak", "ß"]),
+       block_cells=st.sampled_from([1, 2, 5, 12, stridekit_io.WRITE_BLOCK_CELLS]))
+def test_write_series_csv_equals_csv_writer_oracle(tmp_path_factory, data, kind, n_rows, tags,
+                                                   index_column, block_cells):
+    index = data.draw(sorted_index(kind, n_rows))
+    series = [Series(data.draw(st.sampled_from(["S", "a,b", 'q"q', "nl\nx", "é"])) + str(j),
+                     index, data.draw(series_column(tag, n_rows)), kind=kind)
+              for j, tag in enumerate(tags)]
+    tmp = tmp_path_factory.mktemp("w")
+    columns = [(s.values.tag, s.values.data, s.values.categories) for s in series]
+    expected = written(reference_write, tmp / "ref.csv", tmp / "ref.csv",
+                       [index_column, *(s.name for s in series)], kind, index, columns)
+    with mock.patch.object(stridekit_io, "WRITE_BLOCK_CELLS", block_cells):
+        got = written(write_series_csv, tmp / "out.csv", series, tmp / "out.csv", index_column)
+    assert got == expected
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("quoted_row", [None, 0, 3, 4])
+def test_rows_on_either_side_of_a_block_boundary(tmp_path, n_rows, quoted_row):
+    # Two value columns and a 12-cell budget: blocks of 4 rows.
+    index = np.arange(n_rows, dtype=np.int64) * 1_500_000
+    label = np.array([f"l{i}" for i in range(n_rows)], dtype=object)
+    if quoted_row is not None and quoted_row < n_rows:
+        label[quoted_row] = 'a,"b"\r\n'
+    cols = {"x": FeatureColumn(ValueTag.F64, np.where(index % 2 == 0, np.nan, index / 7.0)),
+            "l": FeatureColumn(ValueTag.CATEGORICAL, label)}
+    reference_write(tmp_path / "ref.csv", ["index", "x", "l"], IndexKind.TIME_NS, index,
+                    [(c.tag, c.data, None) for c in cols.values()])
+    with mock.patch.object(stridekit_io, "WRITE_BLOCK_CELLS", 12):
+        write_matrix(FeatureMatrix(IndexKind.TIME_NS, index, cols), tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def write_peak(write, *args) -> int:
+    """tracemalloc's peak over one call of ``write``."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def wide_values(rows):
+    """Six float columns with NaN, and an int and a bool object column with None."""
+    rng = np.random.default_rng(7)
+    floats = [rng.normal(0.0, 1e3, rows) for _ in range(6)]
+    for f in floats:
+        f[::5] = np.nan
+    counts = np.array([None, 4, 5, 6] * (rows // 4), dtype=object)
+    flags = np.array([True, None, False, False] * (rows // 4), dtype=object)
+    return floats, counts, flags
+
+
+def assert_peak_bounded(peak_of_rows):
+    peak_of_rows(5_000)  # a first write over full blocks fills numpy's and Python's caches
+    small, large = peak_of_rows(50_000), peak_of_rows(100_000)
+    assert large < 2_000_000
+    assert abs(large - small) <= 0.1 * small
+
+
+def test_write_matrix_extra_peak_does_not_grow_with_rows(tmp_path):
+    def peak(rows):
+        floats, counts, flags = wide_values(rows)
+        cols = {f"F{j}": FeatureColumn(ValueTag.F64, f) for j, f in enumerate(floats)}
+        cols["count"] = FeatureColumn(ValueTag.I64, counts)
+        cols["flag"] = FeatureColumn(ValueTag.BOOL, flags)
+        index = 1_700_000_000 * NS + np.arange(rows, dtype=np.int64) * 31_250_000
+        return write_peak(write_matrix, FeatureMatrix(IndexKind.TIME_NS, index, cols),
+                          tmp_path / f"m{rows}.csv")
+    assert_peak_bounded(peak)
+
+
+def test_write_series_csv_extra_peak_does_not_grow_with_rows(tmp_path):
+    def peak(rows):
+        floats, _, _ = wide_values(rows)
+        index = 1_700_000_000 * NS + np.arange(rows, dtype=np.int64) * 31_250_000
+        labels = ValueColumn(ValueTag.CATEGORICAL, (np.arange(rows) % 3).astype(np.int32),
+                             ("walk", "run, fast", 'say "hi"'))
+        values = [*floats, np.arange(rows, dtype=np.int64), labels]
+        series = [Series(f"V{j}", index, v, kind=IndexKind.TIME_NS) for j, v in enumerate(values)]
+        return write_peak(write_series_csv, series, tmp_path / f"s{rows}.csv")
+    assert_peak_bounded(peak)
+
+
+def test_write_series_rejects_codes_outside_the_dictionary_before_opening(tmp_path):
+    bad = ValueColumn(ValueTag.CATEGORICAL, np.array([0, 2], dtype=np.int32), ("a", "b"))
+    path = tmp_path / "never.csv"
+    with pytest.raises(LengthMismatch, match="codes outside its 2 categories"):
+        write_series_csv([Series("L", np.array([0.0, 1.0]), bad)], path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
