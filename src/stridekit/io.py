@@ -115,6 +115,7 @@ def parse_rfc3339_ns(text: str) -> int:
 
 
 def format_rfc3339(ns: int) -> str:
+    """``_format_stamps`` of one stamp; a value outside int64 is OverflowError."""
     return _format_stamps([ns])[0]
 
 
