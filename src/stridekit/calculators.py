@@ -35,8 +35,9 @@ Exact semantics, fixed here so results are reproducible bit for bit:
   first and last preserve the input series' value tag.
 
 Empty windows: count returns 0 and sum, abs_energy, zero_cross return 0.0;
-every other function raises, which extract surfaces as FunctionFailure unless
-the wrapper is made robust.
+this value is the kernel's short-window ``fill``. Every other function
+raises, which extract surfaces as FunctionFailure unless the wrapper is made
+robust.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ def order_stats(v, members):
     return out
 
 
-def _member(name: str, family, member, empty: float | None = None) -> BlockKernel:
+def _member(name: str, family, member, fill: float | None = None) -> BlockKernel:
     """A family member's kernel: the family run on that member alone."""
-    return BlockKernel(name, lambda v: family(v, (member,))[0], empty=empty,
+    return BlockKernel(name, lambda v: family(v, (member,))[0], fill=fill,
                        family=family, member=member)
 
 
@@ -174,9 +175,9 @@ _SIMPLE: dict[str, tuple] = {
     # name -> (kernel, input_mode, output_tag)
     # One shared int per block: I64 cells are Python ints in an object column.
     "count": (BlockKernel("count", lambda v: np.full(len(v), v.shape[1], dtype=object),
-                          empty=0, raw=True),
+                          fill=0, raw=True),
               InputMode.VALUES_ONLY, ValueTag.I64),
-    "sum": _f64(_member("sum", _moments, "sum", empty=0.0)),
+    "sum": _f64(_member("sum", _moments, "sum", fill=0.0)),
     "mean": _f64(_member("mean", _moments, "mean")),
     "std": _f64(_member("std", _moments, "std")),
     "var": _f64(_member("var", _moments, "var")),
@@ -184,13 +185,13 @@ _SIMPLE: dict[str, tuple] = {
     "max": _f64(BlockKernel("max", partial(np.maximum.reduce, axis=1))),
     "median": _f64(_member("median", order_stats, "median")),
     "rms": _f64(_member("rms", _moments, "rms")),
-    "abs_energy": _f64(_member("abs_energy", _moments, "abs_energy", empty=0.0)),
+    "abs_energy": _f64(_member("abs_energy", _moments, "abs_energy", fill=0.0)),
     "skewness": _f64(_member("skewness", _moments, "skewness")),
     "kurtosis": _f64(_member("kurtosis", _moments, "kurtosis")),
     "slope": (BlockKernel("slope", _slope), InputMode.VALUES_AND_INDEX, ValueTag.F64),
     "first": (BlockKernel("first", lambda v: v[:, 0], raw=True), InputMode.VALUES_ONLY, PRESERVE),
     "last": (BlockKernel("last", lambda v: v[:, -1], raw=True), InputMode.VALUES_ONLY, PRESERVE),
-    "zero_cross": _f64(BlockKernel("zero_cross", _zero_cross, empty=0.0)),
+    "zero_cross": _f64(BlockKernel("zero_cross", _zero_cross, fill=0.0)),
 }
 
 BUILTIN_NAMES: tuple[str, ...] = tuple(list(_SIMPLE) + ["quantile"])

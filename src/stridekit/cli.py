@@ -45,6 +45,12 @@ def _add_data_arguments(sub: argparse.ArgumentParser) -> None:
                      help="stable-sort rows by index instead of rejecting unsorted input")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _load_data(args) -> SeriesSet:
     kind = _KIND_BY_FLAG[args.kind] if args.kind else None
     out = SeriesSet()
@@ -153,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="feature config JSON")
     p.add_argument("--out", required=True, help="output feature CSV")
     p.add_argument("--log", default=None, help="JSON-lines duration log")
-    p.add_argument("--workers", type=int, default=None, help="override worker count")
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="override worker count")
     p.add_argument("--approve-sparsity", action="store_true",
                    help="suppress sparsity warnings")
     p.set_defaults(handler=_cmd_extract)
@@ -188,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=3600.0)
     p.add_argument("--window", default="30s")
     p.add_argument("--stride", default="10s")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True, help="write the report JSON here")
     p.add_argument("--rss", action="store_true",

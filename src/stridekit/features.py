@@ -7,7 +7,9 @@ function registered under it. The unit of parallel work is one (group,
 function) pair, or the builtins of one family in a group, which share each
 cast block (see BlockKernel); workers inherit the resolved groups through a
 fork and the collector merges results in registration order, which makes the
-output bit-identical for any worker count.
+output bit-identical for any worker count. A builtin unit runs over blocks
+of windows; if that raises, the unit is rerun through the per-window loop,
+which alone names a failing function and segment.
 """
 
 from __future__ import annotations
@@ -66,9 +68,12 @@ class BlockKernel:
     equal-count windows; calling it on one window runs ``func`` on a one-row
     block, so both paths give the same bits.
 
-    An empty window yields ``empty``, or raises when that is None.
-    ``make_robust`` sets ``min_samples`` and ``fill``: a window with fewer
-    samples yields ``fill`` instead.
+    A window with fewer than ``min_samples`` samples (at least 1, so every
+    empty window) yields ``fill``, or raises when that is None. A builtin's
+    fill is its empty-window value; ``make_robust`` replaces both fields.
+    Calling the kernel per window is also the builtins' failure path: when a
+    block run raises, extract reruns the unit through it, so a failure names
+    the function and segment the per-window loop names.
 
     Builtins that share work belong to a ``family``: ``family(block,
     members)`` returns one value per window for each ``member`` asked for,
@@ -79,24 +84,18 @@ class BlockKernel:
 
     name: str
     func: Callable
-    empty: object = None
     raw: bool = False
-    min_samples: int = 0
+    min_samples: int = 1
     fill: object = None
     family: Callable | None = None
     member: object = None
 
-    def empty_value(self):
-        if self.empty is None:
-            raise ValueError(f"{self.name} of an empty window is undefined")
-        return self.empty
-
     def __call__(self, x):
         values, index = x if isinstance(x, tuple) else (x, None)
         if len(values) < self.min_samples:
+            if self.fill is None:
+                raise ValueError(f"{self.name} of an empty window is undefined")
             return self.fill
-        if len(values) == 0:
-            return self.empty_value()
         rows = [np.asarray(values, dtype=None if self.raw else np.float64)[None, :]]
         if index is not None:
             rows.append(np.asarray(index)[None, :])
@@ -181,8 +180,8 @@ def make_robust(
 ) -> FuncWrapper:
     """Wrapper that returns ``fill_value`` for every output when any input
     window holds fewer than ``min_samples`` samples, instead of calling the
-    inner function. A block kernel stays a block kernel, with the threshold
-    as a count mask.
+    inner function. A block kernel stays a block kernel with this threshold
+    and fill; ``min_samples=0`` leaves it as it is.
 
     A NaN fill requires every output to be float-tagged; integer, boolean,
     categorical, or tag-preserving outputs cannot represent it. An integral
@@ -203,8 +202,10 @@ def make_robust(
     fills = tuple(int(fill_value) if integral and tag is ValueTag.I64 else fill_value
                   for tag in wrapper.output_tags)
     inner = wrapper.func
-    if isinstance(inner, BlockKernel) and inner.min_samples <= min_samples:
-        # The inner threshold, if any, is covered by this one.
+    if isinstance(inner, BlockKernel) and min_samples == 0:
+        robust = inner  # no window holds fewer than 0 samples
+    elif isinstance(inner, BlockKernel) and inner.min_samples <= min_samples:
+        # The inner threshold is covered by this one.
         robust = dataclasses.replace(inner, min_samples=min_samples, fill=fills[0])
     else:
         def robust(*inputs):
@@ -216,7 +217,11 @@ def make_robust(
 
     recipe = None
     if wrapper.recipe is not None:
-        recipe = ("robust", wrapper.recipe, int(min_samples), float(fill_value))
+        try:
+            recipe = ("robust", wrapper.recipe, int(min_samples), float(fill_value))
+        except (TypeError, ValueError):
+            raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value must be a number, "
+                                    f"got {fill_value!r}") from None
     return FuncWrapper(
         robust,
         base_name=wrapper.base_name,
@@ -603,17 +608,9 @@ def _cell_converter(tag: ValueTag, series: Series) -> Callable:
     return label
 
 
-def _failure(wrapper: FuncWrapper, group: _ResolvedGroup, k: int, exc: Exception):
-    failure = FunctionFailure(
-        f"function {wrapper.base_name!r} failed on group {'|'.join(group.key[0])!r} "
-        f"segment {k}: {exc}"
-    )
-    failure.__cause__ = exc
-    return failure
-
-
 def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> None:
-    """One Python call per window: user functions."""
+    """One Python call per window: user functions, and the builtins of a unit
+    whose block run raised. The one place that names a failing segment."""
     converters = [_cell_converter(tag, group.series[0]) for tag in tags]
     want_index = wrapper.input_mode is InputMode.VALUES_AND_INDEX
     for k in range(group.grid.n_segments):
@@ -629,65 +626,30 @@ def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> 
             for column, convert, out in zip(columns, converters, wrapper.apply(inputs)):
                 column[k] = convert(out)
         except Exception as exc:
-            raise _failure(wrapper, group, k, exc) from exc
+            raise FunctionFailure(f"function {wrapper.base_name!r} failed on group "
+                                  f"{'|'.join(group.key[0])!r} segment {k}: {exc}") from exc
 
 
 #: Bytes of float64 samples per block of windows (a block holds at least one).
 BLOCK_BYTES = 256 * 1024
 
 
-def _block_values(kernels: list[BlockKernel], live: list[int], blocks) -> list:
-    """Each live member's values on one block: its own kernel, or one call
-    of the family they share."""
-    if len(live) == 1:
-        return [kernels[live[0]].func(*blocks)]
-    return kernels[live[0]].family(blocks[0], [kernels[j].member for j in live])
-
-
-def _first_failing(kernels: list[BlockKernel], live: list[int], blocks, exc: Exception):
-    """The first live member whose own kernel fails on ``blocks``, with its
-    exception; the first live member with ``exc`` when none fails alone."""
-    if len(live) > 1:
-        for j in live:
-            try:
-                kernels[j].func(*blocks)
-            except Exception as alone:
-                return j, alone
-    return live[0], exc
-
-
-def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> tuple[int, FunctionFailure] | None:
+def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
     """Kernels over blocks of windows with equal sample counts, each block a
     (strided) slice of the series' sliding-window view, so extra memory is
     bounded by BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member:
     one builtin, or builtins of one family sharing ``min_samples``, which
-    share each cast block. Short and empty windows take each member's fill
-    or empty value.
-
-    Returns None, or the position in ``unit`` of the first failing member
-    with its FunctionFailure, which names the first segment the per-window
-    loop fails on. Members after a failing one are not computed further.
+    share each cast block. Short windows take each member's fill. Any
+    exception propagates unnamed: the caller reruns the unit per window.
     """
     kernels = [wrapper.func for wrapper, _, _ in unit]
     series, pos = group.series[0], group.positions[0]
     counts = pos[:, 1] - pos[:, 0]
     short = counts < kernels[0].min_samples
-    empty = (counts == 0) & ~short  # none when min_samples > 0
-    failed = None
-    live = []  # members still computed
-    for j, (wrapper, tag, column) in enumerate(unit):
-        convert, kernel = _cell_converter(tag, series), kernels[j]
-        try:
-            for where, value in ((short, lambda: kernel.fill), (empty, kernel.empty_value)):
-                if where.any():
-                    k = int(np.argmax(where))
-                    column[where] = convert(value())
-        except Exception as exc:
-            failed = j, _failure(wrapper, group, k, exc)
-            break
-        live.append(j)
-    if not live:
-        return failed
+    if short.any():
+        for (_, tag, column), kernel in zip(unit, kernels):
+            # a None fill fails every tag's conversion
+            column[short] = _cell_converter(tag, series)(kernel.fill)
 
     # a raw kernel's dictionary codes become labels
     labels = [np.array(series.values.categories, dtype=object)
@@ -695,7 +657,7 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> tuple[int, Function
     sources = [series.values.data]
     if unit[0][0].input_mode is InputMode.VALUES_AND_INDEX:
         sources.append(series.index)
-    todo = np.flatnonzero((counts > 0) & ~short)
+    todo = np.flatnonzero(~short)
     todo = todo[np.argsort(counts[todo], kind="stable")]
     for run in np.split(todo, np.flatnonzero(np.diff(counts[todo])) + 1):
         if not len(run):
@@ -716,40 +678,37 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> tuple[int, Function
             blocks = [v[rows] for v in views]
             if not kernels[0].raw:
                 blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
-            while live:
-                try:
-                    for j, out in zip(live, _block_values(kernels, live, blocks)):
-                        unit[j][2][run[a:b]] = out if labels[j] is None else labels[j][out]
-                    break
-                except Exception as exc:
-                    j, exc = _first_failing(kernels, live, blocks, exc)
-                    failed = j, _failure(unit[j][0], group, int(run[a]), exc)
-                    live = live[:live.index(j)]
-            if not live:
-                return failed
-    return failed
+            if len(kernels) == 1:
+                outs = [kernels[0].func(*blocks)]
+            else:
+                outs = kernels[0].family(blocks[0], [k.member for k in kernels])
+            for (_, _, column), out, label in zip(unit, outs, labels):
+                column[run[a:b]] = out if label is None else label[out]
 
 
 def _compute_unit(group: _ResolvedGroup, fis: tuple[int, ...]) -> tuple:
     """Run one unit: the functions ``fis`` of ``group``. Returns the output
     columns per function, the unit's wall time, its path, and None or
-    (fi, FunctionFailure) of its first failing function."""
+    (fi, FunctionFailure) of its first failing function. A builtin unit whose
+    block run raises is rerun per window, function by function in
+    registration order, and that loop's first failure is the unit's."""
     n = group.grid.n_segments
     columns = [[_missing_column(tag, n) for tag in group.wrapper_tags[fi]] for fi in fis]
     t0 = time.perf_counter()
-    failure = None
+    path, failure = "window", None
     if isinstance(group.wrappers[fis[0]].func, BlockKernel):
-        path = "fused" if len(fis) > 1 else "block"
-        failed = _run_blocks(group, [(group.wrappers[fi], group.wrapper_tags[fi][0], cols[0])
-                                     for fi, cols in zip(fis, columns)])
-        if failed is not None:
-            failure = fis[failed[0]], failed[1]
-    else:
-        path = "window"
         try:
-            _run_windows(group, group.wrappers[fis[0]], group.wrapper_tags[fis[0]], columns[0])
+            _run_blocks(group, [(group.wrappers[fi], group.wrapper_tags[fi][0], cols[0])
+                                for fi, cols in zip(fis, columns)])
+            path = "fused" if len(fis) > 1 else "block"
+        except Exception:
+            pass  # the per-window rerun below names the failure
+    if path == "window":
+        try:
+            for fi, cols in zip(fis, columns):
+                _run_windows(group, group.wrappers[fi], group.wrapper_tags[fi], cols)
         except FunctionFailure as exc:
-            failure = fis[0], exc
+            failure = fi, exc
     return columns, time.perf_counter() - t0, path, failure
 
 

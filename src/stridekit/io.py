@@ -52,6 +52,7 @@ from .errors import (
     IoError,
     KindMismatch,
     LengthMismatch,
+    MalformedName,
     NonMonotonicIndex,
     ParseError,
 )
@@ -690,7 +691,7 @@ def _parse_function_entry(raw, what: str) -> FuncWrapper:
         if isinstance(min_samples, bool) or not isinstance(min_samples, int):
             raise ConfigError(f"{what}: robust min_samples must be an integer")
         fill = robust.get("fill_value", math.nan)
-        if not isinstance(fill, (int, float)):
+        if isinstance(fill, bool) or not isinstance(fill, (int, float)):
             raise ConfigError(f"{what}: robust fill_value must be a number")
         wrapper = make_robust(wrapper, min_samples=min_samples, fill_value=float(fill))
     return wrapper
@@ -718,8 +719,11 @@ def parse_feature_config(doc) -> tuple[FeatureCollection, ExtractOptions]:
         for axis in ("windows", "strides"):
             if not isinstance(entry.get(axis), list) or not entry[axis]:
                 raise ConfigError(f"{what}: '{axis}' must be a non-empty list")
-        windows = [Delta.coerce(w) for w in entry["windows"]]
-        strides = [Delta.coerce(s) for s in entry["strides"]]
+        try:
+            windows = [Delta.coerce(w) for w in entry["windows"]]
+            strides = [Delta.coerce(s) for s in entry["strides"]]
+        except MalformedName as exc:
+            raise ConfigError(f"{what}: {exc}") from None
         collection.add(expand_multiple(functions, series_entries, windows, strides))
 
     options = ExtractOptions()
@@ -730,11 +734,14 @@ def parse_feature_config(doc) -> tuple[FeatureCollection, ExtractOptions]:
         position = raw_options.get("output_position", "end")
         if position not in ("begin", "end"):
             raise ConfigError(f"options: output_position must be 'begin' or 'end', got {position!r}")
+        approve = raw_options.get("approve_sparsity", False)
+        if not isinstance(approve, bool):
+            raise ConfigError(f"options: approve_sparsity must be true or false, got {approve!r}")
         n_workers = raw_options.get("n_workers", 1)
         if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
             raise ConfigError(f"options: n_workers must be a positive integer, got {n_workers!r}")
         options = ExtractOptions(
-            approve_sparsity=bool(raw_options.get("approve_sparsity", False)),
+            approve_sparsity=approve,
             n_workers=n_workers,
             output_position=OutputPosition.BEGIN if position == "begin" else OutputPosition.END,
         )

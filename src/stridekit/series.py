@@ -122,8 +122,9 @@ class Delta:
 
     @staticmethod
     def coerce(value) -> "Delta":
-        """Accept a Delta, a grammar string, a bare number (numeric kind), a
-        datetime.timedelta, or a numpy timedelta64 (time kind)."""
+        """Accept a Delta, a grammar string, a bare number other than a bool
+        (numeric kind), a datetime.timedelta, or a numpy timedelta64 (time
+        kind)."""
         if isinstance(value, Delta):
             return value
         if isinstance(value, str):
@@ -133,7 +134,7 @@ class Delta:
             return Delta.time_ns(micros * 1_000)
         if isinstance(value, np.timedelta64):
             return Delta.time_ns(int(value.astype("timedelta64[ns]").astype(np.int64)))
-        if isinstance(value, (int, float, np.integer, np.floating)):
+        if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
             return Delta.numeric(float(value))
         raise MalformedName(f"cannot interpret {value!r} as an index delta")
 

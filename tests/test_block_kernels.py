@@ -287,6 +287,30 @@ def test_a_kernel_error_in_a_fused_call_names_the_member_that_raises_it(n_worker
                    "overflow encountered in multiply")
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("value, names, message", [
+    pytest.param(1e200, ["abs_energy"], "function 'abs_energy' failed on group 'S' "
+                 "segment 0: overflow encountered in multiply", id="abs_energy"),
+    pytest.param(1e308, ["mean"], "function 'mean' failed on group 'S' segment 0: "
+                 "overflow encountered in reduce", id="mean"),
+    pytest.param(1e200, ["abs_energy", "mean", "count"], "function 'abs_energy' failed on "
+                 "group 'S' segment 0: overflow encountered in multiply", id="fused-and-count"),
+])
+def test_a_failing_block_unit_names_what_the_per_window_loop_names(value, names, message,
+                                                                   n_workers):
+    # Segments 1 and 3 are empty, segment 4 holds one sample and every other
+    # window overflows. The block path meets the empty windows first, then
+    # segment 4 (it runs windows by sample count), but the failure must be
+    # the per-window loop's: segment 0.
+    s = numeric_series("S", [0.0, 1.0, 4.0, 5.0, 9.0, 10.0, 11.0, 12.0],
+                       values=np.full(8, value))
+    wrappers = [builtin(name) for name in names]
+    with np.errstate(over="raise"):
+        got = outcome(s, wrappers, 2.0, 2.0, n_workers)
+        assert got == outcome(s, [per_window(x) for x in wrappers], 2.0, 2.0)
+    assert got == message
+
+
 def test_fused_log_splits_the_unit_time_evenly():
     s = numeric_series("S", np.arange(100.0))
     names = ["mean", "min", "std", "median", "quantile"]

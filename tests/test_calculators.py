@@ -179,6 +179,12 @@ def test_robust_rejects_negative_min_samples():
         make_robust(builtin("mean"), min_samples=-1)
 
 
+@pytest.mark.parametrize("fill", [None, "x"])
+def test_robust_builtin_rejects_a_fill_that_is_not_a_number(fill):
+    with pytest.raises(InvalidDescriptor, match="'mean': fill_value must be a number"):
+        make_robust(builtin("mean"), min_samples=2, fill_value=fill)
+
+
 def test_robust_checks_every_input_of_a_joint_function():
     def spread(a, b):
         return float(np.max(a) - np.min(b))

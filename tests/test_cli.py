@@ -134,6 +134,17 @@ def test_extract_workers_flag_gives_identical_bytes(tmp_path):
     assert out_one.read_bytes() == out_two.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2", "1.5"])
+@pytest.mark.parametrize("command", ["extract", "bench"])
+def test_workers_flag_takes_positive_integers_only(tmp_path, capsys, command, workers):
+    report = tmp_path / "report.json"
+    args = {"extract": ["--data", "d.csv", "--config", "c.json", "--out", "o.csv"],
+            "bench": ["--report", str(report)]}[command]
+    assert main([command, *args, "--workers", workers]) == 1
+    assert "--workers: must be a positive integer" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_extract_merges_multiple_data_files(tmp_path):
     seconds = np.arange(20.0)
     p1 = tmp_path / "a.csv"
@@ -285,6 +296,31 @@ def test_extract_input_errors_exit_2_with_one_line(tmp_path, capsys, data, serie
     rc, data_path = run_extract(tmp_path, data, series)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message.format(path=data_path)}\n"
+
+
+@pytest.mark.parametrize("function, window, options, message", [
+    pytest.param({"name": "mean"}, "10s", {"approve_sparsity": "no"},
+                 "options: approve_sparsity must be true or false, got 'no'",
+                 id="approve-sparsity-string"),
+    pytest.param({"name": "mean"}, True, {},
+                 "features[0]: cannot interpret True as an index delta", id="bool-window"),
+    pytest.param({"name": "mean", "robust": {"fill_value": True}}, "10s", {},
+                 "features[0].functions[0]: robust fill_value must be a number",
+                 id="bool-fill-value"),
+])
+def test_extract_config_errors_exit_2_naming_the_entry(tmp_path, capsys, function, window,
+                                                       options, message):
+    data_path = tmp_path / "data.csv"
+    write_wearable_csv(data_path)
+    config_path = tmp_path / "config.json"
+    write_json({"features": [{"series": "TMP", "functions": [function],
+                              "windows": [window], "strides": [window]}],
+                "options": options}, str(config_path))
+    rc = main(["extract", "--data", str(data_path), "--config", str(config_path),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_extract_duplicate_series_across_files_exits_2(tmp_path, capsys):

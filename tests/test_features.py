@@ -92,6 +92,13 @@ def test_descriptor_validation():
         FeatureDescriptor("TMP", lambda x: 0.0, "30s", "10s")
 
 
+def test_descriptor_rejects_a_bool_window_or_stride():
+    with pytest.raises(InvalidDescriptor):
+        FeatureDescriptor("TMP", builtin("mean"), True, 1.0)
+    with pytest.raises(InvalidDescriptor):
+        FeatureDescriptor("TMP", builtin("mean"), 1.0, True)
+
+
 def test_expand_multiple_counts():
     assert len(expand_multiple([builtin("mean")], ["TMP"], ["30s"], ["10s"])) == 1
     funcs = [builtin("mean"), builtin("std"), builtin("min")]

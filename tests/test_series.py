@@ -207,6 +207,13 @@ def test_delta_coerce():
         Delta.parse("30x")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_delta_coerce_rejects_bools(value):
+    # bool is an int subclass, so True would be a numeric delta of 1
+    with pytest.raises(MalformedName):
+        Delta.coerce(value)
+
+
 @given(count=st.integers(min_value=1, max_value=10**9),
        unit=st.sampled_from(["D", "h", "m", "s", "ms", "us", "ns"]))
 def test_delta_time_round_trip(count, unit):
