@@ -176,12 +176,12 @@ def run_bench(
     report timing and allocation. The first extract is timed with the
     allocation tracer off; the second, untimed, gives the allocation
     watermark. Both cover the extract call only, not data generation."""
+    options = ExtractOptions(n_workers=n_workers)
     data = gen_synthetic(n_channels=n_channels, fs=fs, duration=duration, seed=seed)
     funcs = list(functions) if functions is not None else default_feature_functions()
     collection = FeatureCollection(
         expand_multiple(funcs, data.names(), [window], [stride])
     )
-    options = ExtractOptions(n_workers=n_workers)
 
     def go() -> ExtractResult:
         return extract(data, collection, options)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, KindMismatch
-from .series import Delta, IndexKind, Series, SeriesSet, SeriesView, infer_period
+from .series import (Delta, IndexKind, Series, SeriesSet, SeriesView, _index_scalar,
+                     infer_period)
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ class ChunkSpec:
         return min_dur, max_dur, overlap
 
 
-def _scalar(value, kind: IndexKind):
-    return int(value) if kind is IndexKind.TIME_NS else float(value)
-
-
 def chunk_series(series: Series, spec: ChunkSpec = ChunkSpec()) -> list[tuple]:
     """Closed (begin, end) index-value ranges covering the series.
 
@@ -80,7 +77,7 @@ def chunk_series(series: Series, spec: ChunkSpec = ChunkSpec()) -> list[tuple]:
     kind = series.kind
     idx = series.index
     if n == 1:
-        v = _scalar(idx[0], kind)
+        v = _index_scalar(idx[0], kind)
         return [(v, v)]
     min_dur, max_dur, overlap = spec.resolve(kind)
     threshold = spec.gap_factor * infer_period(series)
@@ -88,7 +85,7 @@ def chunk_series(series: Series, spec: ChunkSpec = ChunkSpec()) -> list[tuple]:
     cuts = np.nonzero(diffs > threshold)[0]
     bounds = [0, *(int(c) + 1 for c in cuts), n]
     ranges = [
-        (_scalar(idx[a], kind), _scalar(idx[b - 1], kind))
+        (_index_scalar(idx[a], kind), _index_scalar(idx[b - 1], kind))
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
     if min_dur is not None:

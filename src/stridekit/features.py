@@ -23,12 +23,13 @@ import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    BadParam,
     DuplicateFeature,
     EmptyAxis,
     FunctionFailure,
@@ -38,7 +39,8 @@ from .errors import (
     UnknownColumn,
 )
 from .naming import format_output_name, parse_output_name
-from .segment import OutputPosition, SegmentGrid, build_grid, intersect_spans, segment_positions
+from .segment import (OutputPosition, SegmentGrid, build_grid, intersect_spans,
+                      segment_positions, window_stride)
 from .series import (
     FLOAT_TAGS,
     Delta,
@@ -188,8 +190,8 @@ def make_robust(
     float fill becomes an int for I64 outputs; otherwise the fill must fit
     each output's tag like any function output.
     """
-    if min_samples < 0:
-        raise InvalidDescriptor("min_samples must be >= 0")
+    if isinstance(min_samples, bool) or not isinstance(min_samples, int) or min_samples < 0:
+        raise InvalidDescriptor(f"min_samples must be an integer >= 0, got {min_samples!r}")
     fill_is_nan = isinstance(fill_value, float) and math.isnan(fill_value)
     if fill_is_nan:
         for tag in wrapper.output_tags:
@@ -253,16 +255,9 @@ class FeatureDescriptor:
         try:
             for n in names:
                 check_component_name(n)
-            w = Delta.coerce(window)
-            s = Delta.coerce(stride)
+            w, s = window_stride(window, stride)
         except Exception as exc:
             raise InvalidDescriptor(str(exc)) from exc
-        if w.kind is not s.kind:
-            raise InvalidDescriptor(
-                f"window kind {w.kind.value} != stride kind {s.kind.value}"
-            )
-        if w.value <= 0 or s.value <= 0:
-            raise InvalidDescriptor("window and stride must be positive")
         if not isinstance(function, FuncWrapper):
             raise InvalidDescriptor("function must be a FuncWrapper")
         object.__setattr__(self, "series_names", names)
@@ -505,6 +500,14 @@ class ExtractOptions:
     log_path: str | None = None
     output_position: OutputPosition = OutputPosition.END
 
+    def __post_init__(self):
+        if not isinstance(self.approve_sparsity, bool):
+            raise BadParam(f"approve_sparsity must be true or false, "
+                           f"got {self.approve_sparsity!r}")
+        n = self.n_workers
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise BadParam(f"n_workers must be a positive integer, got {n!r}")
+
 
 class ExtractResult(NamedTuple):
     matrix: FeatureMatrix
@@ -742,16 +745,17 @@ def _unit_worker(unit: tuple[int, tuple[int, ...]]):
     return _compute_unit(_WORKER_GROUPS[gi], fis)
 
 
-def _collect(units: list[tuple], outcomes: Iterable) -> dict[tuple, tuple]:
+def _collect(units: list[tuple], outcomes: Iterator) -> dict[tuple, tuple]:
     """(columns, duration_s, path) per (group, function), a unit's wall time
     split evenly over its functions. Raises the FunctionFailure of the first
-    failing (group, function) in registration order, without waiting for
-    units that start after it."""
+    failing (group, function) in registration order, without taking the
+    outcome of a unit that starts after it."""
     results: dict[tuple, tuple] = {}
     first = None  # ((gi, fi), FunctionFailure)
-    for (gi, fis), (columns, duration, path, failure) in zip(units, outcomes):
+    for gi, fis in units:
         if first is not None and (gi, fis[0]) > first[0]:
             break
+        columns, duration, path, failure = next(outcomes)
         if failure is not None and (first is None or (gi, failure[0]) < first[0]):
             first = (gi, failure[0]), failure[1]
         for fi, cols in zip(fis, columns):
@@ -770,14 +774,13 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
     )
     if not use_pool:
         return _collect(units, (_compute_unit(groups[gi], fis) for gi, fis in units))
+    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))
     global _WORKER_GROUPS
     _WORKER_GROUPS = groups
     try:
-        ctx = multiprocessing.get_context("fork")
-        chunksize = max(1, len(units) // (n_workers * 4))
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-            return _collect(units, pool.map(_unit_worker, units, chunksize=chunksize))
+        return _collect(units, pool.map(_unit_worker, units))
     finally:
+        pool.shutdown(cancel_futures=True)  # drops queued units, does not wait for them
         _WORKER_GROUPS = None
 
 
@@ -845,7 +848,7 @@ def extract(
     groups = _resolve_groups(series_set, collection, options.output_position)
     _check_column_collisions(collection)
     warnings = [] if options.approve_sparsity else _sparsity_warnings(groups)
-    results = _run_units(groups, max(1, options.n_workers))
+    results = _run_units(groups, options.n_workers)
     matrix = _merge(groups, results)
 
     records = []

@@ -20,17 +20,19 @@ Formats, bit-exactly:
 Column typing on load is inferred per column: all-``true``/``false`` cells
 make BOOL, all plain integers make I64 (one outside int64 is a ParseError),
 anything fully numeric (empty cells allowed, read as NaN) makes F64,
-everything else is dictionary-encoded CATEGORICAL. Float32 data therefore
-reloads as F64: values survive exactly, the narrower tag does not.
+everything else is dictionary-encoded CATEGORICAL. One byte automaton is
+that grammar: it matches ASCII only, and a cell in full. Float32 data
+therefore reloads as F64: values survive exactly, the narrower tag does not.
 
 ``load_csv`` reads UTF-8 with LF or CRLF line ends. It parses a file once,
 from its bytes, column by column with numpy: one scan finds the delimiters,
-each column is cut out as a fixed-width bytes array in row blocks, a byte
-automaton decides BOOL/I64/F64, and numpy's casts produce the values. Files
-that need the CSV quoting rules go through ``csv.reader``, whose errors (a
-quoted field over ``csv.field_size_limit()``) become row-numbered
-ParseErrors; cells outside the numeric grammar, and every other row-numbered
-ParseError, come from the per-cell parsers.
+each column is cut out as a fixed-width bytes array in row blocks, the
+automaton types it, and numpy's casts produce the values. Files that need
+the CSV quoting rules go through ``csv.reader``, whose errors (a quoted
+field over ``csv.field_size_limit()``) become row-numbered ParseErrors.
+Cells no bytes array holds (a long cell, a non-ASCII one) run through the
+automaton one by one, and time cells outside the bytes layout through the
+per-cell timestamp parser, which names the row of a bad one.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
+    BadParam,
     ConfigError,
     DuplicateHeader,
     IoError,
@@ -82,9 +85,10 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 _RFC_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})[Tt ](\d{2}):(\d{2}):(\d{2})"
+    r"(\d{4})-(\d{2})-(\d{2})[Tt ](\d{2}):(\d{2}):(\d{2})"
     r"(?:\.(\d{1,9}))?"
-    r"(Z|z|[+-]\d{2}:\d{2})?$"
+    r"(Z|z|[+-]\d{2}:\d{2})?",
+    re.ASCII,
 )
 
 _EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()
@@ -95,7 +99,7 @@ _NAT_TEXT = f"{np.datetime64(-2**63 // 10**9, 's')}.{-2**63 % 10**9:09d}"
 def parse_rfc3339_ns(text: str) -> int:
     """One timestamp to integer nanoseconds since the epoch (UTC). A missing
     offset is read as UTC; explicit offsets are applied exactly."""
-    m = _RFC_RE.match(text)
+    m = _RFC_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
     y, mo, d, h, mi, s = (int(m.group(i)) for i in range(1, 7))
@@ -159,10 +163,11 @@ def _is_digit(column: np.ndarray) -> np.ndarray:
     return column - np.uint8(ord("0")) <= 9
 
 
-def _parse_time_index_fast(raw: np.ndarray) -> np.ndarray | None:
-    """Integer nanoseconds for an ``S`` array of NUL-free cells that each
-    match ``_RFC_RE`` with a year in 1678-2261, or None so the caller parses
-    cell by cell. ``raw`` is used up: its bytes are rewritten in place.
+def _parse_time_index(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
+    """Integer nanoseconds. An ``S`` array of NUL-free cells that each match
+    ``_RFC_RE`` with a year in 1678-2261 is parsed by numpy, and used up:
+    its bytes are rewritten in place. Any other column is parsed cell by
+    cell, which names the row of a bad cell.
 
     The layout is checked on the cells' bytes, one byte column at a time,
     in blocks of _STAMP_ROWS rows so the temporaries stay small. numpy then
@@ -172,15 +177,16 @@ def _parse_time_index_fast(raw: np.ndarray) -> np.ndarray | None:
     wrap silently. Calendar and clock checks are numpy's; it rejects the
     leap second 60, which the per-cell parser accepts.
     """
-    if len(raw) == 0 or raw.dtype.itemsize < 19:
-        return None
-    out = np.empty(len(raw), dtype=np.int64)
-    for lo in range(0, len(raw), _STAMP_ROWS):
-        block = _parse_stamps(raw[lo:lo + _STAMP_ROWS])
-        if block is None:
-            return None
-        out[lo:lo + _STAMP_ROWS] = block
-    return out
+    if raw is not None and len(raw) and raw.dtype.itemsize >= 19:
+        out = np.empty(len(raw), dtype=np.int64)
+        for lo in range(0, len(raw), _STAMP_ROWS):
+            block = _parse_stamps(raw[lo:lo + _STAMP_ROWS])
+            if block is None:
+                break
+            out[lo:lo + _STAMP_ROWS] = block
+        else:
+            return out
+    return _parse_time_cells(cells(), first_data_line=2)
 
 
 def _parse_stamps(raw: np.ndarray) -> np.ndarray | None:
@@ -242,22 +248,21 @@ def _parse_time_cells(cells: list[str], first_data_line: int) -> np.ndarray:
     return out
 
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$|^[+-]?(?:inf|nan)$", re.IGNORECASE)
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
-
 (_EMPTY, _SIGN, _INT, _INT_DOT, _FRAC, _LEAD_DOT, _EXP_MARK, _EXP_SIGN, _EXP,
- _I, _IN, _INF, _N, _NA, _NAN, _DEAD) = range(16)
+ _I, _IN, _INF, _N, _NA, _NAN, _T, _TR, _TRU, _TRUE, _F, _FA, _FAL, _FALS, _FALSE,
+ _DEAD) = range(25)
 
 
 def _numeric_automaton() -> np.ndarray:
-    """Transitions of a DFA that accepts exactly ``_INT_RE`` and ``_FLOAT_RE``
-    on ASCII: entry ``256 * state + byte`` is ``256 * next_state``. NUL, the
-    padding after a cell, keeps the state."""
+    """Transitions of the DFA that types a cell: ``true``/``false`` end in
+    _TRUE/_FALSE, integers in _INT, other numbers (``inf`` and ``nan`` in
+    any case, either with a sign) in an _IS_FLOAT state, and everything else
+    but the empty cell in _DEAD. Entry ``256 * state + byte`` is
+    ``256 * next_state``; NUL, the padding after a cell, keeps the state."""
     digit = b"0123456789"
     moves = {
-        _EMPTY: {digit: _INT, b"+-": _SIGN, b".": _LEAD_DOT, b"iI": _I, b"nN": _N},
+        _EMPTY: {digit: _INT, b"+-": _SIGN, b".": _LEAD_DOT, b"iI": _I, b"nN": _N,
+                 b"t": _T, b"f": _F},
         _SIGN: {digit: _INT, b".": _LEAD_DOT, b"iI": _I, b"nN": _N},
         _INT: {digit: _INT, b".": _INT_DOT, b"eE": _EXP_MARK},
         _INT_DOT: {digit: _FRAC, b"eE": _EXP_MARK},
@@ -267,6 +272,8 @@ def _numeric_automaton() -> np.ndarray:
         _EXP_SIGN: {digit: _EXP},
         _EXP: {digit: _EXP},
         _I: {b"nN": _IN}, _IN: {b"fF": _INF}, _N: {b"aA": _NA}, _NA: {b"nN": _NAN},
+        _T: {b"r": _TR}, _TR: {b"u": _TRU}, _TRU: {b"e": _TRUE},
+        _F: {b"a": _FA}, _FA: {b"l": _FAL}, _FAL: {b"s": _FALS}, _FALS: {b"e": _FALSE},
     }
     table = np.full((_DEAD + 1, 256), _DEAD, dtype=np.uint16)
     table[:, 0] = np.arange(_DEAD + 1)
@@ -280,91 +287,80 @@ _NUMERIC_NEXT = _numeric_automaton()
 _IS_FLOAT = np.isin(np.arange(_DEAD + 1), [_INT, _INT_DOT, _FRAC, _EXP, _INF, _NAN])
 
 
-def _numeric_states(raw: np.ndarray) -> np.ndarray:
-    """The automaton's final state for each cell of an ``S`` array."""
-    b = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)
-    state = np.zeros(len(raw), dtype=np.uint16)
-    for j in range(b.shape[1]):
-        state = _NUMERIC_NEXT[state + b[:, j]]
-    return state >> 8
-
-
-def _parse_numeric_index_fast(raw: np.ndarray) -> np.ndarray | None:
-    """Float64 positions when every cell is a non-NaN ``_FLOAT_RE`` number,
-    else None so the caller parses cell by cell."""
-    if not _IS_FLOAT[_numeric_states(raw)].all():
-        return None
-    values = raw.astype(np.float64)
-    return None if np.isnan(values).any() else values
-
-
-def _parse_numeric_index(cells: list[str], first_data_line: int) -> np.ndarray:
-    out = np.empty(len(cells), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        if not _FLOAT_RE.match(cell):
-            raise ParseError(f"bad numeric index value {cell!r}", row=first_data_line + i)
-        v = float(cell)
-        if math.isnan(v):
-            raise ParseError("index value is NaN", row=first_data_line + i)
-        out[i] = v
+def _numeric_states(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
+    """The automaton's final state for each cell of a column: from its ``S``
+    array, or cell by cell, where a cell that is not NUL-free ASCII is dead
+    and a scan stops at the dead state."""
+    if raw is not None:
+        b = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)
+        state = np.zeros(len(raw), dtype=np.uint16)
+        for j in range(b.shape[1]):
+            state = _NUMERIC_NEXT[state + b[:, j]]
+        return state >> 8
+    table, dead, text = _NUMERIC_NEXT.tolist(), _DEAD << 8, cells()
+    out = np.full(len(text), _DEAD, dtype=np.uint16)
+    for i, cell in enumerate(text):
+        if cell.isascii() and "\0" not in cell:
+            state = 0
+            for byte in cell.encode("ascii"):
+                state = table[state + byte]
+                if state == dead:
+                    break
+            out[i] = state >> 8
     return out
 
 
-def _parse_index(kind: IndexKind, raw: np.ndarray | None, cells: Callable) -> np.ndarray:
-    if kind is IndexKind.TIME_NS:
-        fast, per_cell = _parse_time_index_fast, _parse_time_cells
-    else:
-        fast, per_cell = _parse_numeric_index_fast, _parse_numeric_index
-    values = None if raw is None else fast(raw)
-    return values if values is not None else per_cell(cells(), first_data_line=2)
+def _floats(raw: np.ndarray | None, cells: Callable, number: np.ndarray) -> np.ndarray:
+    """Float64 of the cells where ``number`` holds, NaN elsewhere."""
+    if raw is None:
+        return np.array([float(c) if ok else math.nan
+                         for c, ok in zip(cells(), number.tolist())], dtype=np.float64)
+    if number.all():
+        return raw.astype(np.float64)
+    values = np.full(len(raw), np.nan)
+    values[number] = raw[number].astype(np.float64)
+    return values
 
 
-def _value_column_fast(raw: np.ndarray) -> np.ndarray | None:
-    """BOOL, I64 or F64 values by the rules of ``_infer_value_column``, or
-    None for a column that rule would make categorical or reject, or whose
-    integers might not fit int64."""
-    state = _numeric_states(raw)
-    if (state == _INT).all():
-        return raw.astype(np.int64) if raw.dtype.itemsize <= _SAFE_INT_BYTES else None
-    empty = state == _EMPTY
-    if (_IS_FLOAT[state] | empty).all():
-        if not empty.any():
-            return raw.astype(np.float64)
-        values = np.full(len(raw), np.nan)
-        values[~empty] = raw[~empty].astype(np.float64)
-        return values
-    true = raw == b"true"
-    if (true | (raw == b"false")).all():
-        return true
-    return None
-
-
-def _infer_value_column(name: str, cells: list[str], first_data_line: int):
-    non_empty = [c for c in cells if c != ""]
-    if non_empty and all(c in ("true", "false") for c in non_empty) and len(non_empty) == len(cells):
-        return np.array([c == "true" for c in cells], dtype=np.bool_)
-    if non_empty and len(non_empty) == len(cells) and all(_INT_RE.match(c) for c in cells):
-        values = [int(c) for c in cells]
-        if min(values) < _I64_MIN or max(values) > _I64_MAX:
-            i = next(i for i, v in enumerate(values) if not _I64_MIN <= v <= _I64_MAX)
-            raise ParseError(
-                f"integer {cells[i]!r} in column {name!r} is outside the I64 range",
-                row=first_data_line + i,
-            )
-        return np.array(values, dtype=np.int64)
-    if all(c == "" or _FLOAT_RE.match(c) for c in cells):
-        return np.array([math.nan if c == "" else float(c) for c in cells], dtype=np.float64)
-    for i, c in enumerate(cells):
-        if c == "":
-            raise ParseError(
-                f"empty cell in non-numeric column {name!r}", row=first_data_line + i
-            )
-    return np.asarray(cells)
+def _parse_numeric_index(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
+    """Float64 positions; the first cell that is no number, or NaN, is a
+    ParseError naming its row."""
+    number = _IS_FLOAT[_numeric_states(raw, cells)]
+    values = _floats(raw, cells, number)
+    nan = np.isnan(values)
+    if nan.any():
+        i = int(nan.argmax())
+        if number[i]:
+            raise ParseError("index value is NaN", row=2 + i)
+        raise ParseError(f"bad numeric index value {cells()[i]!r}", row=2 + i)
+    return values
 
 
 def _value_column(name: str, raw: np.ndarray | None, cells: Callable) -> np.ndarray:
-    values = None if raw is None else _value_column_fast(raw)
-    return values if values is not None else _infer_value_column(name, cells(), 2)
+    """BOOL when every cell is ``true`` or ``false``, I64 when every cell is
+    an integer, F64 when every cell is a number or empty (NaN), else labels;
+    the first integer outside int64 and the first empty label are
+    ParseErrors naming their rows."""
+    state = _numeric_states(raw, cells)
+    if len(state) and (state == _INT).all():
+        if raw is not None and raw.dtype.itemsize <= _SAFE_INT_BYTES:
+            return raw.astype(np.int64)
+        text = cells()
+        values = [int(c) for c in text]
+        for i, v in enumerate(values):
+            if not -2**63 <= v < 2**63:
+                raise ParseError(f"integer {text[i]!r} in column {name!r} is outside "
+                                 f"the I64 range", row=2 + i)
+        return np.array(values, dtype=np.int64)
+    if len(state) and np.isin(state, (_TRUE, _FALSE)).all():
+        return state == _TRUE
+    empty = state == _EMPTY
+    if (_IS_FLOAT[state] | empty).all():
+        return _floats(raw, cells, ~empty)
+    if empty.any():
+        raise ParseError(f"empty cell in non-numeric column {name!r}",
+                         row=2 + int(empty.argmax()))
+    return np.asarray(cells())
 
 
 def _check_header(path, header: list[str], index_column: str) -> None:
@@ -406,9 +402,8 @@ def _byte_table(path, raw: bytes, index_column: str):
     rules (ASCII without quote or NUL bytes, LF or CRLF line ends, no blank
     line, every row as wide as the header), else None. ``column(j)`` is
     ``(S array or None, cells)`` where ``cells()`` returns the column as a
-    list of str. A column whose cells are all NUL-free ASCII is typed from
-    its ``S`` array; the per-cell parsers run on ``cells()`` only for what
-    that declines."""
+    list of str. A column is typed from its ``S`` array when it has one;
+    ``cells()`` serves the per-cell paths and the labels."""
     if not raw.isascii() or b'"' in raw or b"\0" in raw:
         return None
     if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
@@ -526,12 +521,10 @@ def load_csv(path, index_column: str = "index", kind_hint: IndexKind | None = No
 
     kind = kind_hint
     if kind is None:
-        if index_raw is not None:
-            probe = index_raw[0].decode("ascii")
-        else:
-            probe = next(iter(index_cells()), "")
-        kind = IndexKind.TIME_NS if _RFC_RE.match(probe) else IndexKind.NUMERIC
-    index = _parse_index(kind, index_raw, index_cells)
+        probe = index_raw[0].decode() if index_raw is not None else next(iter(index_cells()), "")
+        kind = IndexKind.TIME_NS if _RFC_RE.fullmatch(probe) else IndexKind.NUMERIC
+    parse = _parse_time_index if kind is IndexKind.TIME_NS else _parse_numeric_index
+    index = parse(index_raw, index_cells)
     del index_raw, index_cells
 
     columns = {}
@@ -734,17 +727,14 @@ def parse_feature_config(doc) -> tuple[FeatureCollection, ExtractOptions]:
         position = raw_options.get("output_position", "end")
         if position not in ("begin", "end"):
             raise ConfigError(f"options: output_position must be 'begin' or 'end', got {position!r}")
-        approve = raw_options.get("approve_sparsity", False)
-        if not isinstance(approve, bool):
-            raise ConfigError(f"options: approve_sparsity must be true or false, got {approve!r}")
-        n_workers = raw_options.get("n_workers", 1)
-        if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
-            raise ConfigError(f"options: n_workers must be a positive integer, got {n_workers!r}")
-        options = ExtractOptions(
-            approve_sparsity=approve,
-            n_workers=n_workers,
-            output_position=OutputPosition.BEGIN if position == "begin" else OutputPosition.END,
-        )
+        try:
+            options = ExtractOptions(
+                approve_sparsity=raw_options.get("approve_sparsity", False),
+                n_workers=raw_options.get("n_workers", 1),
+                output_position=OutputPosition.BEGIN if position == "begin" else OutputPosition.END,
+            )
+        except BadParam as exc:
+            raise ConfigError(f"options: {exc}") from None
     return collection, options
 
 

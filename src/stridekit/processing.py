@@ -326,6 +326,8 @@ def builtin_processor(name: str, series_selector, params: dict | None = None) ->
         if "period" not in params:
             raise BadParam("resample_linear requires a period")
         period = Delta.coerce(params["period"])
+        if period.value <= 0:
+            raise BadParam(f"resample_linear period must be positive, got {params['period']!r}")
         return ProcessorStep(_resample_linear, series_selector, {"period": period},
                              declared_outputs=SELECTOR_OUTPUTS, label="resample_linear")
     if name == "median_filter":

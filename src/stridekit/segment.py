@@ -61,6 +61,18 @@ class SegmentGrid:
         return start, start + self.window
 
 
+def window_stride(window, stride) -> tuple[Delta, Delta]:
+    """``window`` and ``stride`` as positive Deltas of one kind."""
+    w, s = Delta.coerce(window), Delta.coerce(stride)
+    if w.kind is not s.kind:
+        raise KindMismatch(f"window kind {w.kind.value} != stride kind {s.kind.value}")
+    if w.value <= 0:
+        raise NonPositiveWindow(f"window must be positive, got {w.render()}")
+    if s.value <= 0:
+        raise NonPositiveStride(f"stride must be positive, got {s.render()}")
+    return w, s
+
+
 def build_grid(
     span_begin,
     span_end,
@@ -75,19 +87,10 @@ def build_grid(
     reconciled against direct enumeration of begin + k*stride + window so that
     float rounding in the division can never disagree with ``starts()``.
     """
-    w = Delta.coerce(window)
-    s = Delta.coerce(stride)
-    if w.kind is not s.kind:
-        raise KindMismatch(
-            f"window kind {w.kind.value} != stride kind {s.kind.value}"
-        )
+    w, s = window_stride(window, stride)
     if kind is not None and kind is not w.kind:
         raise KindMismatch(f"window/stride kind {w.kind.value} but span kind {kind.value}")
     kind = w.kind
-    if w.value <= 0:
-        raise NonPositiveWindow(f"window must be positive, got {w.render()}")
-    if s.value <= 0:
-        raise NonPositiveStride(f"stride must be positive, got {s.render()}")
     begin = _index_scalar(span_begin, kind)
     end = _index_scalar(span_end, kind)
     if begin > end:
@@ -135,7 +138,4 @@ def intersect_spans(series: Sequence[Series]) -> tuple:
     end = min(s.index[-1] for s in series)
     if begin > end:
         raise DisjointSpans(f"series spans do not intersect: begin {begin} > end {end}")
-    kind = series[0].kind
-    if kind is IndexKind.TIME_NS:
-        return int(begin), int(end)
-    return float(begin), float(end)
+    return _index_scalar(begin, series[0].kind), _index_scalar(end, series[0].kind)

@@ -77,7 +77,7 @@ _NS_PER_UNIT = (
     ("ns", 1),
 )
 
-_DELTA_RE = re.compile(r"^(-?\d+)(D|h|m|s|ms|us|ns)$")
+_DELTA_RE = re.compile(r"(-?\d+)(D|h|m|s|ms|us|ns)", re.ASCII)
 
 
 def render_number(x: float) -> str:
@@ -108,11 +108,14 @@ class Delta:
 
     @staticmethod
     def numeric(x: float) -> "Delta":
-        return Delta(IndexKind.NUMERIC, float(x))
+        x = float(x)
+        if not math.isfinite(x):
+            raise MalformedName(f"index delta {x} is not finite")
+        return Delta(IndexKind.NUMERIC, x)
 
     @staticmethod
     def parse(text: str) -> "Delta":
-        m = _DELTA_RE.match(text)
+        m = _DELTA_RE.fullmatch(text)
         if m:
             return Delta.time_ns(int(m.group(1)) * dict(_NS_PER_UNIT)[m.group(2)])
         try:

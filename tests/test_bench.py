@@ -21,6 +21,7 @@ from stridekit import (
     measure_allocation,
     run_bench,
 )
+import stridekit.bench
 from stridekit.bench import DEFAULT_FUNCTION_SPECS, rss_peak_bytes
 from stridekit.errors import BadParam
 
@@ -187,6 +188,14 @@ def test_report_fields_and_window_count():
     assert report.runtime_s > 0.0
     assert report.peak_extra_bytes >= 0
     assert report.data_bytes == 200 * 8 + 200 * 4
+
+
+@pytest.mark.parametrize("n_workers", [0, -1, True])
+def test_run_bench_checks_workers_before_generating_data(monkeypatch, n_workers):
+    monkeypatch.setattr(stridekit.bench, "gen_synthetic",
+                        lambda **kw: pytest.fail("data generated before the check"))
+    with pytest.raises(BadParam, match="n_workers"):
+        small_bench(n_workers=n_workers)
 
 
 def test_runtime_is_timed_with_the_allocation_tracer_off():

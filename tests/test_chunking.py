@@ -1,5 +1,7 @@
 """Gap-aware chunk ranges and cross-series chunk grouping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,14 @@ def test_overlap_extends_cut_pieces_backward():
     s = numeric_series("S", np.arange(0.0, 101.0))
     got = chunk_series(s, ChunkSpec(max_chunk_dur=40.0, sub_chunk_overlap=5.0))
     assert got == [(0.0, 40.0), (35.0, 80.0), (75.0, 100.0)]
+
+
+@pytest.mark.parametrize("field", ["min_chunk_dur", "max_chunk_dur", "sub_chunk_overlap"])
+@pytest.mark.parametrize("value", ["nan", math.inf])
+def test_chunk_durations_must_be_finite(field, value):
+    s = numeric_series("S", np.arange(0.0, 10.0))
+    with pytest.raises(BadSpec, match="not finite"):
+        chunk_series(s, ChunkSpec(**{field: value}))
 
 
 def test_chunkspec_validation():

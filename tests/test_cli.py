@@ -323,6 +323,20 @@ def test_extract_config_errors_exit_2_naming_the_entry(tmp_path, capsys, functio
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("window, stride", [("nan", 1.0), (2.0, "inf"), ("-inf", 1.0)])
+def test_extract_non_finite_delta_exits_2_with_one_line(tmp_path, capsys, window, stride):
+    data_path = tmp_path / "data.csv"
+    write_series_csv([numeric_series("X", np.arange(10.0))], str(data_path))
+    config_path = tmp_path / "config.json"
+    write_json({"features": [{"series": "X", "functions": [{"name": "mean"}],
+                              "windows": [window], "strides": [stride]}]}, str(config_path))
+    rc = main(["extract", "--data", str(data_path), "--config", str(config_path),
+               "--out", str(tmp_path / "out.csv")])
+    bad = window if isinstance(window, str) else stride
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: features[0]: index delta {float(bad)} is not finite\n"
+
+
 def test_extract_duplicate_series_across_files_exits_2(tmp_path, capsys):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
@@ -484,6 +498,20 @@ def test_process_bad_processor_params_exit_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "clip" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", ["-1s", "0s"])
+def test_process_non_positive_resample_period_exits_2_with_one_line(tmp_path, capsys, period):
+    data_path = tmp_path / "data.csv"
+    write_wearable_csv(data_path)
+    pipeline_path = tmp_path / "pipeline.json"
+    write_json({"steps": [{"function": "resample_linear", "series": "TMP",
+                           "params": {"period": period}}]}, str(pipeline_path))
+    rc = main(["process", "--data", str(data_path), "--pipeline", str(pipeline_path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: resample_linear period must be positive, got {period!r}\n")
 
 
 # ---------------------------------------------------------------------------

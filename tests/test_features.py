@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from stridekit import (
     slice_range,
 )
 from stridekit.errors import (
+    BadParam,
     DisjointSpans,
     DuplicateFeature,
     EmptyAxis,
@@ -228,6 +230,59 @@ def test_function_failure_names_group_and_segment():
     with pytest.raises(FunctionFailure) as err:
         extract(SeriesSet([s]), c)
     assert "'S'" in str(err.value) and "segment 2" in str(err.value)
+
+
+def test_a_failure_stops_before_a_later_unit_runs():
+    ran = []
+
+    def fail(x):
+        raise RuntimeError("first unit fails")
+
+    def record(x):
+        ran.append(len(x))
+        return 0.0
+
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", FuncWrapper(fail, base_name="fail"), 2.0, 2.0),
+                      ("S", FuncWrapper(record, base_name="record"), 2.0, 2.0))
+    with pytest.raises(FunctionFailure, match="'fail'"):
+        extract(SeriesSet([s]), c)
+    assert ran == []
+
+
+def test_a_failure_on_the_pool_drops_the_queued_units(tmp_path):
+    def fail(x):
+        raise RuntimeError("first unit fails")
+
+    def slow(i):
+        def run(x):
+            (tmp_path / f"ran_{i}").touch()
+            time.sleep(0.05)
+            return 0.0
+        return FuncWrapper(run, base_name=f"slow{i}")
+
+    s = numeric_series("S", np.arange(0.0, 4.0))
+    c = collection_of(("S", FuncWrapper(fail, base_name="fail"), 3.0, 3.0),
+                      *(("S", slow(i), 3.0, 3.0) for i in range(30)))
+    with pytest.raises(FunctionFailure, match="'fail'"):
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=2))
+    # units already running or handed to a worker finish; the rest never start
+    assert len(list(tmp_path.iterdir())) < 10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_workers", 0), ("n_workers", -3), ("n_workers", True), ("n_workers", 1.5),
+    ("approve_sparsity", "no"), ("approve_sparsity", 1), ("approve_sparsity", None),
+])
+def test_extract_options_reject_bad_values(field, value):
+    with pytest.raises(BadParam, match=field):
+        ExtractOptions(**{field: value})
+
+
+@pytest.mark.parametrize("min_samples", [1.5, True, "2", -1])
+def test_make_robust_takes_an_integer_min_samples(min_samples):
+    with pytest.raises(InvalidDescriptor, match="min_samples must be an integer"):
+        make_robust(builtin("mean"), min_samples=min_samples)
 
 
 LABELS = np.array(["lo", "hi", "lo"] * 3, dtype=object)

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -87,6 +88,16 @@ def test_parse_applies_offsets():
 )
 def test_parse_rejects_malformed_timestamps(bad):
     with pytest.raises(ValueError):
+        parse_rfc3339_ns(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "2020-01-01T00:00:00Z\n", "2020-01-01T00:00:00\n",
+    "\u0662\u0660\u0662\u0660-01-01T00:00:00Z", "2020-01-01T00:00:0\uff15Z",
+    "2020-01-01T00:00:00+0\u0661:00",
+])
+def test_parse_matches_ascii_digits_in_full(bad):
+    with pytest.raises(ValueError, match="not an RFC 3339 timestamp"):
         parse_rfc3339_ns(bad)
 
 
@@ -225,6 +236,14 @@ def test_unparseable_timestamp_names_row(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csv(path)
     assert "row 3" in str(err.value)
+
+
+@pytest.mark.parametrize("first", ["2020-01-01T00:00:00Z", '"2020-01-01T00:00:00Z\n"'])
+def test_quoted_time_cell_with_a_line_end_names_its_row(tmp_path, first):
+    path = tmp_path / "lf.csv"
+    path.write_text(f'index,V\n{first},1\n"2020-01-01T00:00:01Z\n",2\n', encoding="utf-8")
+    with pytest.raises(ParseError, match="row 2" if "\n" in first else "row 3"):
+        load_csv(str(path))
 
 
 @pytest.mark.parametrize("cell", ["2020-01-01T00:01", "2020-01-02"])
@@ -405,6 +424,42 @@ def test_quoted_field_at_the_csv_limit_loads(tmp_path):
     assert s.values.categories[s.values.data[0]] == label
 
 
+#: load_csv's number grammar, matched in full on ASCII digits only.
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?(?:inf|nan)",
+                       re.ASCII | re.IGNORECASE)
+
+
+def reference_numeric_index(cells):
+    out = np.empty(len(cells), dtype=np.float64)
+    for i, cell in enumerate(cells):
+        if not _FLOAT_RE.fullmatch(cell):
+            raise ParseError(f"bad numeric index value {cell!r}", row=2 + i)
+        out[i] = float(cell)
+        if math.isnan(out[i]):
+            raise ParseError("index value is NaN", row=2 + i)
+    return out
+
+
+def reference_value_column(name, cells):
+    """load_csv's column typing, cell by cell."""
+    if cells and all(c in ("true", "false") for c in cells):
+        return np.array([c == "true" for c in cells], dtype=np.bool_)
+    if cells and all(_INT_RE.fullmatch(c) for c in cells):
+        values = [int(c) for c in cells]
+        for i, v in enumerate(values):
+            if not -2**63 <= v < 2**63:
+                raise ParseError(f"integer {cells[i]!r} in column {name!r} is outside the I64 "
+                                 f"range", row=2 + i)
+        return np.array(values, dtype=np.int64)
+    if all(c == "" or _FLOAT_RE.fullmatch(c) for c in cells):
+        return np.array([math.nan if c == "" else float(c) for c in cells], dtype=np.float64)
+    for i, c in enumerate(cells):
+        if c == "":
+            raise ParseError(f"empty cell in non-numeric column {name!r}", row=2 + i)
+    return np.asarray(cells)
+
+
 def reference_load(path, index_column="index", kind_hint=None, sort=False):
     """load_csv by csv.reader and the per-cell parsers alone."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -425,13 +480,13 @@ def reference_load(path, index_column="index", kind_hint=None, sort=False):
     kind = kind_hint
     if kind is None:
         probe = cells[0] if cells else ""
-        kind = IndexKind.TIME_NS if stridekit_io._RFC_RE.match(probe) else IndexKind.NUMERIC
+        kind = IndexKind.TIME_NS if stridekit_io._RFC_RE.fullmatch(probe) else IndexKind.NUMERIC
     if kind is IndexKind.TIME_NS:
         index = stridekit_io._parse_time_cells(cells, 2)
     else:
-        index = stridekit_io._parse_numeric_index(cells, 2)
+        index = reference_numeric_index(cells)
     columns = {
-        name: stridekit_io._infer_value_column(name, [row[pos] for row in data], 2)
+        name: reference_value_column(name, [row[pos] for row in data])
         for pos, name in enumerate(header) if pos != idx_pos
     }
     decreasing = np.flatnonzero(index[1:] < index[:-1])
@@ -480,19 +535,21 @@ _CELLS = {
     # Tokens that numpy or float() would read as numbers but that keep a
     # column categorical.
     "near_numeric": st.sampled_from(["1_0", " 1", "1 ", "0x10", "infinity", "e5", ".", "+",
-                                     "1e", "--1", "1.2.3", "nan1", "+-1", "True", "1\t"]),
+                                     "1e", "--1", "1.2.3", "nan1", "+-1", "True", "1\t",
+                                     "5\n", "\u0661\u0662", "true\n", "\uff15"]),
 }
 
 _INDEX_CELLS = {
     "time": _STAMP_FORMS.map(lambda f: _render_stamp(*f)),
     "numeric": st.floats(allow_nan=False, width=64).map(repr)
-    | st.integers(-10**6, 10**6).map(str) | st.sampled_from(["-0.0", "1e400", "nan", "x"]),
+    | st.integers(-10**6, 10**6).map(str)
+    | st.sampled_from(["-0.0", "1e400", "nan", "x", "5\n", "\u0661"]),
 }
 
 
 _index_sort_key = {
     "time": parse_rfc3339_ns,
-    "numeric": lambda c: float(c) if stridekit_io._FLOAT_RE.match(c) else 0.0,
+    "numeric": lambda c: float(c) if _FLOAT_RE.fullmatch(c) else 0.0,
 }
 
 
@@ -631,6 +688,17 @@ def test_bool_int_categorical_round_trip(tmp_path):
     lab = back["labels"].values
     assert lab.tag is ValueTag.CATEGORICAL
     assert [lab.decode(c) for c in lab.data] == ['walk', 'run, fast', 'say "hi"', 'walk']
+
+
+def test_labels_that_only_look_numeric_round_trip_as_labels(tmp_path):
+    # a trailing LF and non-ASCII digits are outside the number grammar
+    labels = ["5\n", "\u0661\u0662", "7"]
+    s = numeric_series("L", np.arange(3.0), values=np.array(labels, dtype=object))
+    path = tmp_path / "labels.csv"
+    write_series_csv([s], path)
+    (back,) = load_csv(str(path))
+    assert back.values.tag is ValueTag.CATEGORICAL
+    assert [back.values.decode(c) for c in back.values.data] == labels
 
 
 def test_float32_reloads_as_float64_with_exact_values(tmp_path):

@@ -392,6 +392,12 @@ def test_processor_param_validation(name, params):
         builtin_processor(name, ["S"], params)
 
 
+@pytest.mark.parametrize("period", ["-1s", "0s", 0.0, -2.5])
+def test_resample_period_must_be_positive(period):
+    with pytest.raises(BadParam, match="resample_linear period must be positive"):
+        builtin_processor("resample_linear", ["S"], {"period": period})
+
+
 def test_unknown_processor():
     with pytest.raises(UnknownBuiltin):
         builtin_processor("fft", ["S"])

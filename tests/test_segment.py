@@ -1,5 +1,7 @@
 """Window-grid arithmetic and segment position lookup."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from stridekit.errors import (
     EmptySeries,
     KindMismatch,
     NonPositiveStride,
+    MalformedName,
     NonPositiveWindow,
 )
 
@@ -53,6 +56,13 @@ def test_output_position():
     g_begin = build_grid(0.0, 10.0, 2.0, 2.0, output_position=OutputPosition.BEGIN)
     assert list(g_end.output_index()) == [2.0, 4.0, 6.0, 8.0, 10.0]
     assert list(g_begin.output_index()) == [0.0, 2.0, 4.0, 6.0, 8.0]
+
+
+@pytest.mark.parametrize("window, stride", [("nan", 1.0), (1.0, "inf"), (math.nan, 1.0),
+                                            (1.0, -math.inf)])
+def test_grid_rejects_a_non_finite_window_or_stride(window, stride):
+    with pytest.raises(MalformedName, match="not finite"):
+        build_grid(0.0, 10.0, window, stride)
 
 
 def test_validation_errors():

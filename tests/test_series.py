@@ -1,6 +1,7 @@
 """Series containers, views, deltas, and binary-search slicing."""
 
 import datetime
+import math
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ def test_delta_coerce_rejects_bools(value):
     # bool is an int subclass, so True would be a numeric delta of 1
     with pytest.raises(MalformedName):
         Delta.coerce(value)
+
+
+@pytest.mark.parametrize("text", ["30s\n", "\u0663s", "3\u0660s", "nan", "-inf", "1e400"])
+def test_delta_parse_takes_ascii_digits_in_full_and_finite_numbers(text):
+    with pytest.raises(MalformedName):
+        Delta.parse(text)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_numeric_delta_must_be_finite(x):
+    with pytest.raises(MalformedName, match="not finite"):
+        Delta.numeric(x)
+    with pytest.raises(MalformedName, match="not finite"):
+        Delta.coerce(x)
 
 
 @given(count=st.integers(min_value=1, max_value=10**9),
