@@ -71,11 +71,11 @@ def gen_synthetic(
     one index array. One seeded generator draws the noise channel by channel,
     so equal seeds give bit-identical sets.
     """
-    if not isinstance(n_channels, int) or n_channels < 1:
-        raise BadParam(f"n_channels must be a positive integer, got {n_channels!r}")
-    if isinstance(fs, bool) or not isinstance(fs, int) or fs <= 0:
-        raise BadParam(f"fs must be a positive integer, got {fs!r}")
-    if not isinstance(duration, (int, float)) or not math.isfinite(duration) or duration <= 0:
+    for name, value, low in (("n_channels", n_channels, 1), ("fs", fs, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise BadParam(f"{name} must be an integer >= {low}, got {value!r}")
+    if (isinstance(duration, bool) or not isinstance(duration, (int, float))
+            or not math.isfinite(duration) or duration <= 0):
         raise BadParam(f"duration must be a positive number, got {duration!r}")
     if value_tag not in (ValueTag.F32, ValueTag.F64):
         raise BadParam("value_tag must be F32 or F64")

@@ -46,8 +46,14 @@ def _add_data_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -190,13 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reduce)
 
     p = subs.add_parser("bench", help="run the synthetic extraction benchmark")
-    p.add_argument("--channels", type=int, default=5)
-    p.add_argument("--fs", type=int, default=1000)
+    p.add_argument("--channels", type=_positive_int, default=5)
+    p.add_argument("--fs", type=_positive_int, default=1000)
     p.add_argument("--duration", type=float, default=3600.0)
     p.add_argument("--window", default="30s")
     p.add_argument("--stride", default="10s")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True, help="write the report JSON here")
     p.add_argument("--rss", action="store_true",
                    help="also record the OS resident-set high watermark")

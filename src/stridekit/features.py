@@ -169,10 +169,6 @@ class FuncWrapper:
             )
         return (out,)
 
-    def identity(self) -> tuple:
-        # Duplicate-registration key within a descriptor group.
-        return (self.base_name, self.output_names)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FuncWrapper({self.base_name!r}, outputs={list(self.output_names)})"
 
@@ -296,10 +292,13 @@ def expand_multiple(
 class FeatureCollection:
     """Registry of feature descriptors grouped by (series names, window,
     stride). Group and function registration order is significant: it fixes
-    output column order and the parallel merge order."""
+    output column order and the parallel merge order. Every output column
+    name maps to the (group key, function index) that produces it, so ``add``
+    rejects a name registered twice with DuplicateFeature."""
 
     def __init__(self, descriptors: Iterable[FeatureDescriptor] = ()):
         self._groups: dict[tuple, list[FuncWrapper]] = {}
+        self._columns: dict[str, tuple[tuple, int]] = {}
         for d in descriptors:
             self.add(d)
 
@@ -311,13 +310,16 @@ class FeatureCollection:
         for d in descriptors:
             if not isinstance(d, FeatureDescriptor):
                 raise InvalidDescriptor(f"not a FeatureDescriptor: {d!r}")
-            wrappers = self._groups.setdefault(d.key(), [])
-            if any(w.identity() == d.function.identity() for w in wrappers):
-                raise DuplicateFeature(
-                    f"{d.function.base_name!r} with outputs {list(d.function.output_names)} "
-                    f"already registered for {d.key()[0]}"
-                )
-            wrappers.append(d.function)
+            key = d.key()
+            source = (key, len(self._groups.get(key, ())))
+            names: dict[str, tuple] = {}
+            for out_name in d.function.output_names:
+                name = format_output_name(key[0], out_name, key[1], key[2])
+                if name in self._columns or name in names:
+                    raise DuplicateFeature(f"output column {name!r} produced twice")
+                names[name] = source
+            self._columns.update(names)
+            self._groups.setdefault(key, []).append(d.function)
 
     def groups(self) -> list[tuple[tuple, list[FuncWrapper]]]:
         return list(self._groups.items())
@@ -342,20 +344,12 @@ class FeatureCollection:
         """New collection with exactly the descriptors whose outputs include
         the named columns; a multi-output function is retained whole if any of
         its outputs is named."""
-        keep: set[tuple] = set()
+        keep = set()
         for col in feat_cols_to_keep:
-            series_names, out_name, w, s = parse_output_name(col)
-            key = (series_names, w, s)
-            wrappers = self._groups.get(key)
-            if wrappers is None:
+            source = self._columns.get(format_output_name(*parse_output_name(col)))
+            if source is None:
                 raise UnknownColumn(f"no registered feature produces {col!r}")
-            matched = False
-            for i, wrapper in enumerate(wrappers):
-                if out_name in wrapper.output_names:
-                    keep.add((key, i))
-                    matched = True
-            if not matched:
-                raise UnknownColumn(f"no registered feature produces {col!r}")
+            keep.add(source)
         out = FeatureCollection()
         for key, wrappers in self._groups.items():
             for i, wrapper in enumerate(wrappers):
@@ -564,16 +558,6 @@ def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
             "descriptors mix time and numeric windows; the output index cannot join them"
         )
     return groups
-
-
-def _check_column_collisions(collection: FeatureCollection) -> None:
-    # The names and the set live only for this call, so nothing of them stays
-    # allocated while the functions run.
-    seen: set[str] = set()
-    for col in collection.column_names():
-        if col in seen:
-            raise DuplicateFeature(f"output column {col!r} produced twice")
-        seen.add(col)
 
 
 def _missing_column(tag: ValueTag, n: int) -> np.ndarray:
@@ -846,7 +830,6 @@ def extract(
     """
     options = options or ExtractOptions()
     groups = _resolve_groups(series_set, collection, options.output_position)
-    _check_column_collisions(collection)
     warnings = [] if options.approve_sparsity else _sparsity_warnings(groups)
     results = _run_units(groups, options.n_workers)
     matrix = _merge(groups, results)

@@ -70,6 +70,7 @@ from .features import (
 from .calculators import builtin
 from .processing import PROCESSOR_NAMES, Pipeline, ProcessorStep, builtin_processor
 from .segment import OutputPosition
+from .series import _EMPTY, _FALSE, _INT, _IS_FLOAT, _NUMERIC_NEXT, _TRUE, _number_state
 from .series import (
     Delta,
     FLOAT_TAGS,
@@ -248,66 +249,16 @@ def _parse_time_cells(cells: list[str], first_data_line: int) -> np.ndarray:
     return out
 
 
-(_EMPTY, _SIGN, _INT, _INT_DOT, _FRAC, _LEAD_DOT, _EXP_MARK, _EXP_SIGN, _EXP,
- _I, _IN, _INF, _N, _NA, _NAN, _T, _TR, _TRU, _TRUE, _F, _FA, _FAL, _FALS, _FALSE,
- _DEAD) = range(25)
-
-
-def _numeric_automaton() -> np.ndarray:
-    """Transitions of the DFA that types a cell: ``true``/``false`` end in
-    _TRUE/_FALSE, integers in _INT, other numbers (``inf`` and ``nan`` in
-    any case, either with a sign) in an _IS_FLOAT state, and everything else
-    but the empty cell in _DEAD. Entry ``256 * state + byte`` is
-    ``256 * next_state``; NUL, the padding after a cell, keeps the state."""
-    digit = b"0123456789"
-    moves = {
-        _EMPTY: {digit: _INT, b"+-": _SIGN, b".": _LEAD_DOT, b"iI": _I, b"nN": _N,
-                 b"t": _T, b"f": _F},
-        _SIGN: {digit: _INT, b".": _LEAD_DOT, b"iI": _I, b"nN": _N},
-        _INT: {digit: _INT, b".": _INT_DOT, b"eE": _EXP_MARK},
-        _INT_DOT: {digit: _FRAC, b"eE": _EXP_MARK},
-        _FRAC: {digit: _FRAC, b"eE": _EXP_MARK},
-        _LEAD_DOT: {digit: _FRAC},
-        _EXP_MARK: {digit: _EXP, b"+-": _EXP_SIGN},
-        _EXP_SIGN: {digit: _EXP},
-        _EXP: {digit: _EXP},
-        _I: {b"nN": _IN}, _IN: {b"fF": _INF}, _N: {b"aA": _NA}, _NA: {b"nN": _NAN},
-        _T: {b"r": _TR}, _TR: {b"u": _TRU}, _TRU: {b"e": _TRUE},
-        _F: {b"a": _FA}, _FA: {b"l": _FAL}, _FAL: {b"s": _FALS}, _FALS: {b"e": _FALSE},
-    }
-    table = np.full((_DEAD + 1, 256), _DEAD, dtype=np.uint16)
-    table[:, 0] = np.arange(_DEAD + 1)
-    for state, row in moves.items():
-        for chars, target in row.items():
-            table[state, list(chars)] = target
-    return (table << 8).ravel()
-
-
-_NUMERIC_NEXT = _numeric_automaton()
-_IS_FLOAT = np.isin(np.arange(_DEAD + 1), [_INT, _INT_DOT, _FRAC, _EXP, _INF, _NAN])
-
-
 def _numeric_states(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
     """The automaton's final state for each cell of a column: from its ``S``
-    array, or cell by cell, where a cell that is not NUL-free ASCII is dead
-    and a scan stops at the dead state."""
-    if raw is not None:
-        b = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)
-        state = np.zeros(len(raw), dtype=np.uint16)
-        for j in range(b.shape[1]):
-            state = _NUMERIC_NEXT[state + b[:, j]]
-        return state >> 8
-    table, dead, text = _NUMERIC_NEXT.tolist(), _DEAD << 8, cells()
-    out = np.full(len(text), _DEAD, dtype=np.uint16)
-    for i, cell in enumerate(text):
-        if cell.isascii() and "\0" not in cell:
-            state = 0
-            for byte in cell.encode("ascii"):
-                state = table[state + byte]
-                if state == dead:
-                    break
-            out[i] = state >> 8
-    return out
+    array, or cell by cell through ``_number_state``."""
+    if raw is None:
+        return np.array([_number_state(cell) for cell in cells()], dtype=np.uint16)
+    b = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)
+    state = np.zeros(len(raw), dtype=np.uint16)
+    for j in range(b.shape[1]):
+        state = _NUMERIC_NEXT[state + b[:, j]]
+    return state >> 8
 
 
 def _floats(raw: np.ndarray | None, cells: Callable, number: np.ndarray) -> np.ndarray:
@@ -315,10 +266,13 @@ def _floats(raw: np.ndarray | None, cells: Callable, number: np.ndarray) -> np.n
     if raw is None:
         return np.array([float(c) if ok else math.nan
                          for c, ok in zip(cells(), number.tolist())], dtype=np.float64)
-    if number.all():
-        return raw.astype(np.float64)
-    values = np.full(len(raw), np.nan)
-    values[number] = raw[number].astype(np.float64)
+    # numpy warns on some cells past float64 (20000.1E320), not on others
+    # (1e400); float() reads both as inf, and so does this cast
+    with np.errstate(over="ignore"):
+        if number.all():
+            return raw.astype(np.float64)
+        values = np.full(len(raw), np.nan)
+        values[number] = raw[number].astype(np.float64)
     return values
 
 
@@ -830,7 +784,7 @@ def read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int over the digit limit, or bytes not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -79,6 +79,60 @@ _NS_PER_UNIT = (
 
 _DELTA_RE = re.compile(r"(-?\d+)(D|h|m|s|ms|us|ns)", re.ASCII)
 
+# The one number grammar, shared by load_csv's column typing and Delta.parse:
+# a byte automaton that matches ASCII only, and a cell in full.
+(_EMPTY, _SIGN, _INT, _INT_DOT, _FRAC, _LEAD_DOT, _EXP_MARK, _EXP_SIGN, _EXP,
+ _I, _IN, _INF, _N, _NA, _NAN, _T, _TR, _TRU, _TRUE, _F, _FA, _FAL, _FALS, _FALSE,
+ _DEAD) = range(25)
+
+
+def _numeric_automaton() -> np.ndarray:
+    """Transitions of the DFA that types a cell: ``true``/``false`` end in
+    _TRUE/_FALSE, integers in _INT, other numbers (``inf`` and ``nan`` in
+    any case, either with a sign) in an _IS_FLOAT state, and everything else
+    but the empty cell in _DEAD. Entry ``256 * state + byte`` is
+    ``256 * next_state``; NUL, the padding after a cell, keeps the state."""
+    digit = b"0123456789"
+    moves = {
+        _EMPTY: {digit: _INT, b"+-": _SIGN, b".": _LEAD_DOT, b"iI": _I, b"nN": _N,
+                 b"t": _T, b"f": _F},
+        _SIGN: {digit: _INT, b".": _LEAD_DOT, b"iI": _I, b"nN": _N},
+        _INT: {digit: _INT, b".": _INT_DOT, b"eE": _EXP_MARK},
+        _INT_DOT: {digit: _FRAC, b"eE": _EXP_MARK},
+        _FRAC: {digit: _FRAC, b"eE": _EXP_MARK},
+        _LEAD_DOT: {digit: _FRAC},
+        _EXP_MARK: {digit: _EXP, b"+-": _EXP_SIGN},
+        _EXP_SIGN: {digit: _EXP},
+        _EXP: {digit: _EXP},
+        _I: {b"nN": _IN}, _IN: {b"fF": _INF}, _N: {b"aA": _NA}, _NA: {b"nN": _NAN},
+        _T: {b"r": _TR}, _TR: {b"u": _TRU}, _TRU: {b"e": _TRUE},
+        _F: {b"a": _FA}, _FA: {b"l": _FAL}, _FAL: {b"s": _FALS}, _FALS: {b"e": _FALSE},
+    }
+    table = np.full((_DEAD + 1, 256), _DEAD, dtype=np.uint16)
+    table[:, 0] = np.arange(_DEAD + 1)
+    for state, row in moves.items():
+        for chars, target in row.items():
+            table[state, list(chars)] = target
+    return (table << 8).ravel()
+
+
+_NUMERIC_NEXT = _numeric_automaton()
+_IS_FLOAT = np.isin(np.arange(_DEAD + 1), [_INT, _INT_DOT, _FRAC, _EXP, _INF, _NAN])
+_NUMERIC_STEPS = (_NUMERIC_NEXT >> 8).astype(np.uint8).tobytes()  # the table, unshifted
+
+
+def _number_state(cell: str) -> int:
+    """The automaton's final state for one cell; a cell that is not NUL-free
+    ASCII is dead, and the walk stops at the dead state."""
+    if not cell.isascii() or "\0" in cell:
+        return _DEAD
+    state = 0
+    for byte in cell.encode("ascii"):
+        state = _NUMERIC_STEPS[256 * state + byte]
+        if state == _DEAD:
+            break
+    return state
+
 
 def render_number(x: float) -> str:
     """Shortest decimal that round-trips through float(), sign of zero
@@ -108,7 +162,10 @@ class Delta:
 
     @staticmethod
     def numeric(x: float) -> "Delta":
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            raise MalformedName("index delta is too large for a float") from None
         if not math.isfinite(x):
             raise MalformedName(f"index delta {x} is not finite")
         return Delta(IndexKind.NUMERIC, x)
@@ -118,10 +175,9 @@ class Delta:
         m = _DELTA_RE.fullmatch(text)
         if m:
             return Delta.time_ns(int(m.group(1)) * dict(_NS_PER_UNIT)[m.group(2)])
-        try:
+        if _IS_FLOAT[_number_state(text)]:
             return Delta.numeric(float(text))
-        except ValueError:
-            raise MalformedName(f"cannot parse index delta {text!r}") from None
+        raise MalformedName(f"cannot parse index delta {text!r}")
 
     @staticmethod
     def coerce(value) -> "Delta":
@@ -138,17 +194,17 @@ class Delta:
         if isinstance(value, np.timedelta64):
             return Delta.time_ns(int(value.astype("timedelta64[ns]").astype(np.int64)))
         if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-            return Delta.numeric(float(value))
+            return Delta.numeric(value)
         raise MalformedName(f"cannot interpret {value!r} as an index delta")
 
     def render(self) -> str:
         if self.kind is IndexKind.NUMERIC:
             return render_number(self.value)
         ns = int(self.value)
-        for unit, per in _NS_PER_UNIT:
-            if ns % per == 0:
-                return f"{ns // per}{unit}"
-        return f"{ns}ns"
+        if ns == 0:
+            return "0s"
+        unit, per = next((u, p) for u, p in _NS_PER_UNIT if ns % p == 0)
+        return f"{ns // per}{unit}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delta({self.render()!r})"

@@ -122,6 +122,11 @@ def test_gen_synthetic_channels_share_one_index_buffer():
         {"duration": float("nan")},
         {"duration": 0.01, "fs": 1},  # rounds to zero samples
         {"value_tag": ValueTag.I64},
+        {"n_channels": True},
+        {"duration": True},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": None},
     ],
 )
 def test_gen_synthetic_rejects_bad_parameters(kwargs):
@@ -154,6 +159,22 @@ def test_measure_allocation_sees_a_large_transient():
 def test_measure_allocation_small_function_small_peak():
     _, peak = measure_allocation(lambda: 1 + 1)
     assert 0 <= peak < 100_000
+
+
+def test_measure_allocation_under_an_active_tracer_is_relative_and_leaves_it_on():
+    tracemalloc.start()
+    try:
+        held = np.ones(2_000_000)  # 16 MB traced before the call
+
+        def blob():
+            return float(np.ones(1_000_000)[0])
+
+        result, peak = measure_allocation(blob)
+        assert result == 1.0 and held[0] == 1.0
+        assert 8_000_000 <= peak < 12_000_000
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
 
 
 def test_rss_peak_bytes_is_positive():

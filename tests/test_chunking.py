@@ -42,6 +42,12 @@ def test_min_duration_drops_short_chunks():
     assert (100.0, 102.0) in kept
 
 
+def test_chunks_within_the_max_duration_come_back_whole():
+    s = numeric_series("S", [0.0, 1.0, 2.0, 3.0, 20.0, 40.0, 41.0, 42.0])
+    got = chunk_series(s, ChunkSpec(gap_factor=4.0, max_chunk_dur=3.0))
+    assert got == [(0.0, 3.0), (20.0, 20.0), (40.0, 42.0)]
+
+
 def test_overlap_extends_cut_pieces_backward():
     s = numeric_series("S", np.arange(0.0, 101.0))
     got = chunk_series(s, ChunkSpec(max_chunk_dur=40.0, sub_chunk_overlap=5.0))

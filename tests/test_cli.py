@@ -134,7 +134,7 @@ def test_extract_workers_flag_gives_identical_bytes(tmp_path):
     assert out_one.read_bytes() == out_two.read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["0", "-2", "1.5"])
+@pytest.mark.parametrize("workers", ["0", "-2", "1.5", "\u0661"])
 @pytest.mark.parametrize("command", ["extract", "bench"])
 def test_workers_flag_takes_positive_integers_only(tmp_path, capsys, command, workers):
     report = tmp_path / "report.json"
@@ -142,6 +142,20 @@ def test_workers_flag_takes_positive_integers_only(tmp_path, capsys, command, wo
             "bench": ["--report", str(report)]}[command]
     assert main([command, *args, "--workers", workers]) == 1
     assert "--workers: must be a positive integer" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--channels", "\u0661", "must be a positive integer"),
+    ("--channels", "0", "must be a positive integer"),
+    ("--fs", "\u0665", "must be a positive integer"),
+    ("--seed", "-1", "must be a non-negative integer"),
+    ("--seed", "\u0663", "must be a non-negative integer"),
+])
+def test_bench_integer_flags_take_ascii_integers_only(tmp_path, capsys, flag, value, message):
+    report = tmp_path / "report.json"
+    assert main(["bench", "--report", str(report), flag, value]) == 1
+    assert f"{flag}: {message}" in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -307,6 +321,12 @@ def test_extract_input_errors_exit_2_with_one_line(tmp_path, capsys, data, serie
     pytest.param({"name": "mean", "robust": {"fill_value": True}}, "10s", {},
                  "features[0].functions[0]: robust fill_value must be a number",
                  id="bool-fill-value"),
+    pytest.param({"name": "mean"}, 10**400, {},
+                 "features[0]: index delta is too large for a float", id="401-digit-window"),
+    pytest.param({"name": "mean"}, "\u0663", {},
+                 "features[0]: cannot parse index delta '\u0663'", id="non-ascii-window"),
+    pytest.param({"name": "mean"}, "0s", {},
+                 "window must be positive, got 0s", id="zero-window"),
 ])
 def test_extract_config_errors_exit_2_naming_the_entry(tmp_path, capsys, function, window,
                                                        options, message):

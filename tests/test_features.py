@@ -36,6 +36,7 @@ from stridekit.errors import (
     FunctionFailure,
     InvalidDescriptor,
     KindMismatch,
+    MalformedName,
     UnknownColumn,
     UnknownSeries,
 )
@@ -406,10 +407,17 @@ def test_index_aware_function_sees_window_timestamps():
 def test_collision_between_distinct_functions_rejected():
     one = FuncWrapper(lambda x: 0.0, base_name="f1", output_names="same")
     two = FuncWrapper(lambda x: 1.0, base_name="f2", output_names="same")
-    s = numeric_series("S", np.arange(0.0, 10.0))
-    c = collection_of(("S", one, 4.0, 2.0), ("S", two, 4.0, 2.0))
-    with pytest.raises(DuplicateFeature):
-        extract(SeriesSet([s]), c)
+    with pytest.raises(DuplicateFeature, match="S__same__w=4_s=2"):
+        collection_of(("S", one, 4.0, 2.0), ("S", two, 4.0, 2.0))
+
+
+def test_function_repeating_an_output_name_rejected_at_registration():
+    twice = FuncWrapper(lambda x: (0.0, 1.0), base_name="f", output_names=["a", "a"])
+    c = collection_of(("S", builtin("mean"), 4.0, 2.0))
+    with pytest.raises(DuplicateFeature, match="S__a__w=4_s=2"):
+        c.add(FeatureDescriptor("S", twice, 4.0, 2.0))
+    # the rejected function left no group, column or descriptor behind
+    assert c.n_groups == 1 and c.column_names() == ["S__mean__w=4_s=2"]
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +595,15 @@ def test_reduce_unknown_column():
         full_collection().reduce(["EDA__mean__w=30s_s=10s"])
 
 
+def test_reduce_takes_any_spelling_of_a_registered_column():
+    reduced = full_collection().reduce(["TMP__mean__w=30000ms_s=10s",
+                                        "TMP__std__w=60s_s=10000000000ns"])
+    assert reduced.column_names() == ["TMP__mean__w=30s_s=10s", "TMP__std__w=1m_s=10s"]
+    for bad in ["TMP__mean__w=30s", "TMP__mean__w=30x_s=10s", "TMP__mean__w=30s_s=10"]:
+        with pytest.raises(MalformedName):
+            full_collection().reduce([bad])
+
+
 def test_reduce_then_extract_matches_projection():
     data = SeriesSet([tmp_4hz()])
     keep = ["TMP__std__w=30s_s=10s", "TMP__mean__w=30s_s=10s"]
@@ -628,6 +645,23 @@ def test_matrix_equality_is_strict():
     shifted = SeriesSet([tmp_4hz(99.0)])
     d, _, _ = extract(shifted, c)
     assert not a.equals(d)
+
+
+def test_matrix_equality_checks_kind_tags_and_float_bits():
+    a, _, _ = extract(SeriesSet([tmp_4hz()]), full_collection())
+    name = a.column_names[0]
+
+    def changed(kind=a.kind, tag=ValueTag.F64, data=a[name].data):
+        columns = {n: a[n] for n in a.column_names}
+        columns[name] = FeatureColumn(tag, data)
+        return FeatureMatrix(kind, a.index, columns)
+
+    assert a.equals(changed())
+    assert not a.equals(changed(kind=IndexKind.NUMERIC))
+    assert not a.equals(changed(tag=ValueTag.F32))
+    flipped = a[name].data.copy()
+    flipped[0] = np.nextafter(flipped[0], np.inf)
+    assert not a.equals(changed(data=flipped))
 
 
 def test_matrix_equality_compares_object_cells():

@@ -595,6 +595,30 @@ def test_load_matches_csv_reader_reference(tmp_path_factory, doc, sort):
     assert_loads_like_reference(str(path), sort=sort)
 
 
+def test_float_cells_past_float64_load_as_inf_without_a_warning(tmp_path):
+    path = tmp_path / "doc.csv"
+    path.write_bytes(b"index,V\n20000.1E320,20000.1E320\n1e400,-1e400\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (series,) = load_csv(str(path), sort=True)
+    assert series.index.tolist() == [math.inf, math.inf]
+    assert series.values.data.tolist() == [math.inf, -math.inf]
+
+
+@settings(max_examples=150)
+@given(doc=csv_documents(), sort=st.booleans(), scan=st.integers(1, 40),
+       gather=st.integers(1, 40), stamp_rows=st.integers(1, 4))
+def test_load_block_edges_match_csv_reader_reference(tmp_path_factory, doc, sort, scan,
+                                                     gather, stamp_rows):
+    path = tmp_path_factory.mktemp("ingest") / "doc.csv"
+    path.write_bytes(doc)
+    # Small budgets put the delimiter scan's, the cell gather's and the
+    # timestamp parser's block edges inside the drawn documents.
+    with mock.patch.multiple(stridekit_io, _SCAN_BYTES=scan, _GATHER_BYTES=gather,
+                             _STAMP_ROWS=stamp_rows):
+        assert_loads_like_reference(str(path), sort=sort)
+
+
 @pytest.mark.parametrize("doc", [
     b"index,V\n1,123456\n2,5\n",  # the last cell is shorter than the widest
     b"index,V\n1,123456\n2,5",
@@ -616,6 +640,7 @@ def test_load_matches_csv_reader_reference(tmp_path_factory, doc, sort):
     b"\xef\xbb\xbfindex,V\n1,2\n",
     b"index,V,V\n1,2,3\n",
     b"index,V\n1,2,3\n",
+    b"index,a,b\n1,2\n3,4,5,6\n",  # as many delimiters as two full rows
     b"index,V\n1,\n2,\n",
     b"index,V\n1,true\n2,\n",
     b"index,V\n1,true\n2,false\n",
@@ -809,6 +834,13 @@ def test_write_empty_matrix_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_matrix(matrix, path)
     assert path.read_bytes() == b"index,S__mean__w=50_s=10\r\n"
+    # no groups at all: no index kind, an empty float64 index, the index header
+    result = extract(data, FeatureCollection())
+    assert result.matrix.kind is None and result.matrix.n_columns == 0
+    assert result.matrix.index.dtype == np.float64 and result.matrix.n_rows == 0
+    assert result.log_records == [] and result.sparsity_warnings == []
+    write_matrix(result.matrix, path)
+    assert path.read_bytes() == b"index\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1240,6 +1272,7 @@ def test_json_file_round_trip(tmp_path):
     with pytest.raises(IoError):
         read_json(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        read_json(bad)
+    for text in [b"{not json", b"[1" + b"0" * 5000 + b"]", b'["\xff"]']:
+        bad.write_bytes(text)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            read_json(bad)

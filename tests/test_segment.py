@@ -112,6 +112,14 @@ def test_numeric_count_matches_multiply_add_enumeration(begin, span, window, str
     assert begin + n * stride + window > end
 
 
+def test_numeric_count_drops_a_window_the_division_overcounts():
+    begin, end, window, stride = -9.129825816118114, 0.17017418388188688, 1.1, 0.2
+    assert math.floor((end - begin - window) / stride) + 1 == 42
+    g = build_grid(begin, end, window, stride)
+    assert g.n_segments == 41
+    assert begin + 40 * stride + window <= end < begin + 41 * stride + window
+
+
 def test_positions_example():
     s = time_series("a", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
     g = build_grid(0, 9 * NS, "3s", "2s")

@@ -189,6 +189,8 @@ def test_delta_render_uses_largest_exact_unit():
     assert Delta.parse("2500ms").render() == "2500ms"
     assert Delta.time_ns(86_400_000_000_000).render() == "1D"
     assert Delta.time_ns(1).render() == "1ns"
+    assert Delta.parse("0ms").render() == "0s"
+    assert Delta.time_ns(-90 * 10**9).render() == "-90s"
 
 
 def test_delta_numeric_render_shortest():
@@ -206,6 +208,8 @@ def test_delta_coerce():
         Delta.coerce(object())
     with pytest.raises(MalformedName):
         Delta.parse("30x")
+    with pytest.raises(MalformedName, match="too large"):
+        Delta.coerce(10**400)  # float() of it raises OverflowError
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -215,7 +219,8 @@ def test_delta_coerce_rejects_bools(value):
         Delta.coerce(value)
 
 
-@pytest.mark.parametrize("text", ["30s\n", "\u0663s", "3\u0660s", "nan", "-inf", "1e400"])
+@pytest.mark.parametrize("text", ["30s\n", "\u0663s", "3\u0660s", "nan", "-inf", "1e400",
+                                  "\u0663", " 5 ", "1_000", "5\n", "0x10", ""])
 def test_delta_parse_takes_ascii_digits_in_full_and_finite_numbers(text):
     with pytest.raises(MalformedName):
         Delta.parse(text)
