@@ -15,7 +15,7 @@ import math
 import resource
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,17 +147,9 @@ class BenchReport:
     rss_peak_bytes: int | None = None
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "runtime_s": self.runtime_s,
-            "peak_extra_bytes": self.peak_extra_bytes,
-            "data_bytes": self.data_bytes,
-            "n_windows": self.n_windows,
-            "n_feature_columns": self.n_feature_columns,
-            "n_workers": self.n_workers,
-            "seed": self.seed,
-        }
-        if self.rss_peak_bytes is not None:
-            obj["rss_peak_bytes"] = self.rss_peak_bytes
+        obj = asdict(self)
+        if self.rss_peak_bytes is None:
+            del obj["rss_peak_bytes"]
         return obj
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from typing import Mapping
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _make_quantile(params: dict) -> FuncWrapper:
     if set(params) != {"q"}:
         raise BadParam(f"quantile requires exactly the parameter q, got {sorted(params)}")
     q = params["q"]
-    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 <= float(q) <= 1.0:
+    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 <= q <= 1:
         raise BadParam(f"quantile q must be a number in [0, 1], got {q!r}")
     q = float(q)
     label = f"quantile_{render_number(q)}"
@@ -203,12 +204,14 @@ def builtin(name: str, params: dict | None = None) -> FuncWrapper:
     ``params`` is only meaningful for quantile (``{"q": float}``); any other
     parameter, or a parameter on a parameterless function, raises BadParam.
     """
+    if params is not None and not isinstance(params, Mapping):
+        raise BadParam(f"builtin params must be a mapping, got {type(params).__name__}")
     params = dict(params or {})
     if name == "quantile":
         return _make_quantile(params)
     try:
         func, mode, tag = _SIMPLE[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is no key, such as a list
         raise UnknownBuiltin(
             f"unknown built-in {name!r}; available: {', '.join(sorted(BUILTIN_NAMES))}"
         ) from None

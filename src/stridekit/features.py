@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import multiprocessing
+import numbers
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,8 +41,8 @@ from .errors import (
     UnknownColumn,
 )
 from .naming import format_output_name, parse_output_name
-from .segment import (OutputPosition, SegmentGrid, build_grid, intersect_spans,
-                      segment_positions, window_stride)
+from .segment import (OutputPosition, SegmentGrid, _output_position, build_grid,
+                      intersect_spans, segment_positions, window_stride)
 from .series import (
     FLOAT_TAGS,
     Delta,
@@ -104,6 +106,16 @@ class BlockKernel:
         return self.func(*rows).tolist()[0]
 
 
+def _sequence(value, what: str) -> tuple:
+    """A str as one item, a sequence as its items; anything else is
+    InvalidDescriptor."""
+    if isinstance(value, str):
+        return (value,)
+    if not isinstance(value, Sequence):
+        raise InvalidDescriptor(f"{what} must be a sequence, got {type(value).__name__}")
+    return tuple(value)
+
+
 class FuncWrapper:
     """A feature function plus its output naming, typing, and bound kwargs.
 
@@ -129,20 +141,21 @@ class FuncWrapper:
     ):
         self.func = func
         self.base_name = check_component_name(base_name or getattr(func, "__name__", "func"))
-        if output_names is None:
-            names: tuple[str, ...] = (self.base_name,)
-        elif isinstance(output_names, str):
-            names = (output_names,)
-        else:
-            names = tuple(output_names)
+        names = _sequence(self.base_name if output_names is None else output_names,
+                          "output_names")
         if not names:
             raise InvalidDescriptor("a function needs at least one output name")
         for n in names:
             check_component_name(n)
         self.output_names = names
         self.input_mode = input_mode
+        if bound_kwargs is not None and not isinstance(bound_kwargs, Mapping):
+            raise InvalidDescriptor(f"bound_kwargs must be a mapping, got "
+                                    f"{type(bound_kwargs).__name__}")
         self.bound_kwargs = dict(bound_kwargs or {})
-        tags = tuple(output_tags) if output_tags is not None else (ValueTag.F64,) * len(names)
+        if output_tags is None:
+            output_tags = (ValueTag.F64,) * len(names)
+        tags = _sequence(output_tags, "output_tags")
         if len(tags) != len(names):
             raise InvalidDescriptor("one output tag per output name required")
         for t in tags:
@@ -184,10 +197,21 @@ def make_robust(
     A NaN fill requires every output to be float-tagged; integer, boolean,
     categorical, or tag-preserving outputs cannot represent it. An integral
     float fill becomes an int for I64 outputs; otherwise the fill must fit
-    each output's tag like any function output.
+    each output's tag like any function output. A builtin's fill is a number
+    that a float holds, not a bool, since its recipe stores it as a float.
     """
     if isinstance(min_samples, bool) or not isinstance(min_samples, int) or min_samples < 0:
         raise InvalidDescriptor(f"min_samples must be an integer >= 0, got {min_samples!r}")
+    recipe = None
+    if wrapper.recipe is not None:
+        if isinstance(fill_value, bool) or not isinstance(fill_value, numbers.Real):
+            raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value must be a number, "
+                                    f"got {fill_value!r}")
+        try:
+            recipe = ("robust", wrapper.recipe, min_samples, float(fill_value))
+        except OverflowError:
+            raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value is too large "
+                                    f"for a float") from None
     fill_is_nan = isinstance(fill_value, float) and math.isnan(fill_value)
     if fill_is_nan:
         for tag in wrapper.output_tags:
@@ -213,13 +237,6 @@ def make_robust(
                     return fills
             return wrapper.apply(inputs)
 
-    recipe = None
-    if wrapper.recipe is not None:
-        try:
-            recipe = ("robust", wrapper.recipe, int(min_samples), float(fill_value))
-        except (TypeError, ValueError):
-            raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value must be a number, "
-                                    f"got {fill_value!r}") from None
     return FuncWrapper(
         robust,
         base_name=wrapper.base_name,
@@ -242,10 +259,7 @@ class FeatureDescriptor:
     stride: Delta
 
     def __init__(self, series_names, function: FuncWrapper, window, stride):
-        if isinstance(series_names, str):
-            names = (series_names,)
-        else:
-            names = tuple(series_names)
+        names = _sequence(series_names, "series_names")
         if not names:
             raise InvalidDescriptor("series_names must not be empty")
         try:
@@ -271,22 +285,16 @@ def expand_multiple(
     windows: Sequence,
     strides: Sequence,
 ) -> list[FeatureDescriptor]:
-    """Cartesian product of functions x series entries x windows x strides."""
-    for label, axis in (
-        ("functions", functions),
-        ("series_names", series_names),
-        ("windows", windows),
-        ("strides", strides),
-    ):
-        if not axis:
+    """Cartesian product of functions x series entries x windows x strides;
+    a str axis is one item."""
+    axes = []
+    for label, axis in (("functions", functions), ("series_names", series_names),
+                        ("windows", windows), ("strides", strides)):
+        axes.append(_sequence(axis, label))
+        if not axes[-1]:
             raise EmptyAxis(f"{label} must not be empty")
-    out = []
-    for func in functions:
-        for entry in series_names:
-            for w in windows:
-                for s in strides:
-                    out.append(FeatureDescriptor(entry, func, w, s))
-    return out
+    return [FeatureDescriptor(entry, func, w, s)
+            for func, entry, w, s in itertools.product(*axes)]
 
 
 class FeatureCollection:
@@ -435,15 +443,8 @@ class LogRecord:
     path: str = "window"
 
     def to_json_obj(self) -> dict:
-        return {
-            "func": self.func,
-            "series": self.series,
-            "window": self.window.render(),
-            "stride": self.stride.render(),
-            "n_segments": self.n_segments,
-            "duration_s": self.duration_s,
-            "path": self.path,
-        }
+        obj = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: v.render() if isinstance(v, Delta) else v for k, v in obj.items()}
 
 
 @dataclass(frozen=True)
@@ -501,6 +502,7 @@ class ExtractOptions:
         n = self.n_workers
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadParam(f"n_workers must be a positive integer, got {n!r}")
+        object.__setattr__(self, "output_position", _output_position(self.output_position))
 
 
 class ExtractResult(NamedTuple):

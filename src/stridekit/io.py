@@ -52,10 +52,10 @@ from .errors import (
     BadParam,
     ConfigError,
     DuplicateHeader,
+    InvalidDescriptor,
     IoError,
     KindMismatch,
     LengthMismatch,
-    MalformedName,
     NonMonotonicIndex,
     ParseError,
 )
@@ -68,15 +68,14 @@ from .features import (
     make_robust,
 )
 from .calculators import builtin
-from .processing import PROCESSOR_NAMES, Pipeline, ProcessorStep, builtin_processor
-from .segment import OutputPosition
-from .series import _EMPTY, _FALSE, _INT, _IS_FLOAT, _NUMERIC_NEXT, _TRUE, _number_state
+from .processing import PROCESSOR_NAMES, Pipeline, _normalize_selector, builtin_processor
+from .series import (_EMPTY, _FALSE, _INT, _IS_FLOAT, _NUMERIC_NEXT, _TRUE, _number_state,
+                     _same_index)
 from .series import (
     Delta,
     FLOAT_TAGS,
     IndexKind,
     Series,
-    SeriesSet,
     ValueTag,
     render_number,
 )
@@ -576,9 +575,7 @@ def write_series_csv(series_list: list[Series], path, index_column: str = "index
         cats, codes = s.values.categories, s.values.data
         if s.kind is not ref.kind:
             raise KindMismatch(f"{s.name!r} and {ref.name!r} have different index kinds")
-        # int64 views compare bitwise, their memoryviews without a copy
-        if len(s) != len(ref) or (memoryview(s.index.view(np.int64))
-                                  != memoryview(ref.index.view(np.int64))):
+        if not _same_index(s.index, ref.index):
             raise LengthMismatch(f"{s.name!r} is not index-aligned with {ref.name!r}")
         # so that no cell can fail once the file is open
         if cats is not None and len(codes) and not 0 <= codes.min() <= codes.max() < len(cats):
@@ -592,104 +589,69 @@ def write_series_csv(series_list: list[Series], path, index_column: str = "index
 # JSON configuration documents
 # ---------------------------------------------------------------------------
 
-def _expect_mapping(obj, what: str) -> dict:
+def _expect_mapping(obj, what: str, allowed: set[str] | None = None) -> dict:
+    """``obj`` as a JSON object, with no key outside ``allowed`` when given."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    extra = set() if allowed is None else set(obj) - allowed
+    if extra:
+        raise ConfigError(f"{what}: unknown keys {sorted(extra)}")
     return obj
 
 
-def _check_keys(obj: dict, allowed: set[str], what: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"{what}: unknown keys {sorted(extra)}")
-
-
-def _parse_series_field(raw, what: str):
-    """name | [entries] where an entry is a name (own group) or a list of
-    names (joint multi-series group)."""
-    if isinstance(raw, str):
-        return [raw]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{what}: series must be a name or a non-empty list")
-    entries = []
-    for item in raw:
-        if isinstance(item, str):
-            entries.append(item)
-        elif isinstance(item, list) and item and all(isinstance(n, str) for n in item):
-            entries.append(tuple(item))
-        else:
-            raise ConfigError(f"{what}: bad series entry {item!r}")
-    return entries
+def _parse_series_field(raw, what: str) -> list:
+    try:
+        return list(_normalize_selector(raw))
+    except BadParam as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def _parse_function_entry(raw, what: str) -> FuncWrapper:
-    entry = _expect_mapping(raw, what)
-    _check_keys(entry, {"name", "params", "robust"}, what)
+    entry = _expect_mapping(raw, what, {"name", "params", "robust"})
     if not isinstance(entry.get("name"), str):
         raise ConfigError(f"{what}: function name missing")
-    params = entry.get("params", {})
-    _expect_mapping(params, f"{what}: params")
-    wrapper = builtin(entry["name"], params)
+    params = _expect_mapping(entry.get("params", {}), f"{what}: params")
     robust = entry.get("robust")
     if robust is not None:
-        robust = _expect_mapping(robust, f"{what}: robust")
-        _check_keys(robust, {"min_samples", "fill_value"}, f"{what}: robust")
-        min_samples = robust.get("min_samples", 1)
-        if isinstance(min_samples, bool) or not isinstance(min_samples, int):
-            raise ConfigError(f"{what}: robust min_samples must be an integer")
-        fill = robust.get("fill_value", math.nan)
-        if isinstance(fill, bool) or not isinstance(fill, (int, float)):
-            raise ConfigError(f"{what}: robust fill_value must be a number")
-        wrapper = make_robust(wrapper, min_samples=min_samples, fill_value=float(fill))
-    return wrapper
+        _expect_mapping(robust, f"{what}: robust", {"min_samples", "fill_value"})
+    try:
+        wrapper = builtin(entry["name"], params)
+        return wrapper if robust is None else make_robust(wrapper, **robust)
+    except (BadParam, InvalidDescriptor) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def parse_feature_config(doc) -> tuple[FeatureCollection, ExtractOptions]:
-    doc = _expect_mapping(doc, "feature config")
-    _check_keys(doc, {"features", "options"}, "feature config")
+    """The collection and options a document spells. Only the JSON's shape is
+    checked here: each value goes to the constructor that owns its rule."""
+    doc = _expect_mapping(doc, "feature config", {"features", "options"})
     raw_features = doc.get("features")
     if not isinstance(raw_features, list) or not raw_features:
         raise ConfigError("feature config: 'features' must be a non-empty list")
     collection = FeatureCollection()
     for fi, raw in enumerate(raw_features):
         what = f"features[{fi}]"
-        entry = _expect_mapping(raw, what)
-        _check_keys(entry, {"series", "functions", "windows", "strides"}, what)
+        entry = _expect_mapping(raw, what, {"series", "functions", "windows", "strides"})
         series_entries = _parse_series_field(entry.get("series"), what)
-        raw_funcs = entry.get("functions")
-        if not isinstance(raw_funcs, list) or not raw_funcs:
-            raise ConfigError(f"{what}: 'functions' must be a non-empty list")
-        functions = [
-            _parse_function_entry(f, f"{what}.functions[{i}]")
-            for i, f in enumerate(raw_funcs)
-        ]
-        for axis in ("windows", "strides"):
+        for axis in ("functions", "windows", "strides"):
             if not isinstance(entry.get(axis), list) or not entry[axis]:
                 raise ConfigError(f"{what}: '{axis}' must be a non-empty list")
+        functions = [_parse_function_entry(f, f"{what}.functions[{i}]")
+                     for i, f in enumerate(entry["functions"])]
         try:
-            windows = [Delta.coerce(w) for w in entry["windows"]]
-            strides = [Delta.coerce(s) for s in entry["strides"]]
-        except MalformedName as exc:
+            descriptors = expand_multiple(functions, series_entries, entry["windows"],
+                                          entry["strides"])
+        except InvalidDescriptor as exc:
             raise ConfigError(f"{what}: {exc}") from None
-        collection.add(expand_multiple(functions, series_entries, windows, strides))
+        collection.add(descriptors)
 
-    options = ExtractOptions()
     raw_options = doc.get("options")
-    if raw_options is not None:
-        raw_options = _expect_mapping(raw_options, "options")
-        _check_keys(raw_options, {"approve_sparsity", "n_workers", "output_position"}, "options")
-        position = raw_options.get("output_position", "end")
-        if position not in ("begin", "end"):
-            raise ConfigError(f"options: output_position must be 'begin' or 'end', got {position!r}")
-        try:
-            options = ExtractOptions(
-                approve_sparsity=raw_options.get("approve_sparsity", False),
-                n_workers=raw_options.get("n_workers", 1),
-                output_position=OutputPosition.BEGIN if position == "begin" else OutputPosition.END,
-            )
-        except BadParam as exc:
-            raise ConfigError(f"options: {exc}") from None
-    return collection, options
+    raw_options = _expect_mapping({} if raw_options is None else raw_options, "options",
+                                  {"approve_sparsity", "n_workers", "output_position"})
+    try:
+        return collection, ExtractOptions(**raw_options)
+    except BadParam as exc:
+        raise ConfigError(f"options: {exc}") from None
 
 
 def _recipe_to_json(wrapper: FuncWrapper) -> dict:
@@ -729,27 +691,24 @@ def serialize_feature_config(collection: FeatureCollection,
         doc["options"] = {
             "approve_sparsity": options.approve_sparsity,
             "n_workers": options.n_workers,
-            "output_position": "begin" if options.output_position is OutputPosition.BEGIN else "end",
+            "output_position": options.output_position.value,
         }
     return doc
 
 
 def parse_pipeline_config(doc) -> Pipeline:
-    doc = _expect_mapping(doc, "pipeline config")
-    _check_keys(doc, {"steps"}, "pipeline config")
+    doc = _expect_mapping(doc, "pipeline config", {"steps"})
     steps = doc.get("steps")
     if not isinstance(steps, list):
         raise ConfigError("pipeline config: 'steps' must be a list")
     pipeline = Pipeline()
     for si, raw in enumerate(steps):
         what = f"steps[{si}]"
-        entry = _expect_mapping(raw, what)
-        _check_keys(entry, {"function", "series", "params"}, what)
+        entry = _expect_mapping(raw, what, {"function", "series", "params"})
         if not isinstance(entry.get("function"), str):
             raise ConfigError(f"{what}: processor name missing")
         selector = _parse_series_field(entry.get("series"), what)
-        params = entry.get("params", {})
-        _expect_mapping(params, f"{what}: params")
+        params = _expect_mapping(entry.get("params", {}), f"{what}: params")
         pipeline.add_step(builtin_processor(entry["function"], selector, params))
     return pipeline
 

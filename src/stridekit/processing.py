@@ -13,8 +13,9 @@ other name is inserted. The input set is never mutated.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .series import (
     Series,
     SeriesSet,
     SeriesView,
+    _same_index,
     check_component_name,
 )
 
@@ -40,20 +42,18 @@ SELECTOR_OUTPUTS = "selector"
 
 
 def _normalize_selector(selector) -> tuple:
+    """The one series-entry grammar, of pipeline steps and feature configs: a
+    name, a tuple of names (one joint entry), or a non-empty list of names and
+    non-empty lists or tuples of names. Anything else is BadParam."""
     if isinstance(selector, (str, tuple)):
         selector = [selector]
-    entries = []
+    if not isinstance(selector, list) or not selector:
+        raise BadParam(f"series selector must be a name or a non-empty list, got {selector!r}")
     for entry in selector:
-        if isinstance(entry, str):
-            entries.append(entry)
-        else:
-            names = tuple(entry)
-            if not names or not all(isinstance(n, str) for n in names):
-                raise BadParam(f"selector entry {entry!r} must be a name or a tuple of names")
-            entries.append(names)
-    if not entries:
-        raise BadParam("series_selector must not be empty")
-    return tuple(entries)
+        if not (isinstance(entry, str) or isinstance(entry, (list, tuple)) and entry
+                and all(isinstance(n, str) for n in entry)):
+            raise BadParam(f"selector entry {entry!r} must be a name or a tuple of names")
+    return tuple(e if isinstance(e, str) else tuple(e) for e in selector)
 
 
 def _selector_names(selector: tuple) -> list[str]:
@@ -82,8 +82,11 @@ class ProcessorStep:
         object.__setattr__(self, "series_selector", _normalize_selector(self.series_selector))
         outs = self.declared_outputs
         if outs is not None and outs != SELECTOR_OUTPUTS:
-            outs = (outs,) if isinstance(outs, str) else tuple(outs)
-            object.__setattr__(self, "declared_outputs", outs)
+            outs = (outs,) if isinstance(outs, str) else outs
+            if not isinstance(outs, Sequence) or not all(isinstance(n, str) for n in outs):
+                raise BadParam(f"declared_outputs must be a name or a sequence of names, "
+                               f"got {outs!r}")
+            object.__setattr__(self, "declared_outputs", tuple(outs))
         if not self.label:
             object.__setattr__(
                 self, "label", getattr(self.function, "__name__", "step")
@@ -262,7 +265,7 @@ def _smv(*views: SeriesView, output: str):
         raise ValueError("smv needs at least two component series")
     ref = views[0]
     for v in views[1:]:
-        if v.kind is not ref.kind or len(v) != len(ref) or v.index.tobytes() != ref.index.tobytes():
+        if v.kind is not ref.kind or not _same_index(v.index, ref.index):
             raise ValueError(
                 f"smv inputs {ref.name!r} and {v.name!r} are not index-aligned"
             )
@@ -279,8 +282,9 @@ def _require_number(params: dict, key: str, optional: bool = False):
             return None
         raise BadParam(f"missing parameter {key!r}")
     v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise BadParam(f"parameter {key!r} must be a number, got {v!r}")
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or isinstance(v, int) and abs(v) > sys.float_info.max):
+        raise BadParam(f"parameter {key!r} must be a number that a float holds, got {v!r}")
     return v
 
 
@@ -298,6 +302,8 @@ def builtin_processor(name: str, series_selector, params: dict | None = None) ->
     smv(output): per-sample root of the squared sum over index-aligned inputs,
       written to a new series named by ``output``.
     """
+    if params is not None and not isinstance(params, Mapping):
+        raise BadParam(f"processor params must be a mapping, got {type(params).__name__}")
     params = dict(params or {})
 
     def reject_unknown(allowed: set[str]) -> None:

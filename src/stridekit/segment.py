@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadParam,
     DisjointSpans,
     EmptySeries,
     KindMismatch,
@@ -30,6 +31,14 @@ class OutputPosition(enum.Enum):
 
     BEGIN = "begin"
     END = "end"
+
+
+def _output_position(value) -> OutputPosition:
+    """``value`` as an OutputPosition: a member or its value, else BadParam."""
+    try:
+        return OutputPosition(value)
+    except ValueError:
+        raise BadParam(f"output_position must be 'begin' or 'end', got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,8 @@ def build_grid(
     if kind is IndexKind.TIME_NS:
         n = 0 if span < w.value else (span - w.value) // s.value + 1
     else:
+        if not math.isfinite(span):
+            raise BadParam(f"span [{begin}, {end}] is not finite")
         n = 0 if span < w.value else math.floor((span - w.value) / s.value) + 1
         # Reconcile float division (and the span subtraction itself) against
         # the multiply-add start formula, which is what starts() evaluates.
@@ -107,7 +118,7 @@ def build_grid(
             n += 1
         while n > 0 and begin + (n - 1) * s.value + w.value > end:
             n -= 1
-    return SegmentGrid(kind, begin, w.value, s.value, int(n), output_position)
+    return SegmentGrid(kind, begin, w.value, s.value, int(n), _output_position(output_position))
 
 
 def segment_positions(series: Series, grid: SegmentGrid) -> np.ndarray:

@@ -11,13 +11,16 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 import math
+import numbers
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadParam,
     DuplicateSeriesName,
     EmptyName,
     KindMismatch,
@@ -162,10 +165,16 @@ class Delta:
 
     @staticmethod
     def numeric(x: float) -> "Delta":
+        """A numeric delta from a number other than a bool, or from text in
+        the number grammar."""
+        if isinstance(x, bool) or (isinstance(x, str) and not _IS_FLOAT[_number_state(x)]):
+            raise MalformedName(f"cannot parse index delta {x!r}")
         try:
             x = float(x)
         except OverflowError:
             raise MalformedName("index delta is too large for a float") from None
+        except (TypeError, ValueError):
+            raise MalformedName(f"cannot interpret {x!r} as an index delta") from None
         if not math.isfinite(x):
             raise MalformedName(f"index delta {x} is not finite")
         return Delta(IndexKind.NUMERIC, x)
@@ -175,9 +184,7 @@ class Delta:
         m = _DELTA_RE.fullmatch(text)
         if m:
             return Delta.time_ns(int(m.group(1)) * dict(_NS_PER_UNIT)[m.group(2)])
-        if _IS_FLOAT[_number_state(text)]:
-            return Delta.numeric(float(text))
-        raise MalformedName(f"cannot parse index delta {text!r}")
+        return Delta.numeric(text)
 
     @staticmethod
     def coerce(value) -> "Delta":
@@ -376,15 +383,26 @@ class SeriesView:
         return Series(self.name, self.index.copy(), values, kind=self.kind)
 
 
+def _same_index(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two index arrays: their int64 views compare as
+    memoryviews, without a copy."""
+    return len(a) == len(b) and memoryview(a.view(np.int64)) == memoryview(b.view(np.int64))
+
+
 def _index_scalar(value, kind: IndexKind):
+    """An index bound as integer nanoseconds (time) or a float."""
     if isinstance(value, np.datetime64):
         if kind is not IndexKind.TIME_NS:
             raise KindMismatch("datetime bound on a numeric-kind series")
         return int(value.astype("datetime64[ns]").view(np.int64))
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParam(f"index bound {value!r} is not a number")
     if kind is IndexKind.TIME_NS:
-        if isinstance(value, (bool, float, np.floating)):
+        if isinstance(value, (float, np.floating)):
             raise KindMismatch("TIME_NS bounds must be integer nanoseconds")
         return int(value)
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise BadParam(f"index bound {value!r} is too large for a float")
     return float(value)
 
 

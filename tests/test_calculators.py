@@ -67,7 +67,7 @@ def test_quantile_output_name_embeds_q():
 
 
 @pytest.mark.parametrize("params", [{}, {"q": -0.1}, {"q": 1.5}, {"q": "x"}, {"q": True},
-                                    {"q": 0.5, "extra": 1}])
+                                    {"q": 0.5, "extra": 1}, {"q": 10**400}, [("q", 0.5)]])
 def test_quantile_rejects_bad_params(params):
     with pytest.raises(BadParam):
         builtin("quantile", params)
@@ -76,11 +76,14 @@ def test_quantile_rejects_bad_params(params):
 def test_parameterless_functions_reject_params():
     with pytest.raises(BadParam):
         builtin("mean", {"q": 0.5})
+    with pytest.raises(BadParam):
+        builtin("mean", 5)
 
 
 def test_unknown_builtin_is_reported():
-    with pytest.raises(UnknownBuiltin):
-        builtin("entropy")
+    for name in ("entropy", ["mean"], None):
+        with pytest.raises(UnknownBuiltin):
+            builtin(name)
 
 
 def test_count_returns_int_and_has_integer_tag():

@@ -319,14 +319,17 @@ def test_extract_input_errors_exit_2_with_one_line(tmp_path, capsys, data, serie
     pytest.param({"name": "mean"}, True, {},
                  "features[0]: cannot interpret True as an index delta", id="bool-window"),
     pytest.param({"name": "mean", "robust": {"fill_value": True}}, "10s", {},
-                 "features[0].functions[0]: robust fill_value must be a number",
+                 "features[0].functions[0]: 'mean': fill_value must be a number, got True",
                  id="bool-fill-value"),
+    pytest.param({"name": "mean", "robust": {"fill_value": 10**400}}, "10s", {},
+                 "features[0].functions[0]: 'mean': fill_value is too large for a float",
+                 id="401-digit-fill-value"),
     pytest.param({"name": "mean"}, 10**400, {},
                  "features[0]: index delta is too large for a float", id="401-digit-window"),
     pytest.param({"name": "mean"}, "\u0663", {},
                  "features[0]: cannot parse index delta '\u0663'", id="non-ascii-window"),
     pytest.param({"name": "mean"}, "0s", {},
-                 "window must be positive, got 0s", id="zero-window"),
+                 "features[0]: window must be positive, got 0s", id="zero-window"),
 ])
 def test_extract_config_errors_exit_2_naming_the_entry(tmp_path, capsys, function, window,
                                                        options, message):

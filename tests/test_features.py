@@ -166,6 +166,51 @@ def test_output_position_begin():
     assert list(matrix.index) == [10 * k * NS for k in range(8)]
 
 
+def test_output_position_text_labels_rows_by_that_end():
+    data = SeriesSet([numeric_series("X", np.arange(10.0))])
+    c = collection_of(("X", builtin("mean"), 2.0, 2.0))
+    end = extract(data, c, ExtractOptions(output_position="end")).matrix
+    begin = extract(data, c, ExtractOptions(output_position="begin")).matrix
+    assert list(end.index) == [2.0, 4.0, 6.0, 8.0]
+    assert list(begin.index) == [0.0, 2.0, 4.0, 6.0]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: FeatureDescriptor(None, builtin("mean"), "1s", "1s"), id="no-names"),
+    pytest.param(lambda: expand_multiple([builtin("mean")], [5], ["1s"], ["1s"]), id="entry"),
+    pytest.param(lambda: expand_multiple([builtin("mean")], ["A"], 5, ["1s"]), id="axis"),
+    pytest.param(lambda: FuncWrapper(len, output_names=5), id="output-names"),
+    pytest.param(lambda: FuncWrapper(len, output_tags=5), id="output-tags"),
+    pytest.param(lambda: FuncWrapper(len, bound_kwargs=5), id="bound-kwargs"),
+])
+def test_constructors_reject_a_non_sequence_with_invalid_descriptor(make):
+    with pytest.raises(InvalidDescriptor):
+        make()
+
+
+def test_a_str_axis_is_one_item():
+    got = expand_multiple([builtin("mean")], "TMP", "30s", "10s")
+    assert [d.key() for d in got] == [(("TMP",), Delta.parse("30s"), Delta.parse("10s"))]
+
+
+@pytest.mark.parametrize("fill, message", [
+    pytest.param(True, "'mean': fill_value must be a number, got True", id="bool"),
+    pytest.param("1.5", "'mean': fill_value must be a number, got '1.5'", id="text"),
+    pytest.param(10**400, "'mean': fill_value is too large for a float", id="401-digits"),
+])
+def test_make_robust_of_a_builtin_takes_a_number_a_float_holds(fill, message):
+    with pytest.raises(InvalidDescriptor) as exc:
+        make_robust(builtin("mean"), 2, fill)
+    assert str(exc.value) == message
+
+
+def test_make_robust_of_a_user_function_keeps_a_bool_fill():
+    def any_high(v):
+        return bool((v > 1).any())
+    wrapper = make_robust(FuncWrapper(any_high, output_tags=[ValueTag.BOOL]), 2, True)
+    assert wrapper.apply([np.array([5.0])]) == (True,)
+
+
 def test_robust_fill_for_empty_windows():
     # Irregular beats with a silent stretch between t=30 s and t=80 s.
     beats = np.concatenate([np.arange(0.0, 30.0, 0.8), np.arange(80.0, 100.0, 0.8)])
@@ -274,6 +319,7 @@ def test_a_failure_on_the_pool_drops_the_queued_units(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("n_workers", 0), ("n_workers", -3), ("n_workers", True), ("n_workers", 1.5),
     ("approve_sparsity", "no"), ("approve_sparsity", 1), ("approve_sparsity", None),
+    ("output_position", "middle"), ("output_position", None), ("output_position", 7),
 ])
 def test_extract_options_reject_bad_values(field, value):
     with pytest.raises(BadParam, match=field):

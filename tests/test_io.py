@@ -27,8 +27,10 @@ from stridekit import (
     ValueColumn,
     ValueTag,
     builtin,
+    builtin_processor,
     extract,
     load_csv,
+    make_robust,
     parse_feature_config,
     parse_pipeline_config,
     parse_rfc3339_ns,
@@ -1185,6 +1187,59 @@ def test_feature_config_propagates_function_errors():
     }
     with pytest.raises(StridekitError):
         parse_feature_config(bad_delta)
+
+
+def _feature_doc(series="TMP", function=None, window="30s", options=None):
+    doc = {"features": [{"series": series, "functions": [function or {"name": "mean"}],
+                         "windows": [window], "strides": ["10s"]}]}
+    if options is not None:
+        doc["options"] = options
+    return doc
+
+
+@pytest.mark.parametrize("parse, doc, prefix, owner", [
+    pytest.param(parse_feature_config, _feature_doc(series=["TMP", [5]]), "features[0]: ",
+                 lambda: builtin_processor("clip", ["TMP", [5]], {"hi": 1.0}),
+                 id="series-entry"),
+    pytest.param(parse_feature_config, _feature_doc(series=7), "features[0]: ",
+                 lambda: builtin_processor("clip", 7, {"hi": 1.0}), id="series-field"),
+    pytest.param(parse_pipeline_config,
+                 {"steps": [{"function": "clip", "series": [[]], "params": {"hi": 1.0}}]},
+                 "steps[0]: ", lambda: builtin_processor("clip", [[]], {"hi": 1.0}),
+                 id="pipeline-series-entry"),
+    pytest.param(parse_feature_config,
+                 _feature_doc(function={"name": "mean", "robust": {"fill_value": True}}),
+                 "features[0].functions[0]: ",
+                 lambda: make_robust(builtin("mean"), fill_value=True), id="bool-fill"),
+    pytest.param(parse_feature_config,
+                 _feature_doc(function={"name": "mean", "robust": {"fill_value": 10**400}}),
+                 "features[0].functions[0]: ",
+                 lambda: make_robust(builtin("mean"), fill_value=10**400), id="huge-fill"),
+    pytest.param(parse_feature_config,
+                 _feature_doc(function={"name": "mean", "robust": {"min_samples": -1}}),
+                 "features[0].functions[0]: ",
+                 lambda: make_robust(builtin("mean"), min_samples=-1), id="min-samples"),
+    pytest.param(parse_feature_config,
+                 _feature_doc(function={"name": "quantile", "params": {"q": 2}}),
+                 "features[0].functions[0]: ", lambda: builtin("quantile", {"q": 2}),
+                 id="builtin-params"),
+    pytest.param(parse_feature_config, _feature_doc(window="0s"), "features[0]: ",
+                 lambda: FeatureDescriptor("TMP", builtin("mean"), "0s", "10s"),
+                 id="zero-window"),
+    pytest.param(parse_feature_config, _feature_doc(options={"output_position": "middle"}),
+                 "options: ", lambda: ExtractOptions(output_position="middle"),
+                 id="output-position"),
+    pytest.param(parse_feature_config, _feature_doc(options={"output_position": None}),
+                 "options: ", lambda: ExtractOptions(output_position=None),
+                 id="null-output-position"),
+])
+def test_config_rejects_what_the_library_rejects_with_the_entry_prefix(parse, doc, prefix,
+                                                                        owner):
+    with pytest.raises(StridekitError) as library:
+        owner()
+    with pytest.raises(ConfigError) as config:
+        parse(doc)
+    assert str(config.value) == prefix + str(library.value)
 
 
 def test_serialize_rejects_custom_functions():

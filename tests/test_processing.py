@@ -69,6 +69,31 @@ def test_selector_must_not_be_empty():
         ProcessorStep(lambda v: v.values, [])
 
 
+@pytest.mark.parametrize("selector", [5, None, [5], [[]], [("A", 5)], {"A": 1}, [{"A": 1}]])
+def test_a_bad_selector_entry_is_bad_param(selector):
+    with pytest.raises(BadParam):
+        ProcessorStep(lambda v: v.values, selector)
+
+
+def test_selector_entries_are_names_and_lists_or_tuples_of_names():
+    step = ProcessorStep(lambda *v: v[0].values, ["A", ["B", "C"], ("D",)])
+    assert step.series_selector == ("A", ("B", "C"), ("D",))
+    assert ProcessorStep(lambda *v: v[0].values, ("A", "B")).series_selector == (("A", "B"),)
+
+
+@pytest.mark.parametrize("outputs", [5, [5], {"A": 1}])
+def test_declared_outputs_must_be_names(outputs):
+    with pytest.raises(BadParam):
+        ProcessorStep(lambda v: v.values, ["A"], declared_outputs=outputs)
+
+
+@pytest.mark.parametrize("name, params", [("scale", {"factor": 10**400}), ("clip", 5),
+                                          ("clip", [("lo", 0.0)])])
+def test_processor_params_are_a_mapping_of_float_sized_numbers(name, params):
+    with pytest.raises(BadParam):
+        builtin_processor(name, ["A"], params)
+
+
 # ---------------------------------------------------------------------------
 # run_pipeline semantics
 # ---------------------------------------------------------------------------

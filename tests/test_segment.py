@@ -17,6 +17,7 @@ from stridekit import (
     segment_positions,
 )
 from stridekit.errors import (
+    BadParam,
     DisjointSpans,
     EmptySeries,
     KindMismatch,
@@ -56,6 +57,24 @@ def test_output_position():
     g_begin = build_grid(0.0, 10.0, 2.0, 2.0, output_position=OutputPosition.BEGIN)
     assert list(g_end.output_index()) == [2.0, 4.0, 6.0, 8.0, 10.0]
     assert list(g_begin.output_index()) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert build_grid(0.0, 10.0, 2.0, 2.0, "begin").output_position is OutputPosition.BEGIN
+    assert build_grid(0.0, 10.0, 2.0, 2.0, "end").output_position is OutputPosition.END
+
+
+@pytest.mark.parametrize("position", ["middle", None, 7, "END", True])
+def test_grid_rejects_an_unknown_output_position(position):
+    with pytest.raises(BadParam, match="output_position must be 'begin' or 'end'"):
+        build_grid(0.0, 10.0, 2.0, 2.0, position)
+
+
+@pytest.mark.parametrize("begin, end", [
+    pytest.param(None, 10.0, id="none"), pytest.param("0", 10.0, id="text"),
+    pytest.param(0.0, 10**400, id="401-digits"), pytest.param(0.0, math.nan, id="nan"),
+    pytest.param(True, 10.0, id="bool"),
+])
+def test_grid_rejects_a_span_bound_that_is_no_finite_number(begin, end):
+    with pytest.raises(BadParam, match="index bound|not finite"):
+        build_grid(begin, end, 2.0, 2.0)
 
 
 @pytest.mark.parametrize("window, stride", [("nan", 1.0), (1.0, "inf"), (math.nan, 1.0),

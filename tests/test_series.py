@@ -197,6 +197,7 @@ def test_delta_numeric_render_shortest():
     assert Delta.numeric(0.5).render() == "0.5"
     assert Delta.numeric(2.0).render() == "2"
     assert Delta.parse("0.25").value == 0.25
+    assert Delta.numeric("0.25") == Delta.numeric(0.25) == Delta.numeric("2.5e-1")
 
 
 def test_delta_coerce():
@@ -217,13 +218,17 @@ def test_delta_coerce_rejects_bools(value):
     # bool is an int subclass, so True would be a numeric delta of 1
     with pytest.raises(MalformedName):
         Delta.coerce(value)
+    with pytest.raises(MalformedName):
+        Delta.numeric(value)
 
 
 @pytest.mark.parametrize("text", ["30s\n", "\u0663s", "3\u0660s", "nan", "-inf", "1e400",
-                                  "\u0663", " 5 ", "1_000", "5\n", "0x10", ""])
+                                  "\u0663", " 5 ", "1_000", "1_0", "5\n", "0x10", ""])
 def test_delta_parse_takes_ascii_digits_in_full_and_finite_numbers(text):
     with pytest.raises(MalformedName):
         Delta.parse(text)
+    with pytest.raises(MalformedName):
+        Delta.numeric(text)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
