@@ -34,10 +34,11 @@ Exact semantics, fixed here so results are reproducible bit for bit:
 - count outputs an I64 column (and therefore rejects a NaN robust fill);
   first and last preserve the input series' value tag.
 
-Empty windows: count returns 0 and sum, abs_energy, zero_cross return 0.0;
-this value is the kernel's short-window ``fill``. Every other function
-raises, which extract surfaces as FunctionFailure unless the wrapper is made
-robust.
+Kernels are numpy only: what a window with too few samples yields is the
+wrapper's rule (``FuncWrapper.min_samples`` and ``fills``), which ``builtin``
+sets from 1. Empty windows: count returns 0 and sum, abs_energy, zero_cross
+return 0.0, the builtin's fill. Every other function raises, which extract
+surfaces as FunctionFailure unless the wrapper is made robust.
 """
 
 from __future__ import annotations
@@ -127,10 +128,9 @@ def order_stats(v, members):
     return out
 
 
-def _member(name: str, family, member, fill: float | None = None) -> BlockKernel:
+def _member(name: str, family, member) -> BlockKernel:
     """A family member's kernel: the family run on that member alone."""
-    return BlockKernel(name, lambda v: family(v, (member,))[0], fill=fill,
-                       family=family, member=member)
+    return BlockKernel(name, lambda v: family(v, (member,))[0], family=family, member=member)
 
 
 def _slope(y, index):
@@ -176,9 +176,9 @@ _SIMPLE: dict[str, tuple] = {
     # name -> (kernel, input_mode, output_tag)
     # One shared int per block: I64 cells are Python ints in an object column.
     "count": (BlockKernel("count", lambda v: np.full(len(v), v.shape[1], dtype=object),
-                          fill=0, raw=True),
+                          raw=True),
               InputMode.VALUES_ONLY, ValueTag.I64),
-    "sum": _f64(_member("sum", _moments, "sum", fill=0.0)),
+    "sum": _f64(_member("sum", _moments, "sum")),
     "mean": _f64(_member("mean", _moments, "mean")),
     "std": _f64(_member("std", _moments, "std")),
     "var": _f64(_member("var", _moments, "var")),
@@ -186,16 +186,19 @@ _SIMPLE: dict[str, tuple] = {
     "max": _f64(BlockKernel("max", partial(np.maximum.reduce, axis=1))),
     "median": _f64(_member("median", order_stats, "median")),
     "rms": _f64(_member("rms", _moments, "rms")),
-    "abs_energy": _f64(_member("abs_energy", _moments, "abs_energy", fill=0.0)),
+    "abs_energy": _f64(_member("abs_energy", _moments, "abs_energy")),
     "skewness": _f64(_member("skewness", _moments, "skewness")),
     "kurtosis": _f64(_member("kurtosis", _moments, "kurtosis")),
     "slope": (BlockKernel("slope", _slope), InputMode.VALUES_AND_INDEX, ValueTag.F64),
     "first": (BlockKernel("first", lambda v: v[:, 0], raw=True), InputMode.VALUES_ONLY, PRESERVE),
     "last": (BlockKernel("last", lambda v: v[:, -1], raw=True), InputMode.VALUES_ONLY, PRESERVE),
-    "zero_cross": _f64(BlockKernel("zero_cross", _zero_cross, fill=0.0)),
+    "zero_cross": _f64(BlockKernel("zero_cross", _zero_cross)),
 }
 
 BUILTIN_NAMES: tuple[str, ...] = tuple(list(_SIMPLE) + ["quantile"])
+
+#: The empty-window value of the builtins that have one; the others raise.
+_EMPTY = {"count": 0, "sum": 0.0, "abs_energy": 0.0, "zero_cross": 0.0}
 
 
 def builtin(name: str, params: dict | None = None) -> FuncWrapper:
@@ -208,13 +211,17 @@ def builtin(name: str, params: dict | None = None) -> FuncWrapper:
         raise BadParam(f"builtin params must be a mapping, got {type(params).__name__}")
     params = dict(params or {})
     if name == "quantile":
-        return _make_quantile(params)
-    try:
-        func, mode, tag = _SIMPLE[name]
-    except (KeyError, TypeError):  # TypeError: a name that is no key, such as a list
-        raise UnknownBuiltin(
-            f"unknown built-in {name!r}; available: {', '.join(sorted(BUILTIN_NAMES))}"
-        ) from None
-    _no_params(params, name)
-    return FuncWrapper(func, base_name=name, output_names=name, input_mode=mode,
-                       output_tags=(tag,), recipe=("builtin", name, {}))
+        wrapper = _make_quantile(params)
+    else:
+        try:
+            func, mode, tag = _SIMPLE[name]
+        except (KeyError, TypeError):  # TypeError: a name that is no key, such as a list
+            raise UnknownBuiltin(
+                f"unknown built-in {name!r}; available: {', '.join(sorted(BUILTIN_NAMES))}"
+            ) from None
+        _no_params(params, name)
+        wrapper = FuncWrapper(func, base_name=name, output_names=name, input_mode=mode,
+                              output_tags=(tag,), recipe=("builtin", name, {}))
+    wrapper.min_samples = 1  # every empty window
+    wrapper.fills = (_EMPTY[name],) if name in _EMPTY else None
+    return wrapper

@@ -14,6 +14,7 @@ which alone names a failing function and segment.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import itertools
@@ -65,19 +66,13 @@ PRESERVE = "preserve"
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """A builtin's one implementation. ``func`` maps a block of b windows of
-    c samples each, shape (b, c), to one value per window. Blocks are
-    float64, or as stored when ``raw``; an index-aware kernel also gets the
-    matching index block. extract runs the kernel once per block of
+    """A builtin's one implementation, plain numpy. ``func`` maps a block of
+    b windows of c samples each, shape (b, c), to one value per window.
+    Blocks are float64, or as stored when ``raw``; an index-aware kernel also
+    gets the matching index block. extract runs the kernel once per block of
     equal-count windows; calling it on one window runs ``func`` on a one-row
-    block, so both paths give the same bits.
-
-    A window with fewer than ``min_samples`` samples (at least 1, so every
-    empty window) yields ``fill``, or raises when that is None. A builtin's
-    fill is its empty-window value; ``make_robust`` replaces both fields.
-    Calling the kernel per window is also the builtins' failure path: when a
-    block run raises, extract reruns the unit through it, so a failure names
-    the function and segment the per-window loop names.
+    block, so both paths give the same bits. What a window with too few
+    samples yields is the wrapper's rule, not the kernel's (see FuncWrapper).
 
     Builtins that share work belong to a ``family``: ``family(block,
     members)`` returns one value per window for each ``member`` asked for,
@@ -89,17 +84,11 @@ class BlockKernel:
     name: str
     func: Callable
     raw: bool = False
-    min_samples: int = 1
-    fill: object = None
     family: Callable | None = None
     member: object = None
 
     def __call__(self, x):
         values, index = x if isinstance(x, tuple) else (x, None)
-        if len(values) < self.min_samples:
-            if self.fill is None:
-                raise ValueError(f"{self.name} of an empty window is undefined")
-            return self.fill
         rows = [np.asarray(values, dtype=None if self.raw else np.float64)[None, :]]
         if index is not None:
             rows.append(np.asarray(index)[None, :])
@@ -124,10 +113,15 @@ class FuncWrapper:
     the bound keyword arguments, and must return one scalar per output name.
     A :class:`BlockKernel` callable (the builtins) also lets extract run the
     function over blocks of windows.
+
+    The short-window rule: a window with fewer than ``min_samples`` samples
+    in any input yields ``fills`` (one per output) without a call, or raises
+    when that is None. Only ``builtin`` (from 1, with the builtin's
+    empty-window value) and ``make_robust`` set it.
     """
 
     __slots__ = ("func", "base_name", "output_names", "input_mode", "bound_kwargs",
-                 "output_tags", "recipe")
+                 "output_tags", "recipe", "min_samples", "fills")
 
     def __init__(
         self,
@@ -163,12 +157,19 @@ class FuncWrapper:
                 raise InvalidDescriptor(f"bad output tag {t!r}")
         self.output_tags = tags
         self.recipe = recipe
+        self.min_samples = 0
+        self.fills: tuple | None = None
 
     @property
     def n_outputs(self) -> int:
         return len(self.output_names)
 
     def apply(self, inputs: Sequence) -> tuple:
+        if self.min_samples and any(len(x[0] if isinstance(x, tuple) else x) < self.min_samples
+                                    for x in inputs):
+            if self.fills is None:  # only a builtin, whose kernel names it
+                raise ValueError(f"{self.func.name} of an empty window is undefined")
+            return self.fills
         out = self.func(*inputs, **self.bound_kwargs)
         if isinstance(out, (tuple, list)):
             if len(out) != self.n_outputs:
@@ -189,10 +190,10 @@ class FuncWrapper:
 def make_robust(
     wrapper: FuncWrapper, min_samples: int = 1, fill_value: float = math.nan
 ) -> FuncWrapper:
-    """Wrapper that returns ``fill_value`` for every output when any input
-    window holds fewer than ``min_samples`` samples, instead of calling the
-    inner function. A block kernel stays a block kernel with this threshold
-    and fill; ``min_samples=0`` leaves it as it is.
+    """A copy of ``wrapper`` whose short-window rule is ``min_samples`` and
+    ``fill_value`` for every output; the function stays, so a builtin stays a
+    block kernel. ``min_samples=0`` keeps the wrapper's rule; one from 1 to
+    below the wrapper's own ``min_samples`` is InvalidDescriptor.
 
     A NaN fill requires every output to be float-tagged; integer, boolean,
     categorical, or tag-preserving outputs cannot represent it. An integral
@@ -202,6 +203,9 @@ def make_robust(
     """
     if isinstance(min_samples, bool) or not isinstance(min_samples, int) or min_samples < 0:
         raise InvalidDescriptor(f"min_samples must be an integer >= 0, got {min_samples!r}")
+    if 0 < min_samples < wrapper.min_samples:
+        raise InvalidDescriptor(f"{wrapper.base_name!r}: min_samples {min_samples} is below "
+                                f"the wrapped function's own min_samples {wrapper.min_samples}")
     recipe = None
     if wrapper.recipe is not None:
         if isinstance(fill_value, bool) or not isinstance(fill_value, numbers.Real):
@@ -212,39 +216,21 @@ def make_robust(
         except OverflowError:
             raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value is too large "
                                     f"for a float") from None
-    fill_is_nan = isinstance(fill_value, float) and math.isnan(fill_value)
-    if fill_is_nan:
+    if isinstance(fill_value, float) and math.isnan(fill_value):
         for tag in wrapper.output_tags:
             if tag is PRESERVE or tag not in FLOAT_TAGS:
                 raise NonFloatOutput(
                     f"{wrapper.base_name!r}: NaN fill requires float outputs "
                     f"(offending tag: {getattr(tag, 'value', tag)})"
                 )
-    integral = isinstance(fill_value, float) and fill_value.is_integer()
-    fills = tuple(int(fill_value) if integral and tag is ValueTag.I64 else fill_value
-                  for tag in wrapper.output_tags)
-    inner = wrapper.func
-    if isinstance(inner, BlockKernel) and min_samples == 0:
-        robust = inner  # no window holds fewer than 0 samples
-    elif isinstance(inner, BlockKernel) and inner.min_samples <= min_samples:
-        # The inner threshold is covered by this one.
-        robust = dataclasses.replace(inner, min_samples=min_samples, fill=fills[0])
-    else:
-        def robust(*inputs):
-            for x in inputs:
-                values = x[0] if isinstance(x, tuple) else x
-                if len(values) < min_samples:
-                    return fills
-            return wrapper.apply(inputs)
-
-    return FuncWrapper(
-        robust,
-        base_name=wrapper.base_name,
-        output_names=wrapper.output_names,
-        input_mode=wrapper.input_mode,
-        output_tags=wrapper.output_tags,
-        recipe=recipe,
-    )
+    robust = copy.copy(wrapper)
+    robust.recipe = recipe
+    if min_samples:
+        integral = isinstance(fill_value, float) and fill_value.is_integer()
+        robust.min_samples = min_samples
+        robust.fills = tuple(int(fill_value) if integral and tag is ValueTag.I64 else fill_value
+                             for tag in wrapper.output_tags)
+    return robust
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +511,6 @@ class _ResolvedGroup:
     wrapper_tags: list[tuple]  # PRESERVE resolved to concrete ValueTags
 
 
-def _resolve_tags(wrapper: FuncWrapper, series: list[Series]) -> tuple:
-    resolved = []
-    for tag in wrapper.output_tags:
-        resolved.append(series[0].values.tag if tag is PRESERVE else tag)
-    return tuple(resolved)
-
-
 def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
                     output_position: OutputPosition) -> list[_ResolvedGroup]:
     groups = []
@@ -553,7 +532,8 @@ def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
         begin, end = intersect_spans(members)
         grid = build_grid(begin, end, w, s, output_position)
         positions = [segment_positions(m, grid) for m in members]
-        tags = [_resolve_tags(wrapper, members) for wrapper in wrappers]
+        tags = [tuple(members[0].values.tag if t is PRESERVE else t for t in wrapper.output_tags)
+                for wrapper in wrappers]
         groups.append(_ResolvedGroup((series_names, w, s), members, grid, positions, wrappers, tags))
     if len({g.grid.kind for g in groups}) > 1:
         raise KindMismatch(
@@ -574,7 +554,12 @@ def _cell_converter(tag: ValueTag, series: Series) -> Callable:
     if tag in FLOAT_TAGS:
         return float
     if tag is ValueTag.I64:
-        return operator.index
+        def integer(c):
+            i = operator.index(c)
+            if not -2**63 <= i < 2**63:
+                raise ValueError(f"an I64 output must fit int64, got {i}")
+            return i
+        return integer
     if tag is ValueTag.BOOL:
         def boolean(c):
             if not isinstance(c, (bool, np.bool_)):
@@ -628,17 +613,17 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
     (strided) slice of the series' sliding-window view, so extra memory is
     bounded by BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member:
     one builtin, or builtins of one family sharing ``min_samples``, which
-    share each cast block. Short windows take each member's fill. Any
+    share each cast block. Short windows take each member's fills. Any
     exception propagates unnamed: the caller reruns the unit per window.
     """
     kernels = [wrapper.func for wrapper, _, _ in unit]
     series, pos = group.series[0], group.positions[0]
     counts = pos[:, 1] - pos[:, 0]
-    short = counts < kernels[0].min_samples
+    short = counts < unit[0][0].min_samples
     if short.any():
-        for (_, tag, column), kernel in zip(unit, kernels):
-            # a None fill fails every tag's conversion
-            column[short] = _cell_converter(tag, series)(kernel.fill)
+        for wrapper, tag, column in unit:
+            # None fills (no empty-window value) raise here, and the rerun names them
+            column[short] = _cell_converter(tag, series)(wrapper.fills[0])
 
     # a raw kernel's dictionary codes become labels
     labels = [np.array(series.values.categories, dtype=object)
@@ -711,7 +696,7 @@ def _units(groups: list[_ResolvedGroup]) -> list[tuple[int, tuple[int, ...]]]:
         for fi, wrapper in enumerate(g.wrappers):
             kernel = wrapper.func
             if isinstance(kernel, BlockKernel) and kernel.family is not None:
-                key = (kernel.family, kernel.min_samples)
+                key = (kernel.family, wrapper.min_samples)
                 if key in families:
                     families[key].append(fi)
                     continue
@@ -760,7 +745,9 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
     )
     if not use_pool:
         return _collect(units, (_compute_unit(groups[gi], fis) for gi, fis in units))
-    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))
+    # fork starts every worker at the first submit: no more than there are units
+    pool = ProcessPoolExecutor(min(n_workers, len(units)),
+                               mp_context=multiprocessing.get_context("fork"))
     global _WORKER_GROUPS
     _WORKER_GROUPS = groups
     try:
@@ -772,11 +759,8 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
 
 def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> FeatureMatrix:
     active = [g for g in groups if g.grid.n_segments > 0]
-    if groups:
-        kind = groups[0].grid.kind
-        index_dtype = np.int64 if kind is IndexKind.TIME_NS else np.float64
-    else:
-        kind, index_dtype = None, np.float64
+    kind = groups[0].grid.kind if groups else None
+    index_dtype = np.int64 if kind is IndexKind.TIME_NS else np.float64
     if active:
         index = np.unique(np.concatenate([g.grid.output_index() for g in active]))
         index = index.astype(index_dtype, copy=False)

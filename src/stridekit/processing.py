@@ -41,10 +41,17 @@ from .series import (
 SELECTOR_OUTPUTS = "selector"
 
 
+class _Selector(tuple):
+    """A normalized selector, one item per entry. It normalizes to itself,
+    where a plain tuple is one joint entry."""
+
+
 def _normalize_selector(selector) -> tuple:
     """The one series-entry grammar, of pipeline steps and feature configs: a
     name, a tuple of names (one joint entry), or a non-empty list of names and
     non-empty lists or tuples of names. Anything else is BadParam."""
+    if isinstance(selector, _Selector):
+        return selector
     if isinstance(selector, (str, tuple)):
         selector = [selector]
     if not isinstance(selector, list) or not selector:
@@ -53,7 +60,7 @@ def _normalize_selector(selector) -> tuple:
         if not (isinstance(entry, str) or isinstance(entry, (list, tuple)) and entry
                 and all(isinstance(n, str) for n in entry)):
             raise BadParam(f"selector entry {entry!r} must be a name or a tuple of names")
-    return tuple(e if isinstance(e, str) else tuple(e) for e in selector)
+    return _Selector(e if isinstance(e, str) else tuple(e) for e in selector)
 
 
 def _selector_names(selector: tuple) -> list[str]:

@@ -1,8 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from stridekit import IndexKind, Series
+
+# On a failure, hypothesis's pytest plugin imports its patch writer, whose
+# libcst dependency warns at import (mypy_extensions.TypedDict); under
+# -W error that ends the run in INTERNALERROR before the failing test is
+# reported. Import it once here, with only that import's warnings silenced.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: nothing to import
+        pass
 
 settings.register_profile(
     "default",

@@ -25,7 +25,7 @@ from stridekit import (
 )
 from stridekit import features
 from stridekit.calculators import BUILTIN_NAMES
-from stridekit.errors import FunctionFailure
+from stridekit.errors import FunctionFailure, InvalidDescriptor, NonFloatOutput
 from stridekit.series import FLOAT_TAGS, ValueTag
 
 from conftest import numeric_series
@@ -42,7 +42,7 @@ def builtins():
 
 def per_window(wrapper):
     """The same builtin as a plain function: extract calls it per window."""
-    return FuncWrapper(lambda *xs: wrapper.func(*xs), base_name=wrapper.base_name,
+    return FuncWrapper(lambda *xs: wrapper.apply(xs), base_name=wrapper.base_name,
                        output_names=wrapper.output_names, input_mode=wrapper.input_mode,
                        output_tags=wrapper.output_tags)
 
@@ -132,6 +132,69 @@ def test_block_path_equals_per_window_path_bitwise(series, window, stride, robus
                         block_paths={"block", "fused"})
 
 
+def as_user_function(wrapper):
+    """The builtin's kernel as a plain function, without the builtin's rule."""
+    return FuncWrapper(lambda *xs: wrapper.func(*xs), base_name=wrapper.base_name,
+                       output_names=wrapper.output_names, input_mode=wrapper.input_mode,
+                       output_tags=wrapper.output_tags)
+
+
+def robust_levels(wrapper, levels):
+    """make_robust applied once per (min_samples, fill) level, or the
+    exception type that stops it."""
+    try:
+        for min_samples, fill in levels:
+            wrapper = make_robust(wrapper, min_samples, fill)
+    except (InvalidDescriptor, NonFloatOutput) as exc:
+        return type(exc)
+    return wrapper
+
+
+@settings(max_examples=60)
+@given(
+    series=sampled_series(),
+    names=st.lists(st.sampled_from(BUILTIN_NAMES), unique=True, min_size=1, max_size=2),
+    levels=st.lists(st.tuples(st.integers(0, 6), st.sampled_from([math.nan, 0.0, -1.0])),
+                    min_size=1, max_size=2),
+    window=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
+    stride=st.sampled_from([0.1, 0.3, 1.0]),
+    block_bytes=st.sampled_from([8, 40, features.BLOCK_BYTES]),
+    n_workers=st.sampled_from([1, 2]),
+)
+def test_the_short_window_rule_is_the_wrapper_s(series, names, levels, window, stride,
+                                                block_bytes, n_workers):
+    # A robust builtin equals the same make_robust levels over a user
+    # function that calls the builtin's kernel per window; with no threshold
+    # above 0 it keeps the builtin's own rule.
+    w, s = deltas(series.kind, window, stride)
+    plain = [builtin(n, {"q": 0.5} if n == "quantile" else None) for n in names]
+    robust = [robust_levels(x, levels) for x in plain]
+    users = [robust_levels(as_user_function(x), levels) for x in plain]
+    thresholds = [m for m, _ in levels if m]
+    if thresholds != sorted(thresholds):  # unless a NaN fill is refused first
+        nan_first = math.isnan(levels[0][1])
+        assert robust == users == [NonFloatOutput if nan_first and n in ("count", "first", "last")
+                                   else InvalidDescriptor for n in names]
+        return
+    kept = [i for i, x in enumerate(robust) if not isinstance(x, type)]
+    assert kept == [i for i, x in enumerate(users) if not isinstance(x, type)]
+    if not kept:
+        return
+    robust = [robust[i] for i in kept]
+    reference = [users[i] if thresholds else per_window(plain[i]) for i in kept]
+    assert {x.min_samples for x in robust} == {thresholds[-1] if thresholds else 1}
+    with mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+        assert_same(outcome(series, robust, w, s, n_workers), outcome(series, reference, w, s),
+                    block_paths={"block", "fused"})
+    # A robust builtin takes one series, nested or not.
+    twin = Series("T", series.index, series.values.data, kind=series.kind)
+    c = FeatureCollection(FeatureDescriptor(("S", "T"), x, w, s) for x in robust)
+    with mock.patch.object(features, "_compute_unit") as compute:
+        with pytest.raises(InvalidDescriptor, match="takes one series"):
+            extract(SeriesSet([series, twin]), c, ExtractOptions(n_workers=n_workers))
+    compute.assert_not_called()
+
+
 def test_block_path_names_the_first_empty_segment():
     # Windows [2, 4) and [6, 8) hold no sample; the first of them is segment 1.
     s = numeric_series("S", [0.0, 1.0, 4.0, 5.0, 9.0, 10.0, 11.0, 12.0])
@@ -179,7 +242,7 @@ FUSED_QUANTILES = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0)
 def expected_paths(wrappers):
     """"fused" for a builtin whose family and min_samples it shares with
     another builtin of the group, "block" otherwise."""
-    keys = [(w.func.family, w.func.min_samples) if w.func.family else id(w) for w in wrappers]
+    keys = [(w.func.family, w.min_samples) if w.func.family else id(w) for w in wrappers]
     return ["fused" if keys.count(k) > 1 else "block" for k in keys]
 
 

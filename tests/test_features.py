@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ from stridekit.errors import (
     UnknownColumn,
     UnknownSeries,
 )
+
+from stridekit import features
 
 from conftest import NS, numeric_series, time_series
 
@@ -332,6 +335,43 @@ def test_make_robust_takes_an_integer_min_samples(min_samples):
         make_robust(builtin("mean"), min_samples=min_samples)
 
 
+@pytest.mark.parametrize("wrapper", [
+    FuncWrapper(lambda x: float(len(x)), base_name="n"),
+    builtin("mean"),
+], ids=["user", "builtin"])
+def test_make_robust_below_the_wrapped_threshold_is_invalid_descriptor(wrapper):
+    inner = make_robust(wrapper, 5, 1.0)
+    with pytest.raises(InvalidDescriptor) as err:
+        make_robust(inner, 2, 2.0)
+    assert str(err.value) == (f"{inner.base_name!r}: min_samples 2 is below the wrapped "
+                              f"function's own min_samples 5")
+    for min_samples in (0, 5, 6):  # 0 keeps the rule; an equal or higher one covers it
+        make_robust(inner, min_samples, 2.0)
+
+
+def test_the_fork_pool_has_no_more_workers_than_units():
+    sizes = []
+
+    class RecordingPool:  # runs the units in this process
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    data = SeriesSet([tmp_4hz()])
+    c = FeatureCollection(expand_multiple([builtin("mean"), builtin("min"), builtin("max")],
+                                          ["TMP"], ["30s"], ["10s"]))
+    serial = extract(data, c).matrix
+    with mock.patch.object(features, "ProcessPoolExecutor", RecordingPool):
+        pooled = extract(data, c, ExtractOptions(n_workers=10**6)).matrix
+    assert sizes == [3]  # mean, min and max: one unit each
+    assert pooled.equals(serial)
+
+
 LABELS = np.array(["lo", "hi", "lo"] * 3, dtype=object)
 
 
@@ -387,6 +427,41 @@ def test_output_that_fits_its_tag_is_stored_as_a_python_scalar(result, tag, want
     cells = extract(SeriesSet([s]), c).matrix["S__odd__w=2_s=2"].data.tolist()
     assert cells == [want] * 4
     assert {type(v) for v in cells} == {type(want)}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("wrapper, reason", [
+    pytest.param(FuncWrapper(lambda x: 2**70, base_name="huge", output_tags=[ValueTag.I64]),
+                 "function 'huge' failed on group 'S' segment 0: an I64 output must fit "
+                 "int64, got 1180591620717411303424", id="user"),
+    pytest.param(FuncWrapper(lambda x: -2**63 - 1, base_name="huge",
+                             output_tags=[ValueTag.I64]),
+                 "function 'huge' failed on group 'S' segment 0: an I64 output must fit "
+                 "int64, got -9223372036854775809", id="user-below"),
+    pytest.param(make_robust(builtin("count"), 3, 1e300),
+                 "function 'count' failed on group 'S' segment 0: an I64 output must fit "
+                 f"int64, got {int(1e300)}", id="robust-fill"),
+])
+def test_an_i64_output_outside_int64_names_group_and_segment(wrapper, reason, n_workers):
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", wrapper, 2.0, 2.0),
+                      ("S", builtin("mean"), 2.0, 2.0))  # a second unit for the pool
+    with pytest.raises(FunctionFailure) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
+    assert str(err.value) == reason
+
+
+def test_an_i64_output_at_the_int64_bounds_is_stored():
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(
+        ("S", FuncWrapper(lambda x: 2**63 - 1, base_name="hi", output_tags=[ValueTag.I64]),
+         2.0, 2.0),
+        ("S", FuncWrapper(lambda x: -2**63, base_name="lo", output_tags=[ValueTag.I64]),
+         2.0, 2.0),
+    )
+    matrix = extract(SeriesSet([s]), c).matrix
+    assert matrix["S__hi__w=2_s=2"].data.tolist() == [2**63 - 1] * 4
+    assert matrix["S__lo__w=2_s=2"].data.tolist() == [-2**63] * 4
 
 
 def test_joint_function_intersects_spans():

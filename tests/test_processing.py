@@ -1,5 +1,7 @@
 """Sequential series pipelines and the built-in processors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from stridekit import (
     builtin_processor,
     required_inputs,
     run_pipeline,
+    serialize_pipeline_config,
 )
 from stridekit.errors import (
     BadParam,
@@ -79,6 +82,25 @@ def test_selector_entries_are_names_and_lists_or_tuples_of_names():
     step = ProcessorStep(lambda *v: v[0].values, ["A", ["B", "C"], ("D",)])
     assert step.series_selector == ("A", ("B", "C"), ("D",))
     assert ProcessorStep(lambda *v: v[0].values, ("A", "B")).series_selector == (("A", "B"),)
+
+
+@pytest.mark.parametrize("name, selector, params, normalized", [
+    pytest.param("scale", ["ACC_x", "ACC_y"], {"factor": 2.0}, ("ACC_x", "ACC_y"),
+                 id="fan-out"),
+    pytest.param("smv", ("ACC_x", "ACC_y"), {"output": "N"}, (("ACC_x", "ACC_y"),),
+                 id="joint"),
+    pytest.param("smv", [["ACC_x", "ACC_y"]], {"output": "N"}, (("ACC_x", "ACC_y"),),
+                 id="joint-in-a-list"),
+])
+def test_a_selector_survives_dataclasses_replace(name, selector, params, normalized):
+    step = builtin_processor(name, selector, params)
+    copy = dataclasses.replace(step, label=step.label)
+    assert step.series_selector == copy.series_selector == normalized
+    assert serialize_pipeline_config(Pipeline([copy])) == serialize_pipeline_config(
+        Pipeline([step]))
+    data = acc_triplet()
+    assert snapshot(run_pipeline(Pipeline([copy]), data)) == snapshot(
+        run_pipeline(Pipeline([step]), data))
 
 
 @pytest.mark.parametrize("outputs", [5, [5], {"A": 1}])
