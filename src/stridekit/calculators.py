@@ -15,22 +15,48 @@ member alone, so a builtin has one compute path whether extract fuses it
 with others of its family or not. min, max, count, first, last, slope and
 zero_cross stay single kernels.
 
+The moment family, min, max and slope are chunk-merged: with the chunk
+length K of the window's (series, grid) (see ``features._chunk_length``), a
+window of c > K samples is computed as chunks of K samples from its start,
+the last one shorter when K does not divide c. Each chunk gets the kernel's
+statistics, computed once however many overlapping windows hold it, and
+each window reduces its chunks' statistics pairwise in chunk order:
+adjacent chunks first, then adjacent results. A window of one chunk (K >= c, or no K: windows that
+overlap less than threefold, a gcd below features.MIN_CHUNK, a call outside
+extract's block path and per-window rerun) takes the unchunked arithmetic.
+
 Exact semantics, fixed here so results are reproducible bit for bit:
 
 - accumulations (sum, mean, std, var, rms, abs_energy, skewness, kurtosis,
   slope, quantile, median) compute in float64 regardless of input tag;
-- std and var are population moments (divide by n);
+- a window's value depends only on its samples and its K: not on its block,
+  its worker, its fusion or the block budget;
+- unchunked, a row's sums are numpy's pairwise row sums; chunked, they are
+  those of the chunks, added pairwise (adjacent chunks first, an odd last
+  one carried up);
+- std and var are population moments (divide by n); a chunked window's
+  central sums are the chunks' shifted to the window mean (Chan, Golub &
+  LeVeque 1979; Pebay 2008), e.g. M2 = sum(M2_j + n_j (mean_j - mean)^2);
 - skewness is Fisher-Pearson g1 = m3 / m2^1.5, kurtosis is excess
   g2 = m4 / m2^2 - 3; zero-variance windows yield 0.0 for both;
 - median is the middle value or the mean of the middle pair; quantile
   interpolates linearly between order statistics with numpy.quantile's
   rules; both return +0.0 for a zero result and NaN for a window holding NaN;
+- min and max are exact; a zero result keeps the sign its window's zeros
+  share, and with both signs present it is numpy's pick over the chunks;
 - slope is the least-squares slope of values against the index, with a time
   index shifted to the window start and cast to float seconds (the shift keeps
-  nanosecond timestamps inside float64 precision); a zero-spread index yields
-  a slope of 0.0;
+  nanosecond timestamps inside float64 precision); a chunk's times run from
+  its own first sample, and its offset from the window start is taken in
+  index units (int64 ns) before the cast; a zero-spread index yields a slope
+  of 0.0;
 - zero_cross counts strict sign changes, i.e. consecutive products < 0,
   evaluated in float64;
+- NaN and +-inf propagate as IEEE arithmetic makes them, without a warning:
+  the kernels ignore the floating-point errors numpy would only warn about,
+  and raise those a caller's np.errstate makes raise; a chunked window's NaN
+  is np.nan, since where a NaN from the data meets one made by inf - inf
+  the payload kept depends on numpy's loop for the array shape;
 - count outputs an I64 column (and therefore rejects a NaN robust fill);
   first and last preserve the input series' value tag.
 
@@ -50,15 +76,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadParam, UnknownBuiltin
-from .features import BlockKernel, FuncWrapper, InputMode, PRESERVE
+from .features import BlockKernel, FuncWrapper, InputMode, PRESERVE, _Chunks
 from .series import ValueTag, render_number
-
-
-def _mean(v, keepdims=False):
-    """Row means with np.mean's arithmetic (sum, then divide by the count)
-    but without its per-call overhead, which single-window blocks pay per
-    window."""
-    return np.add.reduce(v, axis=1, keepdims=keepdims) / v.shape[1]
 
 
 def _moment_ratio(m, m2, power, shift=0.0):
@@ -72,32 +91,74 @@ _ENERGY = {"rms", "abs_energy"}
 _CENTRAL = {"var", "std", "skewness", "kurtosis"}
 
 
-def _moments(v, members):
-    """The moment family: one row sum, one d = v - mean and one d*d per
-    block, plus one v*v for rms and abs_energy, each computed only when a
-    member needs it. d is squared in place unless skewness or kurtosis needs
-    it too, so var and std hold two block-sized arrays."""
+def _moment_sums(members, v):
+    """Per-row sums of a (rows, n) block, each only when a member needs it:
+    "S" of v, "E" of v*v, and "M2", "M3", "M4" of d**2, d**3, d**4 for
+    d = v - S/n (M3 for kurtosis too, whose merge needs it). d is squared in
+    place unless M3 needs it, so var and std hold two block-sized arrays."""
     n = v.shape[1]
     want = set(members)
     out = {}
     if want & _ENERGY:
-        energy = np.add.reduce(v * v, axis=1)
-        out["abs_energy"], out["rms"] = energy, np.sqrt(energy / n)
+        out["E"] = np.add.reduce(v * v, axis=1)
     if want - _ENERGY:
-        total = np.add.reduce(v, axis=1)
-        out["sum"], out["mean"] = total, total / n
+        out["S"] = np.add.reduce(v, axis=1)
     if want & _CENTRAL:
-        d = v - out["mean"][:, None]
-        d2 = d * d if want & {"skewness", "kurtosis"} else np.multiply(d, d, out=d)
-        m2 = _mean(d2)
+        d = v - (out["S"] / n)[:, None]
+        higher = want & {"skewness", "kurtosis"}
+        d2 = d * d if higher else np.multiply(d, d, out=d)
+        out["M2"] = np.add.reduce(d2, axis=1)
+        if higher:
+            out["M3"] = np.add.reduce(np.multiply(d2, d, out=d), axis=1)
+            del d
+            if "kurtosis" in want:
+                out["M4"] = np.add.reduce(np.multiply(d2, d2, out=d2), axis=1)
+    return out
+
+
+def _merge_moments(members, s, sizes, offsets, fold):
+    """Chunk sums to window sums: S and E add up, and the central sums shift
+    to the window mean (Chan, Golub & LeVeque 1979; Pebay 2008). With
+    d = chunk mean - window mean and n_j the chunk's count:
+    M2 = sum(M2_j + n_j d^2), M3 = sum(M3_j + 3 d M2_j + n_j d^3),
+    M4 = sum(M4_j + 4 d M3_j + 6 d^2 M2_j + n_j d^4)."""
+    out = {name: fold(s[name]) for name in ("S", "E") if name in s}
+    if "M2" in s:
+        delta = s["S"] / sizes - out["S"] / fold(sizes)
+        d2 = delta * delta
+        out["M2"] = fold(s["M2"] + sizes * d2)
+        if "M3" in s:
+            out["M3"] = fold(s["M3"] + 3.0 * delta * s["M2"] + sizes * d2 * delta)
+        if "M4" in s:
+            out["M4"] = fold(s["M4"] + 4.0 * delta * s["M3"] + 6.0 * d2 * s["M2"]
+                             + sizes * d2 * d2)
+    return out
+
+
+def _moment_values(members, s, n):
+    out = {}
+    if "E" in s:
+        out["abs_energy"], out["rms"] = s["E"], np.sqrt(s["E"] / n)
+    if "S" in s:
+        out["sum"], out["mean"] = s["S"], s["S"] / n
+    if "M2" in s:
+        m2 = s["M2"] / n
         out["var"], out["std"] = m2, np.sqrt(m2)
-        if "skewness" in want:
-            out["skewness"] = _moment_ratio(_mean(np.multiply(d2, d, out=d)), m2, 1.5)
-        del d
-        if "kurtosis" in want:
-            out["kurtosis"] = _moment_ratio(_mean(np.multiply(d2, d2, out=d2)), m2, 2,
-                                            shift=3.0)
+        if "skewness" in members:
+            out["skewness"] = _moment_ratio(s["M3"] / n, m2, 1.5)
+        if "kurtosis" in members:
+            out["kurtosis"] = _moment_ratio(s["M4"] / n, m2, 2, shift=3.0)
     return [out[m] for m in members]
+
+
+def _moments(v, members):
+    """The moment family: one row sum, one d = v - mean and one d*d per
+    block, plus one v*v for rms and abs_energy, each computed only when a
+    member needs it."""
+    return _moment_values(members, _moment_sums(members, v), v.shape[1])
+
+
+_MOMENT_CHUNKS = _Chunks(_moment_sums, _merge_moments, _moment_values)
 
 
 def order_stats(v, members):
@@ -128,19 +189,54 @@ def order_stats(v, members):
     return out
 
 
-def _member(name: str, family, member) -> BlockKernel:
+def _member(name: str, family, member, chunks=None) -> BlockKernel:
     """A family member's kernel: the family run on that member alone."""
-    return BlockKernel(name, lambda v: family(v, (member,))[0], family=family, member=member)
+    return BlockKernel(name, lambda v: family(v, (member,))[0], family=family, member=member,
+                       chunks=chunks)
 
 
-def _slope(y, index):
+def _slope_sums(members, y, index):
+    """Per row: the sums of t and y, and of tc*tc and tc*(y - mean y) for the
+    centred t, with t the index from the row's first sample (float seconds
+    for a time index)."""
     t = index - index[:, :1]
     if t.dtype == np.int64:
         t = t.astype(np.float64) / 1e9
-    tc = t - _mean(t, keepdims=True)
-    denom = np.add.reduce(tc * tc, axis=1)
-    num = np.add.reduce(tc * (y - _mean(y, keepdims=True)), axis=1)
-    return np.divide(num, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    n = y.shape[1]
+    st, sy = np.add.reduce(t, axis=1), np.add.reduce(y, axis=1)
+    tc = t - (st / n)[:, None]
+    return {"St": st, "Sy": sy, "Ctt": np.add.reduce(tc * tc, axis=1),
+            "Cty": np.add.reduce(tc * (y - (sy / n)[:, None]), axis=1)}
+
+
+def _merge_slope(members, s, sizes, offsets, fold):
+    """Chunk sums to window sums, as a co-moment: a chunk's times move by its
+    offset from the window start, and its centred sums shift to the window
+    means by dt = chunk mean t - window mean t and dy likewise."""
+    if offsets.dtype == np.int64:
+        offsets = offsets.astype(np.float64) / 1e9
+    n = fold(sizes)
+    st, sy = fold(offsets * sizes + s["St"]), fold(s["Sy"])
+    dt = offsets + s["St"] / sizes - st / n
+    dy = s["Sy"] / sizes - sy / n
+    return {"St": st, "Sy": sy, "Ctt": fold(s["Ctt"] + sizes * dt * dt),
+            "Cty": fold(s["Cty"] + sizes * dt * dy)}
+
+
+def _slope_value(members, s, n):
+    return [np.divide(s["Cty"], s["Ctt"], out=np.zeros_like(s["Ctt"]), where=s["Ctt"] != 0.0)]
+
+
+def _slope(y, index):
+    return _slope_value(None, _slope_sums(None, y, index), y.shape[1])[0]
+
+
+def _extreme(name: str, ufunc) -> BlockKernel:
+    """min or max: the extremum of each chunk, then of the chunks."""
+    chunks = _Chunks(lambda members, v: {"x": ufunc.reduce(v, axis=1)},
+                     lambda members, s, sizes, offsets, fold: {"x": fold(s["x"], ufunc)},
+                     lambda members, s, n: [s["x"]])
+    return BlockKernel(name, partial(ufunc.reduce, axis=1), chunks=chunks)
 
 
 def _zero_cross(v):
@@ -172,24 +268,29 @@ def _f64(kernel: BlockKernel) -> tuple:
     return kernel, InputMode.VALUES_ONLY, ValueTag.F64
 
 
+def _moment(name: str) -> tuple:
+    return _f64(_member(name, _moments, name, _MOMENT_CHUNKS))
+
+
 _SIMPLE: dict[str, tuple] = {
     # name -> (kernel, input_mode, output_tag)
     # One shared int per block: I64 cells are Python ints in an object column.
     "count": (BlockKernel("count", lambda v: np.full(len(v), v.shape[1], dtype=object),
                           raw=True),
               InputMode.VALUES_ONLY, ValueTag.I64),
-    "sum": _f64(_member("sum", _moments, "sum")),
-    "mean": _f64(_member("mean", _moments, "mean")),
-    "std": _f64(_member("std", _moments, "std")),
-    "var": _f64(_member("var", _moments, "var")),
-    "min": _f64(BlockKernel("min", partial(np.minimum.reduce, axis=1))),
-    "max": _f64(BlockKernel("max", partial(np.maximum.reduce, axis=1))),
+    "sum": _moment("sum"),
+    "mean": _moment("mean"),
+    "std": _moment("std"),
+    "var": _moment("var"),
+    "min": _f64(_extreme("min", np.minimum)),
+    "max": _f64(_extreme("max", np.maximum)),
     "median": _f64(_member("median", order_stats, "median")),
-    "rms": _f64(_member("rms", _moments, "rms")),
-    "abs_energy": _f64(_member("abs_energy", _moments, "abs_energy")),
-    "skewness": _f64(_member("skewness", _moments, "skewness")),
-    "kurtosis": _f64(_member("kurtosis", _moments, "kurtosis")),
-    "slope": (BlockKernel("slope", _slope), InputMode.VALUES_AND_INDEX, ValueTag.F64),
+    "rms": _moment("rms"),
+    "abs_energy": _moment("abs_energy"),
+    "skewness": _moment("skewness"),
+    "kurtosis": _moment("kurtosis"),
+    "slope": (BlockKernel("slope", _slope, chunks=_Chunks(_slope_sums, _merge_slope, _slope_value)),
+              InputMode.VALUES_AND_INDEX, ValueTag.F64),
     "first": (BlockKernel("first", lambda v: v[:, 0], raw=True), InputMode.VALUES_ONLY, PRESERVE),
     "last": (BlockKernel("last", lambda v: v[:, -1], raw=True), InputMode.VALUES_ONLY, PRESERVE),
     "zero_cross": _f64(BlockKernel("zero_cross", _zero_cross)),

@@ -64,6 +64,23 @@ class InputMode(enum.Enum):
 PRESERVE = "preserve"
 
 
+class _Chunks(NamedTuple):
+    """How a builtin computes a window from chunks of it. ``stats(members,
+    values[, index])`` maps a (rows, k) block to a dict of per-row chunk
+    statistics. ``merge(members, stats, sizes, offsets, fold)`` turns the
+    (m, b) statistics of the chunks of b windows into those of the windows:
+    ``sizes`` holds the chunks' sample counts, ``offsets`` (index kernels
+    only) each chunk's first index minus the window's, in index units, and
+    ``fold(x, ufunc=np.add)`` reduces an (m, b) array over each window's
+    chunks pairwise, adjacent chunks first. ``finish(members, stats, n)`` turns the statistics
+    of windows of n samples into one value per window and member; ``finish``
+    of ``stats`` over whole windows is the unchunked kernel."""
+
+    stats: Callable
+    merge: Callable
+    finish: Callable
+
+
 @dataclass(frozen=True)
 class BlockKernel:
     """A builtin's one implementation, plain numpy. ``func`` maps a block of
@@ -79,6 +96,13 @@ class BlockKernel:
     and a member's ``func`` is its family run on that member alone. extract
     runs the members of one group that share a family and ``min_samples``
     as one unit, with one cast block and one ``family`` call per block.
+
+    A kernel with ``chunks`` computes a window of c samples as chunks of K
+    samples from its start (the last one shorter when K does not divide c)
+    when 1 < K < c, and unchunked otherwise. On the block path K is the
+    chunk length of the window's (series, grid), see ``_chunk_length``; a
+    call on one window uses ``chunk``, which only extract's per-window rerun
+    sets, on kernels with ``chunks`` (see ``_at_chunk``).
     """
 
     name: str
@@ -86,13 +110,29 @@ class BlockKernel:
     raw: bool = False
     family: Callable | None = None
     member: object = None
+    chunks: _Chunks | None = None
+    chunk: int | None = None
 
     def __call__(self, x):
         values, index = x if isinstance(x, tuple) else (x, None)
-        rows = [np.asarray(values, dtype=None if self.raw else np.float64)[None, :]]
+        sources = [np.asarray(values, dtype=None if self.raw else np.float64)]
         if index is not None:
-            rows.append(np.asarray(index)[None, :])
-        return self.func(*rows).tolist()[0]
+            sources.append(np.asarray(index))
+        with _quiet():
+            if self.chunk is not None and self.chunk < len(sources[0]):
+                out = _chunked_outputs([self], sources, np.zeros(1, dtype=np.int64),
+                                       np.array([len(sources[0])]), self.chunk)[0]
+            else:
+                out = self.func(*(s[None, :] for s in sources))
+        return out.tolist()[0]
+
+
+def _quiet():
+    """np.errstate that ignores every floating-point error numpy would only
+    warn about, and keeps those a caller made raise: a builtin returns its
+    IEEE result (NaN, +-inf) silently under any warnings filter."""
+    return np.errstate(**{kind: "ignore" for kind, mode in np.geterr().items()
+                          if mode != "raise"})
 
 
 def _sequence(value, what: str) -> tuple:
@@ -197,9 +237,11 @@ def make_robust(
 
     A NaN fill requires every output to be float-tagged; integer, boolean,
     categorical, or tag-preserving outputs cannot represent it. An integral
-    float fill becomes an int for I64 outputs; otherwise the fill must fit
-    each output's tag like any function output. A builtin's fill is a number
-    that a float holds, not a bool, since its recipe stores it as a float.
+    float fill becomes an int for I64 outputs, and an I64 output's fill must
+    be an integer that int64 holds (InvalidDescriptor); otherwise the fill
+    must fit each output's tag like any function output, which extract
+    checks. A builtin's fill is a number that a float holds, not a bool,
+    since its recipe stores it as a float.
     """
     if isinstance(min_samples, bool) or not isinstance(min_samples, int) or min_samples < 0:
         raise InvalidDescriptor(f"min_samples must be an integer >= 0, got {min_samples!r}")
@@ -223,13 +265,21 @@ def make_robust(
                     f"{wrapper.base_name!r}: NaN fill requires float outputs "
                     f"(offending tag: {getattr(tag, 'value', tag)})"
                 )
+    integral = isinstance(fill_value, float) and fill_value.is_integer()
+    fills = tuple(int(fill_value) if integral and tag is ValueTag.I64 else fill_value
+                  for tag in wrapper.output_tags)
+    for tag, fill in zip(wrapper.output_tags, fills):
+        if tag is ValueTag.I64:
+            try:
+                _cell_converter(tag, None)(fill)
+            except (TypeError, ValueError):
+                raise InvalidDescriptor(f"{wrapper.base_name!r}: an I64 output cannot hold "
+                                        f"the fill_value {fill_value!r}") from None
     robust = copy.copy(wrapper)
     robust.recipe = recipe
     if min_samples:
-        integral = isinstance(fill_value, float) and fill_value.is_integer()
         robust.min_samples = min_samples
-        robust.fills = tuple(int(fill_value) if integral and tag is ValueTag.I64 else fill_value
-                             for tag in wrapper.output_tags)
+        robust.fills = fills
     return robust
 
 
@@ -509,6 +559,41 @@ class _ResolvedGroup:
     positions: list[np.ndarray]
     wrappers: list[FuncWrapper]
     wrapper_tags: list[tuple]  # PRESERVE resolved to concrete ValueTags
+    chunk: int | None  # the chunk length of a single-series group's windows
+
+
+#: The most windows one grid may have. Its positions, window starts and one
+#: output column take 32 bytes a window, so a grid this large already needs
+#: 1 GiB; a larger one is InvalidDescriptor before anything is allocated.
+MAX_SEGMENTS = 2**25
+
+
+def _mode(values: np.ndarray) -> int:
+    """The most frequent value, the smallest of a tie."""
+    distinct, freq = np.unique(values, return_counts=True)
+    return int(distinct[int(np.argmax(freq))])
+
+
+#: Chunk-merging pays only where a chunk's statistics are reused enough:
+#: chunks of at least MIN_CHUNK samples, under windows that overlap at least
+#: MIN_OVERLAP-fold. Below either, merging c / K chunk rows per window costs
+#: more than reducing its c samples (see CHANGES.md for the timings).
+MIN_CHUNK = 64
+MIN_OVERLAP = 3
+
+
+def _chunk_length(pos: np.ndarray) -> int | None:
+    """The chunk length K of one series' windows on one grid, from its
+    (lo, hi) positions: gcd(modal count, modal step between window starts)
+    when the windows overlap at least MIN_OVERLAP-fold (count >= 3 step > 0)
+    and that gcd is at least MIN_CHUNK, so that the windows of a regular
+    stretch start on a lattice of K-sample chunks and share them. None, each
+    window one chunk, otherwise."""
+    if len(pos) < 2:
+        return None
+    count, step = _mode(pos[:, 1] - pos[:, 0]), _mode(np.diff(pos[:, 0]))
+    k = math.gcd(count, step) if 0 < step and MIN_OVERLAP * step <= count else 1
+    return k if k >= MIN_CHUNK else None
 
 
 def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
@@ -531,10 +616,18 @@ def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
             )
         begin, end = intersect_spans(members)
         grid = build_grid(begin, end, w, s, output_position)
+        if grid.n_segments > MAX_SEGMENTS:
+            raise InvalidDescriptor(
+                f"group {'|'.join(series_names)!r} with window {w.render()} and stride "
+                f"{s.render()} has {grid.n_segments} windows, more than the "
+                f"{MAX_SEGMENTS} one grid may have"
+            )
         positions = [segment_positions(m, grid) for m in members]
         tags = [tuple(members[0].values.tag if t is PRESERVE else t for t in wrapper.output_tags)
                 for wrapper in wrappers]
-        groups.append(_ResolvedGroup((series_names, w, s), members, grid, positions, wrappers, tags))
+        chunk = _chunk_length(positions[0]) if len(members) == 1 else None
+        groups.append(_ResolvedGroup((series_names, w, s), members, grid, positions, wrappers,
+                                     tags, chunk))
     if len({g.grid.kind for g in groups}) > 1:
         raise KindMismatch(
             "descriptors mix time and numeric windows; the output index cannot join them"
@@ -582,11 +675,25 @@ def _cell_converter(tag: ValueTag, series: Series) -> Callable:
     return label
 
 
+def _at_chunk(wrapper: FuncWrapper, chunk: int | None) -> FuncWrapper:
+    """``wrapper`` whose chunked builtin computes a window of more than
+    ``chunk`` samples as chunks of it, as the block path does on a grid with
+    that chunk length; any other wrapper as it is."""
+    kernel = wrapper.func
+    if chunk is None or not isinstance(kernel, BlockKernel) or kernel.chunks is None:
+        return wrapper
+    wrapper = copy.copy(wrapper)
+    wrapper.func = dataclasses.replace(kernel, chunk=chunk)
+    return wrapper
+
+
 def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> None:
     """One Python call per window: user functions, and the builtins of a unit
-    whose block run raised. The one place that names a failing segment."""
+    whose block run raised. The one place that names a failing segment. A
+    builtin rerun here uses the group's chunk length, as on the block path."""
     converters = [_cell_converter(tag, group.series[0]) for tag in tags]
     want_index = wrapper.input_mode is InputMode.VALUES_AND_INDEX
+    wrapper = _at_chunk(wrapper, group.chunk)
     for k in range(group.grid.n_segments):
         inputs = []
         for series, pos in zip(group.series, group.positions):
@@ -608,13 +715,125 @@ def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> 
 BLOCK_BYTES = 256 * 1024
 
 
+def _blocks(views: list, starts: np.ndarray, per_block: int) -> Iterator[tuple]:
+    """(offset into ``starts``, rows of each sliding-window view) for each
+    block of at most ``per_block`` of the positions ``starts``: a strided
+    slice where they are evenly spaced and ascending, else a gather. The
+    spacing check costs no numpy call per block of one or two rows, and
+    one comparison otherwise."""
+    steps = np.diff(starts)
+    lo = starts.tolist()
+    for a in range(0, len(lo), per_block):
+        b = min(a + per_block, len(lo))
+        step = lo[a + 1] - lo[a] if b - a > 1 else 1
+        if step > 0 and (b - a < 3 or (steps[a:b - 1] == step).all()):
+            rows = slice(lo[a], lo[b - 1] + 1, step)
+        else:
+            rows = starts[a:b]
+        yield a, [v[rows] for v in views]
+
+
+def _chunk_stats(kernels: list[BlockKernel], sources: list, starts: np.ndarray,
+                 k: int) -> dict:
+    """The chunk statistics of the rows [s, s + k) of ``sources`` for each s
+    in ``starts``, cast BLOCK_BYTES of samples at a time."""
+    views = [sliding_window_view(src, k) for src in sources]
+    members = [kernel.member for kernel in kernels]
+    parts = []
+    for _, blocks in _blocks(views, starts, max(1, BLOCK_BYTES // (8 * k))):
+        blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
+        parts.append(kernels[0].chunks.stats(members, *blocks))
+    if len(parts) == 1:
+        return parts[0]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
+def _chunked_outputs(kernels: list[BlockKernel], sources: list, starts: np.ndarray,
+                     counts: np.ndarray, k: int) -> list:
+    """The kernels' values of the windows [s, s + c) of ``sources``, for each
+    start s and count c > k, each window as chunks of k samples from its
+    start, the last one shorter when k does not divide c.
+
+    A full chunk's statistics are computed once however many windows hold
+    it: windows with the same phase (start mod k) whose full chunks meet or
+    overlap form a segment, and each segment's chunks one run of a table.
+    The windows with m chunks are then merged together, from (chunk, window)
+    arrays reduced pairwise down the chunks: about log2(m) vectorized
+    operations, whose adds for a window do not depend on the other
+    windows."""
+    members = [kernel.member for kernel in kernels]
+    full, tail = np.divmod(counts, k)
+
+    # segments: sorted by phase, then start; one begins where a start lies
+    # past every full chunk before it
+    key = starts % k * (len(sources[0]) + 1) + starts
+    order = np.argsort(key, kind="stable")
+    end = key[order] + full[order] * k
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = key[order][1:] > np.maximum.accumulate(end)[:-1]
+    heads = np.flatnonzero(head)
+    first = starts[order][heads]
+    n_chunks = (np.maximum.reduceat(end, heads) - key[order][heads]) // k
+    offset = np.cumsum(n_chunks) - n_chunks
+    n_table = int(n_chunks.sum())
+    table_starts = np.repeat(first - k * offset, n_chunks) + k * np.arange(n_table)
+    seg = np.cumsum(head) - 1
+    base = np.empty_like(starts)
+    base[order] = offset[seg] + (starts[order] - first[seg]) // k
+    table = _chunk_stats(kernels, sources, table_starts, k)
+
+    # each window's short last chunk, one table per length
+    short = {name: np.empty(len(starts)) for name in table}
+    for r in np.unique(tail[tail > 0]).tolist():
+        at = np.flatnonzero(tail == r)
+        for name, x in _chunk_stats(kernels, sources, starts[at] + full[at] * k, r).items():
+            short[name][at] = x
+
+    def fold(x, ufunc=np.add):
+        # pairwise down the chunks: adjacent rows, then adjacent results, an
+        # odd last row carried up; the same operations for every window
+        while len(x) > 1:
+            top = ufunc(x[0:-1:2], x[1::2])
+            x = np.concatenate([top, x[-1:]]) if len(x) % 2 else top
+        return x[0]
+
+    rule = kernels[0].chunks
+    outs = [np.empty(len(starts)) for _ in kernels]
+    m_of = full + (tail > 0)
+    for m in np.unique(m_of).tolist():
+        at = np.flatnonzero(m_of == m)
+        cols = np.arange(m)[:, None]
+        # a short last chunk's row is clipped into the table, then overwritten
+        rows = np.minimum(base[at] + cols, n_table - 1)
+        stats = {name: t[rows] for name, t in table.items()}
+        sizes = np.full(rows.shape, float(k))
+        cut = np.flatnonzero(tail[at])
+        sizes[-1, cut] = tail[at[cut]]
+        for name, x in stats.items():
+            x[-1, cut] = short[name][at[cut]]
+        offsets = None
+        if len(sources) > 1:
+            index = sources[1]
+            offsets = index[starts[at] + k * cols] - index[starts[at]]
+        merged = rule.merge(members, stats, sizes, offsets, fold)
+        for out, value in zip(outs, rule.finish(members, merged, counts[at])):
+            out[at] = value
+    for out in outs:  # where two NaNs meet, numpy's loop for the shape picks the payload
+        out[np.isnan(out)] = np.nan
+    return outs
+
+
 def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
     """Kernels over blocks of windows with equal sample counts, each block a
     (strided) slice of the series' sliding-window view, so extra memory is
     bounded by BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member:
     one builtin, or builtins of one family sharing ``min_samples``, which
-    share each cast block. Short windows take each member's fills. Any
-    exception propagates unnamed: the caller reruns the unit per window.
+    share each cast block. Kernels with chunks take the windows longer than
+    the group's chunk length in start order, in batches of at most
+    BLOCK_BYTES / 32 chunks, so that neighbours share one chunk table and
+    tables and merges stay within a few BLOCK_BYTES. Short windows take each
+    member's fills. Any exception propagates unnamed: the caller reruns the
+    unit per window.
     """
     kernels = [wrapper.func for wrapper, _, _ in unit]
     series, pos = group.series[0], group.positions[0]
@@ -633,31 +852,38 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
         sources.append(series.index)
     todo = np.flatnonzero(~short)
     todo = todo[np.argsort(counts[todo], kind="stable")]
-    for run in np.split(todo, np.flatnonzero(np.diff(counts[todo])) + 1):
-        if not len(run):
-            continue
-        c = int(counts[run[0]])
-        views = [sliding_window_view(src, c) for src in sources]
-        starts = pos[run, 0]
-        steps = np.diff(starts)
-        lo = starts.tolist()
-        per_block = max(1, BLOCK_BYTES // (8 * c))
-        for a in range(0, len(run), per_block):
-            b = min(a + per_block, len(run))
-            step = lo[a + 1] - lo[a] if b - a > 1 else 1
-            if step > 0 and (b - a == 1 or (steps[a:b - 1] == step).all()):
-                rows = slice(lo[a], lo[b - 1] + 1, step)
-            else:
-                rows = starts[a:b]
-            blocks = [v[rows] for v in views]
-            if not kernels[0].raw:
-                blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
-            if len(kernels) == 1:
-                outs = [kernels[0].func(*blocks)]
-            else:
-                outs = kernels[0].family(blocks[0], [k.member for k in kernels])
-            for (_, _, column), out, label in zip(unit, outs, labels):
-                column[run[a:b]] = out if label is None else label[out]
+    chunk = group.chunk if kernels[0].chunks is not None else None
+    with _quiet():
+        if chunk is not None:
+            long = counts[todo] > chunk
+            todo, chunked = todo[~long], np.sort(todo[long])  # in start order
+            cells = np.cumsum(-(-counts[chunked] // chunk))
+            a = 0
+            while a < len(chunked):
+                # the most windows whose chunks fit the budget, at least one
+                budget = (cells[a - 1] if a else 0) + BLOCK_BYTES // 32
+                b = max(a + 1, int(np.searchsorted(cells, budget, side="right")))
+                outs = _chunked_outputs(kernels, sources, pos[chunked[a:b], 0],
+                                        counts[chunked[a:b]], chunk)
+                for (_, _, column), out in zip(unit, outs):
+                    column[chunked[a:b]] = out
+                a = b
+        for run in np.split(todo, np.flatnonzero(np.diff(counts[todo])) + 1):
+            if not len(run):
+                continue
+            c = int(counts[run[0]])
+            views = [sliding_window_view(src, c) for src in sources]
+            starts = pos[run, 0]
+            per_block = max(1, BLOCK_BYTES // (8 * c))
+            for a, blocks in _blocks(views, starts, per_block):
+                if not kernels[0].raw:
+                    blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
+                if len(kernels) == 1:
+                    outs = [kernels[0].func(*blocks)]
+                else:
+                    outs = kernels[0].family(blocks[0], [k.member for k in kernels])
+                for (_, _, column), out, label in zip(unit, outs, labels):
+                    column[run[a:a + per_block]] = out if label is None else label[out]
 
 
 def _compute_unit(group: _ResolvedGroup, fis: tuple[int, ...]) -> tuple:
@@ -791,8 +1017,7 @@ def _sparsity_warnings(groups: list[_ResolvedGroup]) -> list[SparsityWarning]:
             if g.grid.n_segments == 0:
                 continue
             counts = pos[:, 1] - pos[:, 0]
-            values, freq = np.unique(counts, return_counts=True)
-            modal = int(values[int(np.argmax(freq))])
+            modal = _mode(counts)
             deviant = int(np.count_nonzero(counts != modal))
             if deviant:
                 warnings.append(

@@ -4,6 +4,7 @@ give the same bits as the per-window path, and the same failure text."""
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from stridekit.errors import FunctionFailure, InvalidDescriptor, NonFloatOutput
 from stridekit.series import FLOAT_TAGS, ValueTag
 
 from conftest import numeric_series
+from test_acceptance import _oracle_battery
 
 QUANTILES = (0.0, 0.25, 0.5, 0.9, 1.0)
 GAPS = (0, 1, 2, 3, 10, 27)  # multiples of a tenth of an index unit
@@ -40,9 +42,13 @@ def builtins():
     return out + [builtin("quantile", {"q": q}) for q in QUANTILES]
 
 
-def per_window(wrapper):
-    """The same builtin as a plain function: extract calls it per window."""
-    return FuncWrapper(lambda *xs: wrapper.apply(xs), base_name=wrapper.base_name,
+def per_window(wrapper, chunk=None):
+    """The same builtin as a plain function: extract calls it per window. A
+    chunked builtin computes each window at the chunk length ``chunk``, the
+    grid's on the block path (see chunk_of); sampled_series' windows, of at
+    most 60 samples, never get one (features.MIN_CHUNK is 64)."""
+    at_chunk = features._at_chunk(wrapper, chunk)
+    return FuncWrapper(lambda *xs: at_chunk.apply(xs), base_name=wrapper.base_name,
                        output_names=wrapper.output_names, input_mode=wrapper.input_mode,
                        output_tags=wrapper.output_tags)
 
@@ -403,3 +409,342 @@ def test_fused_moment_family_memory_is_one_cast_block_d_and_d2():
         tracemalloc.stop()
     assert {r.path for r in result.log_records} == {"fused"}
     assert peak < 3.5 * window * 8
+
+
+# ---------------------------------------------------------------------------
+# chunk-merged kernels: a window's value depends on its samples and its K
+# ---------------------------------------------------------------------------
+
+CHUNKED = MOMENTS + ("min", "max", "slope")
+SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200)
+
+
+@st.composite
+def lattice_series(draw):
+    """A series on unit steps whose windows hold K*a samples at a stride of
+    K*b (a/b from 2 to 10, coprime), so that the grid's chunk length is K
+    when K >= MIN_CHUNK and a >= 3 b, or whose stride is at least the window
+    (each window one chunk). Gaps put the windows after them off the lattice
+    and give some other counts. Values mix normal draws with NaN, +-inf,
+    +-0.0, subnormals and +-1e200. Returns the series, window, stride and the
+    gapless grid's K."""
+    k = draw(st.sampled_from([1, 2, 7, features.MIN_CHUNK, features.MIN_CHUNK + 1, 100]))
+    b = draw(st.integers(1, 3))
+    a = draw(st.integers(2 * b, 10 * b).filter(lambda a: math.gcd(a, b) == 1))
+    window, stride = k * a, k * b
+    if draw(st.integers(0, 9)) == 0:
+        stride = draw(st.integers(window, 2 * window))
+    n = window + stride * draw(st.integers(2, 8)) + draw(st.integers(0, 3))
+    steps = np.ones(n - 1, dtype=np.int64)
+    for at in draw(st.lists(st.integers(0, n - 2), max_size=3)):
+        steps[at] += draw(st.integers(1, 2 * window))
+    tag = draw(st.sampled_from([ValueTag.F32, ValueTag.F64, ValueTag.I64, ValueTag.BOOL]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tag is ValueTag.I64:
+        values = rng.integers(-1000, 1001, n)
+    elif tag is ValueTag.BOOL:
+        values = rng.random(n) < 0.5
+    else:
+        values = rng.normal(draw(st.sampled_from([0.0, 100.0])), 3.0, n)
+        for at, x in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIALS)),
+                                   max_size=4)):
+            values[at] = x
+        if tag is ValueTag.F32:
+            with np.errstate(over="ignore"):  # +-1e200 becomes +-inf
+                values = values.astype(np.float32)
+    index = np.concatenate([[0], np.cumsum(steps)])
+    if draw(st.booleans()):
+        series = Series("S", index * 1_000_000_000, values, kind=IndexKind.TIME_NS)
+        w, s = Delta.time_ns(window * 1_000_000_000), Delta.time_ns(stride * 1_000_000_000)
+    else:
+        series = Series("S", index.astype(np.float64), values, kind=IndexKind.NUMERIC)
+        w, s = Delta.numeric(float(window)), Delta.numeric(float(stride))
+    assert series.values.tag is tag
+    chunked = k >= features.MIN_CHUNK and features.MIN_OVERLAP * stride <= window
+    return series, w, s, k if chunked else None
+
+
+def group_of(series, w, s):
+    c = FeatureCollection([FeatureDescriptor(series.name, FuncWrapper(len), w, s)])
+    return features._resolve_groups(SeriesSet([series]), c, features.OutputPosition.END)[0]
+
+
+def chunk_of(series, w, s):
+    """The chunk length the block path uses on the series' grid."""
+    return group_of(series, w, s).chunk
+
+
+def robust(wrapper):
+    """NaN for an empty window, so that gapped grids have a value on both paths."""
+    return make_robust(wrapper, 1, math.nan)
+
+
+@settings(max_examples=80)
+@given(case=lattice_series(), block_bytes=st.sampled_from([8, 40, features.BLOCK_BYTES]),
+       n_workers=st.sampled_from([1, 2]), fused=st.booleans())
+def test_chunked_block_path_equals_the_per_window_path_at_the_same_k(case, block_bytes,
+                                                                     n_workers, fused):
+    series, w, s, k = case
+    group = group_of(series, w, s)
+    if np.all(np.diff(series.index) == np.diff(series.index)[0]):  # no gap: the K rule
+        assert group.chunk == k
+    wrappers = [robust(builtin(name)) for name in CHUNKED]
+    with warnings.catch_warnings(), mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+        warnings.simplefilter("error")  # the IEEE results come back silently
+        reference = outcome(series, [per_window(x, group.chunk) for x in wrappers], w, s)
+        if fused:
+            assert_same(outcome(series, wrappers, w, s, n_workers), reference,
+                        block_paths={"block", "fused"})
+        else:
+            for wrapper in wrappers:
+                got = outcome(series, [wrapper], w, s, n_workers)
+                assert_same(got, (reference[0].project(got[0].column_names), ["window"]))
+
+
+# The unchunked kernels as they were before chunk-merging, kept here: a
+# window computed as one chunk (a standalone call, a grid with no chunk
+# length) must give these bits.
+
+def today_moments(v, name):
+    n = v.shape[1]
+    if name in ("abs_energy", "rms"):
+        energy = np.add.reduce(v * v, axis=1)
+        return energy if name == "abs_energy" else np.sqrt(energy / n)
+    total = np.add.reduce(v, axis=1)
+    if name in ("sum", "mean"):
+        return total if name == "sum" else total / n
+    d = v - (total / n)[:, None]
+    d2 = d * d
+    m2 = np.add.reduce(d2, axis=1) / n
+    if name in ("var", "std"):
+        return m2 if name == "var" else np.sqrt(m2)
+    m = np.add.reduce(d2 * d if name == "skewness" else d2 * d2, axis=1) / n
+    power, shift = (1.5, 0.0) if name == "skewness" else (2, 3.0)
+    out = np.full_like(m2, shift)
+    np.divide(m, m2 ** power, out=out, where=m2 != 0.0)
+    return out - shift
+
+
+def today_slope(y, index):
+    t = index - index[:, :1]
+    if t.dtype == np.int64:
+        t = t.astype(np.float64) / 1e9
+    tc = t - np.add.reduce(t, axis=1, keepdims=True) / t.shape[1]
+    denom = np.add.reduce(tc * tc, axis=1)
+    num = np.add.reduce(tc * (y - np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]), axis=1)
+    return np.divide(num, denom, out=np.zeros_like(denom), where=denom != 0.0)
+
+
+def today(name, values, index):
+    v = np.asarray(values, dtype=np.float64)[None, :]
+    with np.errstate(all="ignore"):
+        if name == "slope":
+            return today_slope(v, np.asarray(index)[None, :])[0]
+        if name in ("min", "max"):
+            return (np.minimum if name == "min" else np.maximum).reduce(v, axis=1)[0]
+        return today_moments(v, name)[0]
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=60)
+@given(case=lattice_series(), window_samples=st.integers(1, 300),
+       stride_samples=st.integers(1, 300))
+def test_a_window_of_one_chunk_gives_the_unchunked_bits(case, window_samples, stride_samples):
+    series, _, _, _ = case
+    values, index = series.values.data, series.index
+    w, s = deltas(series.kind, window_samples, stride_samples)
+    if chunk_of(series, w, s) is not None:  # every window one chunk
+        w = s
+    group = group_of(series, w, s)
+    k, positions = group.chunk, group.positions[0].tolist()
+    matrix = outcome(series, [robust(builtin(name)) for name in CHUNKED], w, s)[0]
+    for row, (lo, hi) in list(enumerate(positions))[:40]:
+        if k is not None and hi - lo > k:  # gaps can make the modal step or count another's
+            continue
+        for name in CHUNKED:
+            got = matrix[matrix.column_names[CHUNKED.index(name)]].data[row]
+            if hi == lo:
+                assert math.isnan(got)
+                continue
+            assert same_bits(got, today(name, values[lo:hi], index[lo:hi]))
+            # a standalone call is the same window with no chunk length
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = (values[lo:hi], index[lo:hi]) if name == "slope" else values[lo:hi]
+                assert same_bits(builtin(name).func(x), got)
+
+
+@settings(max_examples=60)
+@given(case=lattice_series(), offset=st.sampled_from([0.0, 1e3, -1e6]))
+def test_chunked_cells_agree_with_the_fsum_oracle(case, offset):
+    # Criterion 2's oracle and tolerance, on finite normal data: the same
+    # windows, gaps and chunk lengths as above, without the special values.
+    series, w, s, _ = case
+    rng = np.random.default_rng(len(series))
+    values = rng.normal(offset, 3.0, len(series))
+    series = Series("S", series.index, values, kind=series.kind)
+    group = group_of(series, w, s)
+    exact, approx = _oracle_battery()
+    oracles = {**exact, **approx}
+    matrix = outcome(series, [robust(builtin(name)) for name in CHUNKED], w, s)[0]
+    for row, (lo, hi) in enumerate(group.positions[0].tolist()):
+        if hi == lo:
+            continue
+        xs = values[lo:hi].tolist()
+        ts = series.index[lo:hi].tolist()
+        for i, name in enumerate(CHUNKED):
+            got, want = matrix[matrix.column_names[i]].data[row], oracles[name](xs, ts)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (name, row, got, want)
+
+
+def test_chunk_length_is_the_gcd_of_the_modal_count_and_step():
+    pos = lambda counts, steps: np.stack([np.cumsum([0, *steps]),
+                                          np.cumsum([0, *steps]) + counts], axis=1)
+    assert features._chunk_length(pos([1000] * 5, [100] * 4)) == 100
+    assert features._chunk_length(pos([960] * 5, [320] * 4)) == 320
+    assert features._chunk_length(pos([30000, 30000, 29000], [10000, 10000])) == 10000
+    assert features._chunk_length(pos([192] * 4, [64] * 3)) == 64
+    assert features._chunk_length(pos([190] * 4, [64] * 3)) is None  # K = 2
+    assert features._chunk_length(pos([1000] * 4, [998] * 3)) is None  # K = 2
+    assert features._chunk_length(pos([1000] * 4, [2] * 3)) is None  # K = 2
+    assert features._chunk_length(pos([630] * 4, [63] * 3)) is None  # K = 63
+    assert features._chunk_length(pos([200] * 4, [100] * 3)) is None  # 2-fold overlap
+    assert features._chunk_length(pos([1000] * 4, [900] * 3)) is None  # 1.1-fold overlap
+    assert features._chunk_length(pos([1000] * 4, [1000] * 3)) is None  # no overlap
+    assert features._chunk_length(pos([1000] * 4, [0] * 3)) is None  # no step
+    assert features._chunk_length(pos([1000], [])) is None
+
+
+@pytest.mark.parametrize("window, stride", [(1000, 998), (1000, 2), (20, 2), (1000, 900),
+                                            (1000, 500), (630, 63)])
+def test_grids_below_the_chunk_floor_keep_the_unchunked_arithmetic(window, stride):
+    # Small chunks (K = 2 under long windows, K = 63) or windows that overlap
+    # less than threefold: merging c / K chunk rows per window would cost more
+    # than reducing its c samples, so these grids take the unchunked block loop.
+    values = np.random.default_rng(0).normal(100.0, 3.0, 3000).astype(np.float32)
+    series = numeric_series("S", np.arange(3000.0), values=values)
+    w, s = Delta.numeric(float(window)), Delta.numeric(float(stride))
+    group = group_of(series, w, s)
+    assert group.chunk is None
+    matrix, paths = outcome(series, [builtin(name) for name in CHUNKED], w, s)
+    assert set(paths) == {"block", "fused"}
+    positions = group.positions[0].tolist()
+    for row in range(0, len(positions), max(1, len(positions) // 20)):
+        lo, hi = positions[row]
+        for name, column in zip(CHUNKED, matrix.column_names):
+            assert same_bits(matrix[column].data[row], today(name, values[lo:hi],
+                                                             series.index[lo:hi]))
+
+
+@pytest.mark.parametrize("window, stride, k", [
+    (19264.0, 6400.0, 64),  # 301 chunks a window, the most the floor allows here
+    (2000.0, 1998.0, None),  # K = 2: below the floor, the unchunked loop
+])
+def test_chunked_extra_memory_is_bounded_by_the_budget(window, stride, k):
+    # Each merge holds a few (chunks, windows) arrays of BLOCK_BYTES / 32
+    # cells, and the chunk table is built BLOCK_BYTES of samples at a time,
+    # so the peak does not grow with the recording.
+    peaks = []
+    for n in (1_000_000, 4_000_000):
+        values = np.random.default_rng(0).normal(size=n).astype(np.float32)
+        s = numeric_series("S", np.arange(float(n)), values=values)
+        c = FeatureCollection(FeatureDescriptor("S", builtin(name), window, stride)
+                              for name in ("mean", "std", "skewness", "kurtosis"))
+        (group,) = features._resolve_groups(SeriesSet([s]), c, features.OutputPosition.END)
+        assert group.chunk == k
+        unit = [(wrapper, ValueTag.F64, np.full(group.grid.n_segments, np.nan))
+                for wrapper in group.wrappers]
+        tracemalloc.start()
+        try:
+            features._run_blocks(group, unit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - 64 * group.grid.n_segments)  # the per-window index arrays
+        assert not np.isnan(unit[0][2]).any()
+    assert max(peaks) < 6 * features.BLOCK_BYTES
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("name, values, negative", [
+    ("min", [0.0] * 384, False), ("min", [-0.0] * 384, True),
+    ("max", [0.0] * 384, False), ("max", [-0.0] * 384, True),
+    ("min", [1.0] * 128 + [-0.0] * 256, True), ("max", [-1.0] * 128 + [0.0] * 256, False),
+])
+def test_min_and_max_keep_the_sign_of_a_zero_all_zeros_share(name, values, negative):
+    # A zero result keeps its sign when every zero of the window has it; with
+    # both signs present it is whichever numpy's reduction over the chunk
+    # extrema returns, the same on both paths (the bitwise tests above).
+    s = numeric_series("S", np.arange(1152.0), values=np.array(values * 3))
+    for stride in (384.0, 128.0, 64.0):  # one chunk, K = 128, K = 64
+        cells = outcome(s, [builtin(name)], 384.0, stride)[0][f"S__{name}__w=384_s={stride:g}"]
+        assert (cells.data == 0.0).all() and (np.signbit(cells.data) == negative).all()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("values, want", [
+    pytest.param([1.0, math.inf, 2.0, 3.0], {"std": math.nan, "skewness": math.nan,
+                                            "slope": math.nan, "mean": math.inf}, id="inf"),
+    # about 8e199, exact in every sum here, and v * v overflows
+    pytest.param([2.0**664] * 4, {"rms": math.inf, "abs_energy": math.inf, "std": 0.0,
+                                  "mean": 2.0**664}, id="8e199"),
+])
+def test_builtins_never_warn_under_an_error_filter(values, want, n_workers):
+    # The IEEE result comes back silently on the block path, the per-window
+    # path, a standalone call and at any chunk length (window 256, stride 256
+    # or 64: K = 64). Each of the four values fills 64 samples.
+    s = numeric_series("S", np.arange(512.0), values=np.repeat(values * 2, 64))
+    wrappers = [builtin(name) for name in want]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stride in (256.0, 64.0):
+            block = outcome(s, wrappers, 256.0, stride, n_workers)
+            k = chunk_of(s, 256.0, stride)
+            assert k == (64 if stride == 64.0 else None)
+            assert_same(block, outcome(s, [per_window(x, k) for x in wrappers], 256.0, stride),
+                        block_paths={"block", "fused"})
+            for name, expected in want.items():
+                cells = block[0][f"S__{name}__w=256_s={stride:g}"].data
+                assert np.array_equal(cells, np.full(len(cells), expected), equal_nan=True)
+        for name, expected in want.items():
+            x = (np.array(values), np.arange(4.0)) if name == "slope" else np.array(values)
+            assert np.array_equal(builtin(name).func(x), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_chunked_window_where_a_nan_meets_an_inf_is_the_canonical_nan(n_workers):
+    # Every window (256 samples, stride 64, K = 64) holds -inf, whose chunk
+    # makes its own NaN, and windows 0, 7 and 8 also the data's NaN in
+    # another chunk. Which NaN survives their merge depends on numpy's loop
+    # for the batch's shape, so a chunked window's NaN is np.nan on both paths.
+    values = np.random.default_rng(5).normal(100.0, 2.0, 768).astype(np.float32)
+    values[[1, 700]] = np.nan
+    values[[150, 350, 550]] = -np.inf
+    s = numeric_series("S", np.arange(768.0), values=values)
+    wrappers = [builtin(name) for name in MOMENTS if name != "sum"] + [builtin("slope")]
+    block = outcome(s, wrappers, 256.0, 64.0, n_workers)
+    assert_same(block, outcome(s, [per_window(x, 64) for x in wrappers], 256.0, 64.0),
+                block_paths={"block", "fused"})
+    for name in block[0].column_names:
+        if name.split("__")[1] not in ("mean", "rms", "abs_energy"):
+            cells = block[0][name].data
+            assert cells.tobytes() == np.full(len(cells), np.nan).tobytes(), name
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_windows_of_other_counts_merge_without_raising_under_a_caller_s_errstate(n_workers):
+    # A gap gives windows of 3 and 4 chunks and short last chunks (window 256,
+    # stride 64, K = 64). Values of about 8e199 are exact in every sum, so no
+    # real window overflows under over="raise", and none of their merges may.
+    index = np.concatenate([np.arange(600.0), np.arange(700.0, 1400.0)])
+    s = numeric_series("S", index, values=np.full(len(index), 2.0**664))
+    assert chunk_of(s, 256.0, 64.0) == 64
+    wrappers = [builtin(name) for name in ("mean", "std", "skewness", "kurtosis")]
+    with np.errstate(over="raise"):
+        matrix, paths = outcome(s, wrappers, 256.0, 64.0, n_workers)
+    assert set(paths) == {"fused"}
+    assert set(matrix["S__mean__w=256_s=64"].data.tolist()) == {2.0**664}
+    assert set(matrix["S__std__w=256_s=64"].data.tolist()) == {0.0}

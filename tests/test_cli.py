@@ -360,6 +360,31 @@ def test_extract_non_finite_delta_exits_2_with_one_line(tmp_path, capsys, window
     assert capsys.readouterr().err == f"error: features[0]: index delta {float(bad)} is not finite\n"
 
 
+@pytest.mark.parametrize("function, window, stride, message", [
+    pytest.param({"name": "count", "robust": {"min_samples": 1, "fill_value": 1e300}}, 1.0, 1.0,
+                 "features[0].functions[0]: 'count': an I64 output cannot hold the fill_value "
+                 "1e+300", id="count-fill-1e300"),
+    pytest.param({"name": "count", "robust": {"min_samples": 2, "fill_value": 0.5}}, 1.0, 1.0,
+                 "features[0].functions[0]: 'count': an I64 output cannot hold the fill_value "
+                 "0.5", id="count-fill-half"),
+    pytest.param({"name": "mean"}, 1.0, 1e-9,
+                 "group 'X' with window 1 and stride 1e-09 has 8000000001 windows, more than "
+                 "the 33554432 one grid may have", id="grid-too-large"),
+])
+def test_extract_unholdable_request_exits_2_with_one_line(tmp_path, capsys, function, window,
+                                                          stride, message):
+    data_path = tmp_path / "data.csv"
+    write_series_csv([numeric_series("X", np.arange(10.0))], str(data_path))
+    config_path = tmp_path / "config.json"
+    write_json({"features": [{"series": "X", "functions": [function],
+                              "windows": [window], "strides": [stride]}]}, str(config_path))
+    rc = main(["extract", "--data", str(data_path), "--config", str(config_path),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_extract_duplicate_series_across_files_exits_2(tmp_path, capsys):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"

@@ -27,10 +27,12 @@ from stridekit import (
     expand_multiple,
     extract,
     make_robust,
+    parse_feature_config,
     slice_range,
 )
 from stridekit.errors import (
     BadParam,
+    ConfigError,
     DisjointSpans,
     DuplicateFeature,
     EmptyAxis,
@@ -212,6 +214,40 @@ def test_make_robust_of_a_user_function_keeps_a_bool_fill():
         return bool((v > 1).any())
     wrapper = make_robust(FuncWrapper(any_high, output_tags=[ValueTag.BOOL]), 2, True)
     assert wrapper.apply([np.array([5.0])]) == (True,)
+
+
+@pytest.mark.parametrize("wrapper, fill", [
+    pytest.param(builtin("count"), 1e300, id="count-1e300"),
+    pytest.param(builtin("count"), 2.0**63, id="count-2**63"),
+    pytest.param(builtin("count"), 0.5, id="count-half"),
+    pytest.param(builtin("count"), math.inf, id="count-inf"),
+    pytest.param(FuncWrapper(len, output_tags=[ValueTag.I64]), -2**63 - 1, id="user-below"),
+    pytest.param(FuncWrapper(len, output_tags=[ValueTag.I64]), "7", id="user-text"),
+])
+@pytest.mark.parametrize("min_samples", [0, 1, 3])
+def test_make_robust_rejects_a_fill_an_i64_output_cannot_hold(wrapper, fill, min_samples):
+    with pytest.raises(InvalidDescriptor) as exc:
+        make_robust(wrapper, min_samples, fill)
+    assert str(exc.value) == (f"{wrapper.base_name!r}: an I64 output cannot hold the "
+                              f"fill_value {fill!r}")
+
+
+def test_make_robust_keeps_an_i64_fill_that_int64_holds():
+    assert make_robust(builtin("count"), 1, -2.0**63).fills == (-2**63,)
+    assert make_robust(builtin("count"), 1, 2**62).fills == (2**62,)
+    user = FuncWrapper(len, output_tags=[ValueTag.I64])
+    assert make_robust(user, 1, 2**63 - 1).fills == (2**63 - 1,)
+    # A tag-preserving output's fill is checked by extract, against the input's tag.
+    assert make_robust(builtin("first"), 1, 1e300).fills == (1e300,)
+
+
+def test_a_config_robust_fill_an_i64_output_cannot_hold_is_a_config_error():
+    doc = {"features": [{"series": "S", "windows": [2.0], "strides": [2.0], "functions": [
+        {"name": "count", "robust": {"min_samples": 1, "fill_value": 1e300}}]}]}
+    with pytest.raises(ConfigError) as exc:
+        parse_feature_config(doc)
+    assert str(exc.value) == ("features[0].functions[0]: 'count': an I64 output cannot hold "
+                              "the fill_value 1e+300")
 
 
 def test_robust_fill_for_empty_windows():
@@ -438,12 +474,14 @@ def test_output_that_fits_its_tag_is_stored_as_a_python_scalar(result, tag, want
                              output_tags=[ValueTag.I64]),
                  "function 'huge' failed on group 'S' segment 0: an I64 output must fit "
                  "int64, got -9223372036854775809", id="user-below"),
-    pytest.param(make_robust(builtin("count"), 3, 1e300),
-                 "function 'count' failed on group 'S' segment 0: an I64 output must fit "
-                 f"int64, got {int(1e300)}", id="robust-fill"),
+    # make_robust checks only I64-tagged fills; a tag-preserving one meets its
+    # input's tag at extract
+    pytest.param(make_robust(builtin("first"), 3, 2**70),
+                 "function 'first' failed on group 'S' segment 0: an I64 output must fit "
+                 "int64, got 1180591620717411303424", id="robust-fill"),
 ])
 def test_an_i64_output_outside_int64_names_group_and_segment(wrapper, reason, n_workers):
-    s = numeric_series("S", np.arange(0.0, 9.0))
+    s = numeric_series("S", np.arange(0.0, 9.0), values=np.arange(9))
     c = collection_of(("S", wrapper, 2.0, 2.0),
                       ("S", builtin("mean"), 2.0, 2.0))  # a second unit for the pool
     with pytest.raises(FunctionFailure) as err:
@@ -503,6 +541,25 @@ def test_builtin_on_a_multi_series_group_is_rejected_before_any_unit_runs(n_work
     assert str(err.value) == (f"builtin {wrapper.base_name!r} takes one series, "
                               f"but group 'A|B' has 2")
     assert calls == []
+
+
+@pytest.mark.parametrize("series, window, stride, n", [
+    pytest.param(time_series("S", np.arange(61.0)), "1s", "1ns", 59_000_000_001, id="time"),
+    # float rounding of the 1e-9 stride leaves one window fewer than on a time grid
+    pytest.param(numeric_series("S", np.arange(61.0)), 1.0, 1e-9, 59_000_000_000, id="numeric"),
+])
+def test_a_grid_with_more_windows_than_max_segments_fails_before_allocating(series, window,
+                                                                          stride, n):
+    # About 5.9e10 windows: their starts alone would take 440 GiB.
+    c = collection_of(("S", builtin("mean"), window, stride))
+    (_, w, s), _ = c.groups()[0]
+    with mock.patch.object(features, "segment_positions") as positions:
+        with pytest.raises(InvalidDescriptor) as err:
+            extract(SeriesSet([series]), c)
+    positions.assert_not_called()
+    assert str(err.value) == (f"group 'S' with window {w.render()} and stride {s.render()} has "
+                              f"{n} windows, more than the {features.MAX_SEGMENTS} "
+                              f"one grid may have")
 
 
 def test_multi_output_function_emits_one_column_per_name():
