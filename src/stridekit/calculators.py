@@ -8,11 +8,12 @@ kernel applied to a one-row block. Reductions run along each row, so a
 window's value does not depend on the block it was computed in.
 
 Two families share work between builtins. The order family (median and
-quantile at any q) sorts each block once; the moment family (sum, mean, var,
-std, rms, abs_energy, skewness, kurtosis) takes one row sum, one deviation
-array and its square per block. A member's kernel is its family run on that
-member alone, so a builtin has one compute path whether extract fuses it
-with others of its family or not. min, max, count, first, last, slope and
+quantile at any q) takes one selection per needed rank, in the block's
+stored dtype (see order_stats); the moment family (sum, mean, var, std, rms,
+abs_energy, skewness, kurtosis) takes one row sum, one deviation array and
+its square per block. A member's kernel is its family run on that member
+alone, so a builtin has one compute path whether extract fuses it with
+others of its family or not. min, max, count, first, last, slope and
 zero_cross stay single kernels.
 
 The moment family, min, max and slope are chunk-merged: with the chunk
@@ -28,7 +29,8 @@ extract's block path and per-window rerun) takes the unchunked arithmetic.
 Exact semantics, fixed here so results are reproducible bit for bit:
 
 - accumulations (sum, mean, std, var, rms, abs_energy, skewness, kurtosis,
-  slope, quantile, median) compute in float64 regardless of input tag;
+  slope, quantile, median) compute in float64 regardless of input tag; median
+  and quantile select their order statistics as stored and cast only those;
 - a window's value depends only on its samples and its K: not on its block,
   its worker, its fusion or the block budget;
 - unchunked, a row's sums are numpy's pairwise row sums; chunked, they are
@@ -162,27 +164,47 @@ _MOMENT_CHUNKS = _Chunks(_moment_sums, _merge_moments, _moment_values)
 
 
 def order_stats(v, members):
-    """The order family: "median" and quantiles at q from one sort per block.
-    median is the middle value or the mean of the middle pair, as np.median;
-    a quantile interpolates linearly between its neighbouring sorted values
-    with np.quantile's index and rounding rules. A zero result is +0.0 and a
-    row holding NaN, which sorts last, yields NaN."""
-    s = np.sort(v, axis=1)
+    """The order family: "median" and quantiles at q. median is the middle
+    value or the mean of the middle pair, as np.median; a quantile
+    interpolates linearly between its neighbouring order statistics with
+    np.quantile's index and rounding rules. A zero result is +0.0 and a row
+    holding NaN, found by the row max, yields NaN. One selection per needed
+    rank in the stored dtype: a single-kth partition of a copy of the block,
+    the middle rank first; the picks alone are cast to float64 (monotone)."""
+    if v.dtype.kind not in "biuf":  # a direct call on objects or text
+        v = v.astype(np.float64)
     n = v.shape[1]
-    nan_rows = np.isnan(s[:, -1])
-    out = []
+    spans = []  # (lower rank, upper rank, weight) per member
     for q in members:
         if q == "median":
-            h = n // 2
-            r = s[:, h] + 0.0 if n % 2 else (s[:, h - 1] + s[:, h]) / 2 + 0.0
+            spans.append((n // 2 - 1 + n % 2, n // 2, None))
         else:
             at = (n - 1) * q  # np.quantile's virtual index, clamped to the last value
-            lo = hi = -1
-            if at < n - 1:
-                lo = math.floor(at)
-                hi = lo + 1
-            g = at - lo
-            a, b = s[:, lo], s[:, hi]
+            lo = math.floor(at) if at < n - 1 else -1
+            spans.append((lo % n, lo + 1 if lo >= 0 else n - 1, at - lo))
+    top = np.maximum.reduce(v, axis=1).astype(np.float64)
+    lows = sorted({lo for lo, _, _ in spans} - {n - 1})
+    ranks = sorted({r for lo, hi, _ in spans for r in (lo, hi)} - {n - 1})
+    value = {n - 1: top}
+    if lows:
+        s = v.copy()  # partitioned in place: v may be the series' own memory
+        todo = [(0, n, lows)]
+        while todo:
+            a, b, placed = todo.pop()
+            i = len(placed) // 2
+            r = placed[i]
+            s[:, a:b].partition(r - a, axis=1)
+            todo += [t for t in ((a, r, placed[:i]), (r + 1, b, placed[i + 1:])) if t[2]]
+        # at a placed rank its value; at an upper neighbour, the least value
+        # up to the next rank
+        value.update(zip(ranks, np.minimum.reduceat(s, ranks, axis=1).astype(np.float64).T))
+    nan_rows = np.isnan(top)
+    out = []
+    for lo, hi, g in spans:
+        a, b = value[lo], value[hi]
+        if g is None:
+            r = a + 0.0 if lo == hi else (a + b) / 2 + 0.0
+        else:
             r = (b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g) + 0.0
         r[nan_rows] = np.nan
         out.append(r)
@@ -191,8 +213,8 @@ def order_stats(v, members):
 
 def _member(name: str, family, member, chunks=None) -> BlockKernel:
     """A family member's kernel: the family run on that member alone."""
-    return BlockKernel(name, lambda v: family(v, (member,))[0], family=family, member=member,
-                       chunks=chunks)
+    return BlockKernel(name, lambda v: family(v, (member,))[0], raw=family is order_stats,
+                       family=family, member=member, chunks=chunks)
 
 
 def _slope_sums(members, y, index):

@@ -5,7 +5,7 @@ Descriptors are grouped by (series names, window, stride) so each group's
 window grid and sample positions are computed once and shared by every
 function registered under it. The unit of parallel work is one (group,
 function) pair, or the builtins of one family in a group, which share each
-cast block (see BlockKernel); workers inherit the resolved groups through a
+block (see BlockKernel); workers inherit the resolved groups through a
 fork and the collector merges results in registration order, which makes the
 output bit-identical for any worker count. A builtin unit runs over blocks
 of windows; if that raises, the unit is rerun through the per-window loop,
@@ -85,17 +85,19 @@ class _Chunks(NamedTuple):
 class BlockKernel:
     """A builtin's one implementation, plain numpy. ``func`` maps a block of
     b windows of c samples each, shape (b, c), to one value per window.
-    Blocks are float64, or as stored when ``raw``; an index-aware kernel also
-    gets the matching index block. extract runs the kernel once per block of
-    equal-count windows; calling it on one window runs ``func`` on a one-row
-    block, so both paths give the same bits. What a window with too few
-    samples yields is the wrapper's rule, not the kernel's (see FuncWrapper).
+    Blocks are float64, or as stored when ``raw`` (views, which a kernel
+    copies before it writes); an index-aware kernel also gets the matching
+    index block. extract runs the kernel once per block of equal-count
+    windows; calling it on one window runs ``func`` on a one-row block, so
+    both paths give the same bits. What a window with too few samples yields
+    is the wrapper's rule, not the kernel's (see FuncWrapper).
 
     Builtins that share work belong to a ``family``: ``family(block,
     members)`` returns one value per window for each ``member`` asked for,
     and a member's ``func`` is its family run on that member alone. extract
     runs the members of one group that share a family and ``min_samples``
-    as one unit, with one cast block and one ``family`` call per block.
+    as one unit, with one block and one ``family`` call per block: the order
+    family (median, quantile) selects per needed rank, in the stored dtype.
 
     A kernel with ``chunks`` computes a window of c samples as chunks of K
     samples from its start (the last one shorter when K does not divide c)
@@ -711,7 +713,8 @@ def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> 
                                   f"{'|'.join(group.key[0])!r} segment {k}: {exc}") from exc
 
 
-#: Bytes of float64 samples per block of windows (a block holds at least one).
+#: Bytes of samples per block of windows, float64 or as stored for a raw
+#: kernel (a block holds at least one).
 BLOCK_BYTES = 256 * 1024
 
 
@@ -828,12 +831,12 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
     (strided) slice of the series' sliding-window view, so extra memory is
     bounded by BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member:
     one builtin, or builtins of one family sharing ``min_samples``, which
-    share each cast block. Kernels with chunks take the windows longer than
-    the group's chunk length in start order, in batches of at most
-    BLOCK_BYTES / 32 chunks, so that neighbours share one chunk table and
-    tables and merges stay within a few BLOCK_BYTES. Short windows take each
-    member's fills. Any exception propagates unnamed: the caller reruns the
-    unit per window.
+    share each block (cast unless ``raw``). Kernels with chunks take the
+    windows longer than the group's chunk length in start order, in batches
+    of at most BLOCK_BYTES / 32 chunks, so that neighbours share one chunk
+    table and tables and merges stay within a few BLOCK_BYTES. Short windows
+    take each member's fills. Any exception propagates unnamed: the caller
+    reruns the unit per window.
     """
     kernels = [wrapper.func for wrapper, _, _ in unit]
     series, pos = group.series[0], group.positions[0]
@@ -874,7 +877,7 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
             c = int(counts[run[0]])
             views = [sliding_window_view(src, c) for src in sources]
             starts = pos[run, 0]
-            per_block = max(1, BLOCK_BYTES // (8 * c))
+            per_block = max(1, BLOCK_BYTES // (c * (sources[0].itemsize if kernels[0].raw else 8)))
             for a, blocks in _blocks(views, starts, per_block):
                 if not kernels[0].raw:
                     blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
@@ -984,27 +987,30 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
 
 
 def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> FeatureMatrix:
-    active = [g for g in groups if g.grid.n_segments > 0]
+    """Outer-join the columns on the grids' sorted, distinct stamps: one grid's
+    own when they strictly increase (float drift can repeat a numeric one)."""
+    stamps = {grid: grid.output_index() for grid in dict.fromkeys(g.grid for g in groups)}
+    active = [x for x in stamps.values() if len(x)]
     kind = groups[0].grid.kind if groups else None
     index_dtype = np.int64 if kind is IndexKind.TIME_NS else np.float64
-    if active:
-        index = np.unique(np.concatenate([g.grid.output_index() for g in active]))
-        index = index.astype(index_dtype, copy=False)
+    if len(active) == 1 and (active[0][1:] > active[0][:-1]).all():
+        index = active[0]
     else:
-        index = np.array([], dtype=index_dtype)
+        index = np.unique(np.concatenate(active or [np.array([], dtype=index_dtype)]))
+    index = index.astype(index_dtype, copy=False)
+    rows = {grid: slice(None) if x is index else np.searchsorted(index, x)
+            for grid, x in stamps.items()}
 
     columns: dict[str, FeatureColumn] = {}
     for gi, g in enumerate(groups):
         series_names, w, s = g.key
-        rows = np.searchsorted(index, g.grid.output_index())
         for fi, wrapper in enumerate(g.wrappers):
             arrays = results[(gi, fi)][0]
             tags = g.wrapper_tags[fi]
             for j, out_name in enumerate(wrapper.output_names):
                 col_name = format_output_name(series_names, out_name, w, s)
                 data = _missing_column(tags[j], len(index))
-                if len(rows):
-                    data[rows] = arrays[j]
+                data[rows[g.grid]] = arrays[j]
                 columns[col_name] = FeatureColumn(tags[j], data)
     return FeatureMatrix(kind, index, columns)
 

@@ -18,11 +18,14 @@ from stridekit import (
     FeatureDescriptor,
     FuncWrapper,
     IndexKind,
+    Pipeline,
     Series,
     SeriesSet,
     builtin,
+    builtin_processor,
     extract,
     make_robust,
+    run_pipeline,
 )
 from stridekit import features
 from stridekit.calculators import BUILTIN_NAMES
@@ -237,7 +240,8 @@ def test_block_extra_memory_is_bounded_by_the_budget():
 
 
 # ---------------------------------------------------------------------------
-# fused families: median/quantile share one sort, the moments one pass
+# fused families: median/quantile share one selection per rank, the moments
+# one pass
 # ---------------------------------------------------------------------------
 
 MOMENTS = ("sum", "mean", "var", "std", "rms", "abs_energy", "skewness", "kurtosis")
@@ -284,19 +288,58 @@ def test_fused_families_equal_per_window_path_bitwise(series, picks, robust, win
 
 
 def order_blocks(rng):
-    """Blocks with +-0.0 ties, NaN, infinities and repeated values, n from 1
-    to 3000."""
+    """Blocks in every stored dtype an order kernel meets: float64 with +-0.0
+    ties, NaN, infinities and repeated values; float32 with NaN; int64 with
+    ties and beyond +-2**53; bool; int32 categorical codes. n from 1 to
+    30000."""
     pools = [np.array([-0.0, 0.0]), np.array([-0.0, 0.0, 1.0, -1.0]),
              np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 2.5]), np.array([-0.0, 0.0, np.nan])]
-    for n in [1, 2, 3, 4, 5, 2999, 3000] + rng.integers(1, 60, 200).tolist():
-        b = int(rng.integers(1, 6))
-        kind = int(rng.integers(0, 5))
+    big = np.array([-2**63, -2**53 - 1, -2**53, 2**53, 2**53 + 1, 2**62 + 3, 2**63 - 1])
+    cases = [(n, kind) for n in (1, 2, 3, 4, 5, 2999, 3000, 29999, 30000) for kind in range(10)]
+    cases += zip(rng.integers(1, 60, 200).tolist(), rng.integers(0, 10, 200).tolist())
+    for n, kind in cases:
+        b = int(rng.integers(1, 6)) if n < 10_000 else 2
         if kind < len(pools):
             yield rng.choice(pools[kind], size=(b, n))
-        else:
+        elif kind < 6:
             v = np.round(rng.normal(size=(b, n)), 1)
+            v = v if kind == 4 else v.astype(np.float32)
             v[rng.random((b, n)) < 0.01] = np.nan
             yield v
+        elif kind == 6:
+            yield rng.integers(-3, 4, size=(b, n))
+        elif kind == 7:
+            yield np.where(rng.random((b, n)) < 0.5, rng.choice(big, size=(b, n)),
+                           rng.integers(-2**62, 2**62, size=(b, n)))
+        elif kind == 8:
+            yield rng.random((b, n)) < 0.3
+        else:
+            yield rng.integers(0, 3, size=(b, n)).astype(np.int32)
+
+
+def sort_order_stats(v, members):
+    """The order family as one sort per block, NaN sorting last: the
+    reference the selection must match bit for bit."""
+    s = np.sort(v, axis=1)
+    n = v.shape[1]
+    nan_rows = np.isnan(s[:, -1])
+    out = []
+    for q in members:
+        if q == "median":
+            h = n // 2
+            r = s[:, h] + 0.0 if n % 2 else (s[:, h - 1] + s[:, h]) / 2 + 0.0
+        else:
+            at = (n - 1) * q
+            lo = hi = -1
+            if at < n - 1:
+                lo = math.floor(at)
+                hi = lo + 1
+            g = at - lo
+            a, b = s[:, lo], s[:, hi]
+            r = (b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g) + 0.0
+        r[nan_rows] = np.nan
+        out.append(r)
+    return out
 
 
 def test_fused_order_statistics_equal_numpy():
@@ -305,16 +348,75 @@ def test_fused_order_statistics_equal_numpy():
     rng = np.random.default_rng(7)
     with np.errstate(invalid="ignore"):
         for v in order_blocks(rng):
-            reference = [np.median(v, axis=1) + 0.0]
-            reference += [np.quantile(v, q, axis=1) + 0.0 for q in FUSED_QUANTILES]
+            stored = v.tobytes()
+            f64 = v.astype(np.float64)  # what the kernels took before they selected as stored
+            reference = [np.median(f64, axis=1) + 0.0]
+            reference += [np.quantile(f64, q, axis=1) + 0.0 for q in FUSED_QUANTILES]
             fused = kernel.family(v, members)
             alone = [builtin("median").func.func(v)]
             alone += [builtin("quantile", {"q": q}).func.func(v) for q in FUSED_QUANTILES]
-            for want, got, one in zip(reference, fused, alone):
+            for want, got, one, old in zip(reference, fused, alone,
+                                           sort_order_stats(f64, members)):
+                assert got.dtype == one.dtype == np.float64
                 nan = np.isnan(want)
                 assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(one), nan)
                 assert got[~nan].tobytes() == want[~nan].tobytes() == one[~nan].tobytes()
+                assert got.tobytes() == one.tobytes() == old.tobytes()
                 assert not np.signbit(got[got == 0.0]).any()
+            assert v.tobytes() == stored
+
+
+def sorted_median_filter(values, size):
+    """The median filter as the sort-based order family computed it."""
+    padded = np.pad(values, size // 2, mode="edge")
+    return sort_order_stats(np.lib.stride_tricks.sliding_window_view(padded, size),
+                            ("median",))[0]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0.5, -0.0, 0.0, np.nan, 3.0, -np.inf, 2.0, 2.0, np.inf, 1.0]),
+    np.array([0.5, -0.0, 0.0, np.nan, 3.0, -1.0, 2.0], dtype=np.float32),
+    np.array([5, -2**63, 2**63 - 1, 2**53 + 1, 2**53, 7, -2**53 - 1, 0, 1]),
+    np.array([True, False, False, True, True, False, True]),
+])
+@pytest.mark.parametrize("size", [1, 3, 5, 9])
+def test_median_filter_keeps_the_bits_of_the_sort(values, size):
+    data = SeriesSet([numeric_series("S", np.arange(float(len(values))), values=values)])
+    stored = data["S"].values.data.tobytes()
+    pipeline = Pipeline([builtin_processor("median_filter", ["S"], {"size": size})])
+    got = run_pipeline(pipeline, data)["S"].values.data
+    want = sorted_median_filter(values, size)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert data["S"].values.data.tobytes() == stored
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("values", [
+    np.array([3.0, -0.0, np.nan, 1.0, 2.0, 0.0, 5.0, -1.0, 4.0, 2.0]),
+    np.array([3.0, -0.0, 1.0, 2.0, 0.0, 5.0, -1.0, 4.0, 2.0, 7.0], dtype=np.float32),
+    np.array([9, 2**62, -3, 2**53 + 1, 0, 5, -2**63, 4, 1, 8]),
+    np.array([True, False, True, True, False, False, True, False, True, True]),
+    np.array(list("cabbacabca"), dtype=object),
+])
+def test_order_kernels_leave_the_input_series_unchanged(values, n_workers):
+    series = numeric_series("S", np.arange(float(len(values))), values=values)
+    stored = series.values.data.tobytes()
+    wrappers = [builtin("median"), builtin("quantile", {"q": 0.25}),
+                builtin("quantile", {"q": 0.7})]
+    got = outcome(series, wrappers, 4.0, 1.0, n_workers)
+    assert got[1] == ["fused"] * 3
+    assert got[0].equals(outcome(series, [per_window(x) for x in wrappers], 4.0, 1.0)[0])
+    assert series.values.data.tobytes() == stored
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_, np.int32])
+def test_a_direct_order_kernel_call_leaves_the_caller_s_array_unchanged(dtype):
+    x = np.array([3, 0, 1, 1, 0, 2, 5, 4], dtype=dtype)[::-1]
+    stored = x.tobytes()
+    for wrapper in (builtin("median"), builtin("quantile", {"q": 0.3})):
+        assert wrapper.func(x) == sort_order_stats(x[None, :].astype(np.float64),
+                                                   (wrapper.func.member,))[0][0]
+        assert x.flags.writeable and x.tobytes() == stored
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])

@@ -896,3 +896,46 @@ def test_output_index_equals_grid_formula(seconds, w_s):
         k += 1
     assert list(matrix.index) == want
     assert records[0].n_segments == len(want)
+
+
+def unique_merge(groups, results):
+    """The outer join as np.unique of every grid's stamps and one
+    searchsorted per group: the reference for features._merge."""
+    active = [g for g in groups if g.grid.n_segments > 0]
+    index_dtype = np.int64 if groups[0].grid.kind is IndexKind.TIME_NS else np.float64
+    index = np.unique(np.concatenate([g.grid.output_index() for g in active]
+                                     or [np.array([], dtype=index_dtype)]))
+    index = index.astype(index_dtype, copy=False)
+    columns = {}
+    for gi, g in enumerate(groups):
+        rows = np.searchsorted(index, g.grid.output_index())
+        for fi, wrapper in enumerate(g.wrappers):
+            for j, out_name in enumerate(wrapper.output_names):
+                data = features._missing_column(g.wrapper_tags[fi][j], len(index))
+                data[rows] = results[gi, fi][0][j]
+                columns[features.format_output_name(g.key[0], out_name, g.key[1], g.key[2])] = \
+                    FeatureColumn(g.wrapper_tags[fi][j], data)
+    return FeatureMatrix(groups[0].grid.kind, index, columns)
+
+
+@pytest.mark.parametrize("case", ["shared", "shared_and_empty", "mixed", "drift"])
+def test_merge_equals_the_unique_join_bitwise(case):
+    t = np.arange(0.0, 20.0, 0.5)
+    a, b = time_series("A", t), time_series("B", t, values=-t)
+    short = time_series("C", t[:3])
+    windows = [("2s", "1s")]
+    if case == "mixed":
+        windows += [("3s", "2s"), ("1500ms", "500ms")]
+    series = [a, b, short] if case == "shared_and_empty" else [a, b]
+    if case == "drift":  # float64 spacing is 2 here: begin + k * 1.0 repeats stamps
+        idx = 1e16 + 2.0 * np.arange(12)
+        series = [numeric_series("A", idx), numeric_series("B", idx, values=-idx)]
+        windows = [(1.0, 1.0)]
+    c = FeatureCollection(FeatureDescriptor(s.name, builtin(f), w, st_)
+                          for s in series for w, st_ in windows for f in ("sum", "count"))
+    groups = features._resolve_groups(SeriesSet(series), c, OutputPosition.END)
+    results = features._run_units(groups, 1)
+    got = features._merge(groups, results)
+    assert got.equals(unique_merge(groups, results))
+    n_stamps = sum(g.grid.n_segments for g in groups if g.key[0] == ("A",))
+    assert (got.n_rows < n_stamps) is (case in ("mixed", "drift"))
