@@ -1,30 +1,32 @@
 """Built-in window functions, one block kernel each.
 
-Every builtin is a single :class:`~stridekit.features.BlockKernel`: a numpy
-function from a block of b windows of c samples each, shape (b, c), to one
-value per window (slope also gets the matching index block). extract runs it
-once per block of equal-count windows; called on one window, it is the same
-kernel applied to a one-row block. Reductions run along each row, so a
-window's value does not depend on the block it was computed in.
+Every builtin is a :class:`~stridekit.features.BlockKernel`: a member of a
+numpy ``family(members, values[, index])`` that maps a block of b windows of
+c samples each, shape (b, c), to one (b,) array per member asked for (slope
+also gets the matching index block). extract runs one family call per block
+of equal-count windows; called on one window, a kernel is its family on a
+one-row block. Reductions run along each row, so a window's value does not
+depend on the block it was computed in.
 
 Two families share work between builtins. The order family (median and
 quantile at any q) takes one selection per needed rank, in the block's
 stored dtype (see order_stats); the moment family (sum, mean, var, std, rms,
 abs_energy, skewness, kurtosis) takes one row sum, one deviation array and
-its square per block. A member's kernel is its family run on that member
-alone, so a builtin has one compute path whether extract fuses it with
-others of its family or not. min, max, count, first, last, slope and
-zero_cross stay single kernels.
+its square per block. A member alone is its family asked for that member,
+so a builtin has one compute path whether extract fuses it with others of
+its family or not. min, max, count, first, last, slope and zero_cross are
+families of one member.
 
-The moment family, min, max and slope are chunk-merged: with the chunk
+The moment family, min, max and slope are chunk-merged (a ``_Chunks`` rule,
+which called on whole windows is the unchunked family): with the chunk
 length K of the window's (series, grid) (see ``features._chunk_length``), a
 window of c > K samples is computed as chunks of K samples from its start,
 the last one shorter when K does not divide c. Each chunk gets the kernel's
 statistics, computed once however many overlapping windows hold it, and
 each window reduces its chunks' statistics pairwise in chunk order:
-adjacent chunks first, then adjacent results. A window of one chunk (K >= c, or no K: windows that
-overlap less than threefold, a gcd below features.MIN_CHUNK, a call outside
-extract's block path and per-window rerun) takes the unchunked arithmetic.
+adjacent chunks first, then adjacent results. A window of one chunk (K >= c,
+or no K: windows that overlap less than threefold, a gcd below
+features.MIN_CHUNK, a direct call) takes the unchunked arithmetic.
 
 Exact semantics, fixed here so results are reproducible bit for bit:
 
@@ -72,7 +74,6 @@ surfaces as FunctionFailure unless the wrapper is made robust.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -153,17 +154,13 @@ def _moment_values(members, s, n):
     return [out[m] for m in members]
 
 
-def _moments(v, members):
-    """The moment family: one row sum, one d = v - mean and one d*d per
-    block, plus one v*v for rms and abs_energy, each computed only when a
-    member needs it."""
-    return _moment_values(members, _moment_sums(members, v), v.shape[1])
+#: The moment family: one row sum, one d = v - mean and one d*d per block,
+#: plus one v*v for rms and abs_energy, each computed only when a member
+#: needs it.
+_MOMENTS = _Chunks(_moment_sums, _merge_moments, _moment_values)
 
 
-_MOMENT_CHUNKS = _Chunks(_moment_sums, _merge_moments, _moment_values)
-
-
-def order_stats(v, members):
+def order_stats(members, v):
     """The order family: "median" and quantiles at q. median is the middle
     value or the mean of the middle pair, as np.median; a quantile
     interpolates linearly between its neighbouring order statistics with
@@ -211,12 +208,6 @@ def order_stats(v, members):
     return out
 
 
-def _member(name: str, family, member, chunks=None) -> BlockKernel:
-    """A family member's kernel: the family run on that member alone."""
-    return BlockKernel(name, lambda v: family(v, (member,))[0], raw=family is order_stats,
-                       family=family, member=member, chunks=chunks)
-
-
 def _slope_sums(members, y, index):
     """Per row: the sums of t and y, and of tc*tc and tc*(y - mean y) for the
     centred t, with t the index from the row's first sample (float seconds
@@ -246,27 +237,28 @@ def _merge_slope(members, s, sizes, offsets, fold):
 
 
 def _slope_value(members, s, n):
-    return [np.divide(s["Cty"], s["Ctt"], out=np.zeros_like(s["Ctt"]), where=s["Ctt"] != 0.0)]
+    slope = np.divide(s["Cty"], s["Ctt"], out=np.zeros_like(s["Ctt"]), where=s["Ctt"] != 0.0)
+    return [slope] * len(members)
 
 
-def _slope(y, index):
-    return _slope_value(None, _slope_sums(None, y, index), y.shape[1])[0]
-
-
-def _extreme(name: str, ufunc) -> BlockKernel:
+def _extreme(ufunc) -> _Chunks:
     """min or max: the extremum of each chunk, then of the chunks."""
-    chunks = _Chunks(lambda members, v: {"x": ufunc.reduce(v, axis=1)},
-                     lambda members, s, sizes, offsets, fold: {"x": fold(s["x"], ufunc)},
-                     lambda members, s, n: [s["x"]])
-    return BlockKernel(name, partial(ufunc.reduce, axis=1), chunks=chunks)
+    return _Chunks(lambda members, v: {"x": ufunc.reduce(v, axis=1)},
+                   lambda members, s, sizes, offsets, fold: {"x": fold(s["x"], ufunc)},
+                   lambda members, s, n: [s["x"]] * len(members))
 
 
-def _zero_cross(v):
+def _count(members, v):
+    # One shared int per block: I64 cells are Python ints in an object column.
+    return [np.full(len(v), v.shape[1], dtype=object)] * len(members)
+
+
+def _zero_cross(members, v):
     # Summing the comparison as int8 into int32 is about twice as fast as
     # count_nonzero along an axis; int32 cannot overflow, as a window of 2**31
     # samples would need a 16 GiB float64 block.
     crossings = (v[:, :-1] * v[:, 1:] < 0.0).view(np.int8)
-    return np.add.reduce(crossings, axis=1, dtype=np.int32).astype(np.float64)
+    return [np.add.reduce(crossings, axis=1, dtype=np.int32).astype(np.float64)] * len(members)
 
 
 def _no_params(params: dict, name: str) -> None:
@@ -282,40 +274,39 @@ def _make_quantile(params: dict) -> FuncWrapper:
         raise BadParam(f"quantile q must be a number in [0, 1], got {q!r}")
     q = float(q)
     label = f"quantile_{render_number(q)}"
-    return FuncWrapper(_member("quantile", order_stats, q), base_name=label, output_names=label,
-                       recipe=("builtin", "quantile", {"q": q}))
+    return FuncWrapper(BlockKernel("quantile", order_stats, q, raw=True), base_name=label,
+                       output_names=label, recipe=("builtin", "quantile", {"q": q}))
 
 
-def _f64(kernel: BlockKernel) -> tuple:
-    return kernel, InputMode.VALUES_ONLY, ValueTag.F64
+def _f64(name: str, family, member=None, raw=False) -> tuple:
+    return BlockKernel(name, family, member, raw), InputMode.VALUES_ONLY, ValueTag.F64
 
 
 def _moment(name: str) -> tuple:
-    return _f64(_member(name, _moments, name, _MOMENT_CHUNKS))
+    return _f64(name, _MOMENTS, name)
 
 
 _SIMPLE: dict[str, tuple] = {
     # name -> (kernel, input_mode, output_tag)
-    # One shared int per block: I64 cells are Python ints in an object column.
-    "count": (BlockKernel("count", lambda v: np.full(len(v), v.shape[1], dtype=object),
-                          raw=True),
-              InputMode.VALUES_ONLY, ValueTag.I64),
+    "count": (BlockKernel("count", _count, raw=True), InputMode.VALUES_ONLY, ValueTag.I64),
     "sum": _moment("sum"),
     "mean": _moment("mean"),
     "std": _moment("std"),
     "var": _moment("var"),
-    "min": _f64(_extreme("min", np.minimum)),
-    "max": _f64(_extreme("max", np.maximum)),
-    "median": _f64(_member("median", order_stats, "median")),
+    "min": _f64("min", _extreme(np.minimum)),
+    "max": _f64("max", _extreme(np.maximum)),
+    "median": _f64("median", order_stats, "median", raw=True),
     "rms": _moment("rms"),
     "abs_energy": _moment("abs_energy"),
     "skewness": _moment("skewness"),
     "kurtosis": _moment("kurtosis"),
-    "slope": (BlockKernel("slope", _slope, chunks=_Chunks(_slope_sums, _merge_slope, _slope_value)),
+    "slope": (BlockKernel("slope", _Chunks(_slope_sums, _merge_slope, _slope_value)),
               InputMode.VALUES_AND_INDEX, ValueTag.F64),
-    "first": (BlockKernel("first", lambda v: v[:, 0], raw=True), InputMode.VALUES_ONLY, PRESERVE),
-    "last": (BlockKernel("last", lambda v: v[:, -1], raw=True), InputMode.VALUES_ONLY, PRESERVE),
-    "zero_cross": _f64(BlockKernel("zero_cross", _zero_cross)),
+    "first": (BlockKernel("first", lambda members, v: [v[:, 0]] * len(members), raw=True),
+              InputMode.VALUES_ONLY, PRESERVE),
+    "last": (BlockKernel("last", lambda members, v: [v[:, -1]] * len(members), raw=True),
+             InputMode.VALUES_ONLY, PRESERVE),
+    "zero_cross": _f64("zero_cross", _zero_cross),
 }
 
 BUILTIN_NAMES: tuple[str, ...] = tuple(list(_SIMPLE) + ["quantile"])

@@ -8,8 +8,8 @@ function) pair, or the builtins of one family in a group, which share each
 block (see BlockKernel); workers inherit the resolved groups through a
 fork and the collector merges results in registration order, which makes the
 output bit-identical for any worker count. A builtin unit runs over blocks
-of windows; if that raises, the unit is rerun through the per-window loop,
-which alone names a failing function and segment.
+of windows; a builtin that raises there is searched over halves of its
+windows down to the first window that raises alone, which the failure names.
 """
 
 from __future__ import annotations
@@ -72,48 +72,43 @@ class _Chunks(NamedTuple):
     ``sizes`` holds the chunks' sample counts, ``offsets`` (index kernels
     only) each chunk's first index minus the window's, in index units, and
     ``fold(x, ufunc=np.add)`` reduces an (m, b) array over each window's
-    chunks pairwise, adjacent chunks first. ``finish(members, stats, n)`` turns the statistics
-    of windows of n samples into one value per window and member; ``finish``
-    of ``stats`` over whole windows is the unchunked kernel."""
+    chunks pairwise, adjacent chunks first. ``finish(members, stats, n)``
+    turns the statistics of windows of n samples into one value per window
+    and member. Called, the rule is its own unchunked family: ``finish`` of
+    ``stats`` over whole windows."""
 
     stats: Callable
     merge: Callable
     finish: Callable
 
+    def __call__(self, members, *blocks):
+        return self.finish(members, self.stats(members, *blocks), blocks[0].shape[1])
+
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """A builtin's one implementation, plain numpy. ``func`` maps a block of
-    b windows of c samples each, shape (b, c), to one value per window.
-    Blocks are float64, or as stored when ``raw`` (views, which a kernel
-    copies before it writes); an index-aware kernel also gets the matching
-    index block. extract runs the kernel once per block of equal-count
-    windows; calling it on one window runs ``func`` on a one-row block, so
-    both paths give the same bits. What a window with too few samples yields
-    is the wrapper's rule, not the kernel's (see FuncWrapper).
+    """A builtin's one implementation, plain numpy: the ``member`` of a
+    ``family``. ``family(members, values[, index])`` maps a block of b
+    windows of c samples each, shape (b, c), to one (b,) array per member
+    asked for. Blocks are float64, or as stored when ``raw`` (views, which a
+    family copies before it writes); an index-aware kernel also gets the
+    matching index block. What a window with too few samples yields is the
+    wrapper's rule, not the kernel's (see FuncWrapper).
 
-    Builtins that share work belong to a ``family``: ``family(block,
-    members)`` returns one value per window for each ``member`` asked for,
-    and a member's ``func`` is its family run on that member alone. extract
-    runs the members of one group that share a family and ``min_samples``
-    as one unit, with one block and one ``family`` call per block: the order
-    family (median, quantile) selects per needed rank, in the stored dtype.
-
-    A kernel with ``chunks`` computes a window of c samples as chunks of K
+    extract runs the builtins of one group that share a family and
+    ``min_samples`` as one unit, with one block and one ``family`` call per
+    block of equal-count windows. A family that is a ``_Chunks`` rule is
+    chunk-merged there: a window of c samples is computed as chunks of K
     samples from its start (the last one shorter when K does not divide c)
-    when 1 < K < c, and unchunked otherwise. On the block path K is the
-    chunk length of the window's (series, grid), see ``_chunk_length``; a
-    call on one window uses ``chunk``, which only extract's per-window rerun
-    sets, on kernels with ``chunks`` (see ``_at_chunk``).
+    when K < c, with K the chunk length of the window's (series, grid), see
+    ``_chunk_length``. Calling the kernel on one window runs its family on a
+    one-row block for its member alone, unchunked.
     """
 
     name: str
-    func: Callable
-    raw: bool = False
-    family: Callable | None = None
+    family: Callable
     member: object = None
-    chunks: _Chunks | None = None
-    chunk: int | None = None
+    raw: bool = False
 
     def __call__(self, x):
         values, index = x if isinstance(x, tuple) else (x, None)
@@ -121,11 +116,7 @@ class BlockKernel:
         if index is not None:
             sources.append(np.asarray(index))
         with _quiet():
-            if self.chunk is not None and self.chunk < len(sources[0]):
-                out = _chunked_outputs([self], sources, np.zeros(1, dtype=np.int64),
-                                       np.array([len(sources[0])]), self.chunk)[0]
-            else:
-                out = self.func(*(s[None, :] for s in sources))
+            out = self.family((self.member,), *(s[None, :] for s in sources))[0]
         return out.tolist()[0]
 
 
@@ -153,8 +144,8 @@ class FuncWrapper:
     The callable receives one argument per input series - the window's value
     array, or a ``(values, index)`` pair in VALUES_AND_INDEX mode - followed by
     the bound keyword arguments, and must return one scalar per output name.
-    A :class:`BlockKernel` callable (the builtins) also lets extract run the
-    function over blocks of windows.
+    extract runs a :class:`BlockKernel` callable (the builtins) only over
+    blocks of windows; ``apply`` calls it on one window, unchunked.
 
     The short-window rule: a window with fewer than ``min_samples`` samples
     in any input yields ``fills`` (one per output) without a call, or raises
@@ -477,7 +468,8 @@ class LogRecord:
     n_segments: int
     duration_s: float
     # "block": a builtin's kernel over blocks of windows; "fused": one family
-    # call for several builtins, whose wall time is split evenly over them
+    # call for several builtins, whose wall time is split evenly over them;
+    # "window": a user function, called per window
     path: str = "window"
 
     def to_json_obj(self) -> dict:
@@ -677,25 +669,19 @@ def _cell_converter(tag: ValueTag, series: Series) -> Callable:
     return label
 
 
-def _at_chunk(wrapper: FuncWrapper, chunk: int | None) -> FuncWrapper:
-    """``wrapper`` whose chunked builtin computes a window of more than
-    ``chunk`` samples as chunks of it, as the block path does on a grid with
-    that chunk length; any other wrapper as it is."""
-    kernel = wrapper.func
-    if chunk is None or not isinstance(kernel, BlockKernel) or kernel.chunks is None:
-        return wrapper
-    wrapper = copy.copy(wrapper)
-    wrapper.func = dataclasses.replace(kernel, chunk=chunk)
-    return wrapper
+def _failure(group: _ResolvedGroup, wrapper: FuncWrapper, k: int,
+             exc: Exception) -> FunctionFailure:
+    """The FunctionFailure of ``wrapper`` on segment ``k``, caused by ``exc``."""
+    failure = FunctionFailure(f"function {wrapper.base_name!r} failed on group "
+                              f"{'|'.join(group.key[0])!r} segment {k}: {exc}")
+    failure.__cause__ = exc
+    return failure
 
 
 def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> None:
-    """One Python call per window: user functions, and the builtins of a unit
-    whose block run raised. The one place that names a failing segment. A
-    builtin rerun here uses the group's chunk length, as on the block path."""
+    """A user function: one Python call per window, in segment order."""
     converters = [_cell_converter(tag, group.series[0]) for tag in tags]
     want_index = wrapper.input_mode is InputMode.VALUES_AND_INDEX
-    wrapper = _at_chunk(wrapper, group.chunk)
     for k in range(group.grid.n_segments):
         inputs = []
         for series, pos in zip(group.series, group.positions):
@@ -709,8 +695,7 @@ def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> 
             for column, convert, out in zip(columns, converters, wrapper.apply(inputs)):
                 column[k] = convert(out)
         except Exception as exc:
-            raise FunctionFailure(f"function {wrapper.base_name!r} failed on group "
-                                  f"{'|'.join(group.key[0])!r} segment {k}: {exc}") from exc
+            raise _failure(group, wrapper, k, exc)
 
 
 #: Bytes of samples per block of windows, float64 or as stored for a raw
@@ -718,12 +703,16 @@ def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> 
 BLOCK_BYTES = 256 * 1024
 
 
-def _blocks(views: list, starts: np.ndarray, per_block: int) -> Iterator[tuple]:
-    """(offset into ``starts``, rows of each sliding-window view) for each
-    block of at most ``per_block`` of the positions ``starts``: a strided
-    slice where they are evenly spaced and ascending, else a gather. The
-    spacing check costs no numpy call per block of one or two rows, and
-    one comparison otherwise."""
+def _blocks(sources: list, starts: np.ndarray, c: int, raw: bool) -> Iterator[tuple]:
+    """(slice of ``starts``, blocks) for each block of the windows [s, s + c)
+    of ``sources``, s in ``starts``: BLOCK_BYTES of samples, at least one
+    window, in the stored itemsize when ``raw`` and in float64 otherwise,
+    the values cast to float64 unless ``raw``. A block is a strided slice of
+    each source's sliding-window view where its starts are evenly spaced and
+    ascending, else a gather. The spacing check costs no numpy call per
+    block of one or two rows, and one comparison otherwise."""
+    views = [sliding_window_view(src, c) for src in sources]
+    per_block = max(1, BLOCK_BYTES // (c * (sources[0].itemsize if raw else 8)))
     steps = np.diff(starts)
     lo = starts.tolist()
     for a in range(0, len(lo), per_block):
@@ -733,19 +722,19 @@ def _blocks(views: list, starts: np.ndarray, per_block: int) -> Iterator[tuple]:
             rows = slice(lo[a], lo[b - 1] + 1, step)
         else:
             rows = starts[a:b]
-        yield a, [v[rows] for v in views]
+        blocks = [v[rows] for v in views]
+        if not raw:
+            blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
+        yield slice(a, b), blocks
 
 
 def _chunk_stats(kernels: list[BlockKernel], sources: list, starts: np.ndarray,
                  k: int) -> dict:
     """The chunk statistics of the rows [s, s + k) of ``sources`` for each s
-    in ``starts``, cast BLOCK_BYTES of samples at a time."""
-    views = [sliding_window_view(src, k) for src in sources]
+    in ``starts``, a block at a time."""
     members = [kernel.member for kernel in kernels]
-    parts = []
-    for _, blocks in _blocks(views, starts, max(1, BLOCK_BYTES // (8 * k))):
-        blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
-        parts.append(kernels[0].chunks.stats(members, *blocks))
+    parts = [kernels[0].family.stats(members, *blocks)
+             for _, blocks in _blocks(sources, starts, k, kernels[0].raw)]
     if len(parts) == 1:
         return parts[0]
     return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
@@ -800,7 +789,7 @@ def _chunked_outputs(kernels: list[BlockKernel], sources: list, starts: np.ndarr
             x = np.concatenate([top, x[-1:]]) if len(x) % 2 else top
         return x[0]
 
-    rule = kernels[0].chunks
+    rule = kernels[0].family
     outs = [np.empty(len(starts)) for _ in kernels]
     m_of = full + (tail > 0)
     for m in np.unique(m_of).tolist():
@@ -826,25 +815,31 @@ def _chunked_outputs(kernels: list[BlockKernel], sources: list, starts: np.ndarr
     return outs
 
 
-def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
-    """Kernels over blocks of windows with equal sample counts, each block a
-    (strided) slice of the series' sliding-window view, so extra memory is
-    bounded by BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member:
-    one builtin, or builtins of one family sharing ``min_samples``, which
-    share each block (cast unless ``raw``). Kernels with chunks take the
-    windows longer than the group's chunk length in start order, in batches
-    of at most BLOCK_BYTES / 32 chunks, so that neighbours share one chunk
-    table and tables and merges stay within a few BLOCK_BYTES. Short windows
-    take each member's fills. Any exception propagates unnamed: the caller
-    reruns the unit per window.
-    """
+def _run_blocks(group: _ResolvedGroup, unit: list[tuple],
+                windows: slice = slice(None)) -> None:
+    """The ``windows`` of the group's grid (all by default), one family call
+    per block of windows with equal sample counts, each block a (strided)
+    slice of the series' sliding-window view, so extra memory is bounded by
+    BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member: builtins
+    of one family sharing ``min_samples``, which share each block. A chunked
+    family takes the windows longer than the group's chunk length in start
+    order, in batches of at most BLOCK_BYTES / 32 chunks, so that neighbours
+    share one chunk table and tables and merges stay within a few
+    BLOCK_BYTES. Short windows take each member's fills; a None fill raises.
+    A window's arithmetic does not depend on the other windows run with it
+    (rows reduce independently; a chunk table holds only chunks of the
+    windows being run), so a set of windows raises exactly when one of them
+    does alone. Exceptions propagate unnamed (see _search)."""
     kernels = [wrapper.func for wrapper, _, _ in unit]
-    series, pos = group.series[0], group.positions[0]
+    family, raw, members = kernels[0].family, kernels[0].raw, [k.member for k in kernels]
+    series, pos = group.series[0], group.positions[0][windows]
+    unit = [(wrapper, tag, column[windows]) for wrapper, tag, column in unit]
     counts = pos[:, 1] - pos[:, 0]
     short = counts < unit[0][0].min_samples
     if short.any():
         for wrapper, tag, column in unit:
-            # None fills (no empty-window value) raise here, and the rerun names them
+            if wrapper.fills is None:
+                raise ValueError(f"{wrapper.func.name} of an empty window is undefined")
             column[short] = _cell_converter(tag, series)(wrapper.fills[0])
 
     # a raw kernel's dictionary codes become labels
@@ -855,7 +850,7 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
         sources.append(series.index)
     todo = np.flatnonzero(~short)
     todo = todo[np.argsort(counts[todo], kind="stable")]
-    chunk = group.chunk if kernels[0].chunks is not None else None
+    chunk = group.chunk if isinstance(family, _Chunks) else None
     with _quiet():
         if chunk is not None:
             long = counts[todo] > chunk
@@ -874,42 +869,51 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple]) -> None:
         for run in np.split(todo, np.flatnonzero(np.diff(counts[todo])) + 1):
             if not len(run):
                 continue
-            c = int(counts[run[0]])
-            views = [sliding_window_view(src, c) for src in sources]
-            starts = pos[run, 0]
-            per_block = max(1, BLOCK_BYTES // (c * (sources[0].itemsize if kernels[0].raw else 8)))
-            for a, blocks in _blocks(views, starts, per_block):
-                if not kernels[0].raw:
-                    blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
-                if len(kernels) == 1:
-                    outs = [kernels[0].func(*blocks)]
-                else:
-                    outs = kernels[0].family(blocks[0], [k.member for k in kernels])
-                for (_, _, column), out, label in zip(unit, outs, labels):
-                    column[run[a:a + per_block]] = out if label is None else label[out]
+            for rows, blocks in _blocks(sources, pos[run, 0], int(counts[run[0]]), raw):
+                for (_, _, column), out, label in zip(unit, family(members, *blocks), labels):
+                    column[run[rows]] = out if label is None else label[out]
+
+
+def _search(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns, lo: int = 0,
+            hi: int | None = None) -> None:
+    """A builtin alone over the windows [lo, hi) (all by default) on the
+    block path. Where that raises, its halves run, the first half first,
+    down to the first window that raises alone, whose exception becomes the
+    FunctionFailure."""
+    hi = group.grid.n_segments if hi is None else hi
+    try:
+        return _run_blocks(group, [(wrapper, tags[0], columns[0])], slice(lo, hi))
+    except Exception as exc:
+        if hi - lo <= 1:
+            raise _failure(group, wrapper, lo, exc)
+    mid = (lo + hi) // 2
+    _search(group, wrapper, tags, columns, lo, mid)
+    _search(group, wrapper, tags, columns, mid, hi)
 
 
 def _compute_unit(group: _ResolvedGroup, fis: tuple[int, ...]) -> tuple:
     """Run one unit: the functions ``fis`` of ``group``. Returns the output
     columns per function, the unit's wall time, its path, and None or
-    (fi, FunctionFailure) of its first failing function. A builtin unit whose
-    block run raises is rerun per window, function by function in
-    registration order, and that loop's first failure is the unit's."""
+    (fi, FunctionFailure) of its first failing function. A fused unit whose
+    block run raises is rerun builtin by builtin in registration order."""
     n = group.grid.n_segments
     columns = [[_missing_column(tag, n) for tag in group.wrapper_tags[fi]] for fi in fis]
     t0 = time.perf_counter()
     path, failure = "window", None
     if isinstance(group.wrappers[fis[0]].func, BlockKernel):
-        try:
-            _run_blocks(group, [(group.wrappers[fi], group.wrapper_tags[fi][0], cols[0])
-                                for fi, cols in zip(fis, columns)])
-            path = "fused" if len(fis) > 1 else "block"
-        except Exception:
-            pass  # the per-window rerun below names the failure
-    if path == "window":
+        path = "block"
+        if len(fis) > 1:
+            try:
+                _run_blocks(group, [(group.wrappers[fi], group.wrapper_tags[fi][0], cols[0])
+                                    for fi, cols in zip(fis, columns)])
+                path = "fused"
+            except Exception:
+                pass  # each builtin again, alone
+    if path != "fused":
+        run = _run_windows if path == "window" else _search
         try:
             for fi, cols in zip(fis, columns):
-                _run_windows(group, group.wrappers[fi], group.wrapper_tags[fi], cols)
+                run(group, group.wrappers[fi], group.wrapper_tags[fi], cols)
         except FunctionFailure as exc:
             failure = fi, exc
     return columns, time.perf_counter() - t0, path, failure
@@ -917,15 +921,15 @@ def _compute_unit(group: _ResolvedGroup, fis: tuple[int, ...]) -> tuple:
 
 def _units(groups: list[_ResolvedGroup]) -> list[tuple[int, tuple[int, ...]]]:
     """(group, function indices) per unit, in the order of each unit's first
-    function. The builtins of a group that share a family and
-    ``min_samples`` make one unit; every other function is a unit alone."""
+    function. The builtins of a group that share a family, ``min_samples``
+    and so a block make one unit; every other function is a unit alone."""
     units = []
     for gi, g in enumerate(groups):
         families: dict[tuple, list[int]] = {}
         for fi, wrapper in enumerate(g.wrappers):
             kernel = wrapper.func
-            if isinstance(kernel, BlockKernel) and kernel.family is not None:
-                key = (kernel.family, wrapper.min_samples)
+            if isinstance(kernel, BlockKernel):
+                key = (kernel.family, kernel.raw, wrapper.input_mode, wrapper.min_samples)
                 if key in families:
                     families[key].append(fi)
                     continue

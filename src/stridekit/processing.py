@@ -237,7 +237,7 @@ def _median_filter(view: SeriesView, size: int = 3):
     pad = size // 2
     padded = np.pad(values, pad, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, size)
-    median = order_stats(windows, ("median",))[0]
+    median = order_stats(("median",), windows)[0]
     # float32 samples keep their dtype, as median + 0.0 on them did
     return median.astype(np.float32) if values.dtype == np.float32 else median
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from stridekit import (
     Delta,
@@ -47,11 +47,25 @@ def builtins():
 
 def per_window(wrapper, chunk=None):
     """The same builtin as a plain function: extract calls it per window. A
-    chunked builtin computes each window at the chunk length ``chunk``, the
-    grid's on the block path (see chunk_of); sampled_series' windows, of at
-    most 60 samples, never get one (features.MIN_CHUNK is 64)."""
-    at_chunk = features._at_chunk(wrapper, chunk)
-    return FuncWrapper(lambda *xs: at_chunk.apply(xs), base_name=wrapper.base_name,
+    chunked builtin computes each window of more than ``chunk`` samples as
+    chunks of that length, the grid's on the block path (see chunk_of), with
+    features._chunked_outputs on that window alone; sampled_series' windows,
+    of at most 60 samples, never get one (features.MIN_CHUNK is 64)."""
+    kernel = wrapper.func
+
+    def call(*xs):
+        (x,) = xs
+        values, index = x if isinstance(x, tuple) else (x, None)
+        if (chunk is None or not isinstance(kernel.family, features._Chunks)
+                or len(values) <= chunk or len(values) < wrapper.min_samples):
+            return wrapper.apply(xs)
+        sources = [np.asarray(values, dtype=np.float64)]
+        sources += [] if index is None else [np.asarray(index)]
+        with features._quiet():
+            out = features._chunked_outputs([kernel], sources, np.zeros(1, dtype=np.int64),
+                                            np.array([len(values)]), chunk)[0]
+        return out.tolist()[0]
+    return FuncWrapper(call, base_name=wrapper.base_name,
                        output_names=wrapper.output_names, input_mode=wrapper.input_mode,
                        output_tags=wrapper.output_tags)
 
@@ -352,9 +366,10 @@ def test_fused_order_statistics_equal_numpy():
             f64 = v.astype(np.float64)  # what the kernels took before they selected as stored
             reference = [np.median(f64, axis=1) + 0.0]
             reference += [np.quantile(f64, q, axis=1) + 0.0 for q in FUSED_QUANTILES]
-            fused = kernel.family(v, members)
-            alone = [builtin("median").func.func(v)]
-            alone += [builtin("quantile", {"q": q}).func.func(v) for q in FUSED_QUANTILES]
+            fused = kernel.family(members, v)
+            alone = [builtin("median").func.family(("median",), v)[0]]
+            alone += [builtin("quantile", {"q": q}).func.family((q,), v)[0]
+                      for q in FUSED_QUANTILES]
             for want, got, one, old in zip(reference, fused, alone,
                                            sort_order_stats(f64, members)):
                 assert got.dtype == one.dtype == np.float64
@@ -850,3 +865,85 @@ def test_windows_of_other_counts_merge_without_raising_under_a_caller_s_errstate
     assert set(paths) == {"fused"}
     assert set(matrix["S__mean__w=256_s=64"].data.tolist()) == {2.0**664}
     assert set(matrix["S__std__w=256_s=64"].data.tolist()) == {0.0}
+
+
+# ---------------------------------------------------------------------------
+# failing units: a builtin that raises is searched through the block path
+# ---------------------------------------------------------------------------
+
+HUGE = (1e200, -1e200, 1e300, -1e300)
+
+
+@settings(max_examples=40)
+@given(case=lattice_series(), huge=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(HUGE)),
+                                            min_size=1, max_size=4),
+       n_workers=st.sampled_from([1, 2]), fused=st.booleans())
+def test_a_failing_chunked_grid_names_what_the_per_window_path_names(case, huge, n_workers,
+                                                                     fused):
+    # Under a caller's over="raise", v * v or d * d of +-1e200 overflows, and
+    # so may a chunk or window sum of +-1e300: the block path must name the
+    # function, segment and text that the per-window loop names at the
+    # grid's chunk length.
+    series, w, s, _ = case
+    values = series.values.data.astype(np.float64)
+    for at, x in huge:
+        values[at % len(values)] = x
+    series = Series("S", series.index, values, kind=series.kind)
+    chunk = group_of(series, w, s).chunk
+    wrappers = [robust(builtin(name)) for name in CHUNKED]
+    with np.errstate(over="raise"):
+        reference = outcome(series, [per_window(x, chunk) for x in wrappers], w, s)
+        if fused:
+            assert_same(outcome(series, wrappers, w, s, n_workers), reference,
+                        block_paths={"block", "fused"})
+        else:
+            for wrapper in wrappers:
+                assert_same(outcome(series, [wrapper], w, s, n_workers),
+                            outcome(series, [per_window(wrapper, chunk)], w, s))
+    event(f"chunked: {chunk is not None}, fails: {isinstance(reference, str)}")
+
+
+@pytest.mark.parametrize("names, failing", [(["mean"], "mean"),
+                                            (["sum", "mean", "std"], "sum")])
+def test_a_late_failure_on_a_large_chunked_grid_is_found_by_halving(names, failing):
+    # 100k windows of 192 samples at a stride of 64 (K = 64). Two samples of
+    # 1e308 share a chunk of windows 50000 to 50002, whose sums overflow. The
+    # failing builtin is rerun over halves of the windows, not per window.
+    n = 64 * 100_002
+    values = np.ones(n)
+    values[[64 * 50_002 + 10, 64 * 50_002 + 11]] = 1e308
+    s = numeric_series("S", np.arange(float(n)), values=values)
+    assert chunk_of(s, 192.0, 64.0) == 64
+    calls = mock.Mock(wraps=features._run_blocks)
+    with np.errstate(over="raise"), mock.patch.object(features, "_run_blocks", calls):
+        got = outcome(s, [builtin(name) for name in names], 192.0, 64.0)
+        assert got == (f"function {failing!r} failed on group 'S' segment 50000: "
+                       f"overflow encountered in reduce")
+        assert calls.call_count <= 2 + 2 * math.ceil(math.log2(100_000))
+        lo = 64 * 50_000
+        window = per_window(builtin(failing), 64).func
+        with pytest.raises(FloatingPointError, match="^overflow encountered in reduce$"):
+            window(values[lo:lo + 192])
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_fused_unit_whose_block_run_raises_reruns_each_builtin_alone(n_workers):
+    # A fused moment call that raises, here for no reason in the data, is
+    # followed by one block run per builtin: the same bits, each logged as
+    # "block". The order family's unit stays fused.
+    values = np.random.default_rng(3).normal(100.0, 3.0, 1200)
+    s = numeric_series("S", np.arange(1200.0), values=values)
+    wrappers = [builtin(name) for name in ("sum", "mean", "std", "kurtosis", "median")]
+    wrappers.append(builtin("quantile", {"q": 0.25}))
+    want = outcome(s, wrappers, 256.0, 64.0)
+    assert want[1] == ["fused"] * 6
+    run_blocks, moments = features._run_blocks, wrappers[0].func.family
+
+    def fused_moments_raise(group, unit, windows=slice(None)):
+        if len(unit) > 1 and unit[0][0].func.family is moments:
+            raise RuntimeError("a fused call that raises")
+        return run_blocks(group, unit, windows)
+    with mock.patch.object(features, "_run_blocks", fused_moments_raise):
+        matrix, paths = outcome(s, wrappers, 256.0, 64.0, n_workers)
+    assert matrix.equals(want[0])
+    assert paths == ["block"] * 4 + ["fused"] * 2

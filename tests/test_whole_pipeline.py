@@ -1,7 +1,8 @@
 """The whole library path on random inputs: a feature config document goes
 through parse_feature_config, extract at one and two workers, write_matrix
 and load_csv. Only StridekitErrors may escape, the worker count may not
-change a bit, and the written CSV reloads to the same cells."""
+change a bit, sampled builtin cells match criterion 2's oracles, and the
+written CSV reloads to the same cells."""
 
 import dataclasses
 import math
@@ -19,12 +20,17 @@ from stridekit import (
     StridekitError,
     ValueTag,
     extract,
+    format_output_name,
     load_csv,
     parse_feature_config,
     write_matrix,
 )
 from stridekit.errors import ParseError
+from stridekit.features import BlockKernel
+from stridekit.segment import build_grid, intersect_spans, segment_positions
 from stridekit.series import FLOAT_TAGS
+
+from test_acceptance import _oracle_battery
 
 NAMES = ("A", "B", "C")
 LABELS = ("a", "b", "c")
@@ -198,6 +204,54 @@ def assert_reloads(matrix, path):
         assert all(same_cell(a, b) for a, b in zip(want, got)), name
 
 
+EXACT = ("count", "min", "max", "first", "last")
+MOMENTS = ("sum", "mean", "var", "std", "rms", "abs_energy", "skewness", "kurtosis")
+SAMPLED_ROWS = 12  # per column: the first and last window and evenly spaced ones
+
+
+def assert_oracle_cells(series_set, collection, options, matrix):
+    """Criterion 2's oracles (tests/test_acceptance.py) on sampled windows:
+    count, min, max, first and last exactly, NaN for a min or max over a
+    NaN, and the moment builtins of a float-tagged series within a relative
+    1e-9 on windows of finite samples (math.fsum has no value for inf - inf).
+    Windows below a function's min_samples hold its fill and are skipped."""
+    exact, approx = _oracle_battery()
+    for (names, w, s), wrappers in collection.groups():
+        series = series_set[names[0]]
+        grid = build_grid(*intersect_spans([series]), w, s, options.output_position)
+        positions = segment_positions(series, grid).tolist()
+        rows = np.searchsorted(matrix.index, grid.output_index()).tolist()
+        stored = series.values.data.tolist()
+        if series.values.tag is ValueTag.CATEGORICAL:
+            stored = [series.values.decode(c) for c in stored]
+        numbers = [float(v) for v in series.values.data.tolist()]
+        for wrapper in wrappers:
+            name = wrapper.func.name if isinstance(wrapper.func, BlockKernel) else None
+            moment = name in MOMENTS and series.values.tag in FLOAT_TAGS
+            if name not in EXACT and not moment:
+                continue
+            cells = matrix[format_output_name(names, wrapper.output_names[0], w, s)].data
+            for j in sorted(set(np.linspace(0, len(rows) - 1, SAMPLED_ROWS).astype(int).tolist())
+                            if rows else ()):
+                lo, hi = positions[j]
+                if hi - lo < wrapper.min_samples:
+                    continue
+                got, xs = cells[rows[j]], numbers[lo:hi]
+                if moment:
+                    if not all(map(math.isfinite, xs)):
+                        event("oracle: non-finite moment window")
+                        continue
+                    want = approx[name](xs, None)
+                    tol = 1e-9 * max(1.0, abs(want))
+                    assert abs(float(got) - want) <= tol, (name, j, got, want)
+                elif name in ("min", "max") and any(map(math.isnan, xs)):
+                    assert got != got, (name, j, got)
+                else:
+                    want = exact[name](stored[lo:hi] if name in ("first", "last") else xs, None)
+                    assert got == want or (got != got and want != want), (name, j, got, want)
+                event(f"oracle: {name}")
+
+
 @settings(max_examples=200)
 @given(data=st.data())
 def test_config_to_reloaded_csv_raises_only_stridekit_errors(data):
@@ -216,5 +270,6 @@ def test_config_to_reloaded_csv_raises_only_stridekit_errors(data):
         return
     assert not isinstance(two, str), two
     assert one.equals(two)
+    assert_oracle_cells(series_set, collection, options, one)
     with tempfile.TemporaryDirectory() as tmp:
         assert_reloads(one, os.path.join(tmp, "features.csv"))
