@@ -24,25 +24,24 @@ everything else is dictionary-encoded CATEGORICAL. One byte automaton is
 that grammar: it matches ASCII only, and a cell in full. Float32 data
 therefore reloads as F64: values survive exactly, the narrower tag does not.
 
-``load_csv`` reads UTF-8 with LF or CRLF line ends. It parses a file once,
-from its bytes, column by column with numpy: one scan finds the delimiters,
-each column is cut out as a fixed-width bytes array in row blocks, the
-automaton types it, and numpy's casts produce the values. Files that need
-the CSV quoting rules go through ``csv.reader``, whose errors (a quoted
-field over ``csv.field_size_limit()``) become row-numbered ParseErrors.
-Cells no bytes array holds (a long cell, a non-ASCII one) run through the
-automaton one by one, and time cells outside the bytes layout through the
-per-cell timestamp parser, which names the row of a bad one.
+``load_csv`` reads UTF-8 with LF, CRLF or lone CR line ends, as
+``csv.reader`` does, from the file's bytes column by column with numpy: one
+scan finds the field ends (commas and line ends with an even number of
+quotes before them), each column is cut out as a fixed-width bytes array in
+row blocks (a ``"..."`` cell between its quotes), the automaton types it,
+and numpy's casts produce the values. Cells with an inner quote are
+unquoted by ``csv.reader``; they, NULs and long cells keep a column on the
+per-cell parsers, which name the row of a bad cell.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as _dt
 import json
 import math
 import re
-from io import StringIO
 from typing import Callable
 
 import numpy as np
@@ -153,7 +152,7 @@ _SAFE_INT_BYTES = 18
 #: Timestamps checked and parsed at a time.
 _STAMP_ROWS = 16 * 1024
 
-_COMMA, _LF, _CR = ord(","), ord("\n"), ord("\r")
+_COMMA, _LF, _CR, _QUOTE = ord(","), ord("\n"), ord("\r"), ord('"')
 
 # Byte columns that hold a digit in every timestamp: YYYY-MM-DD?hh:mm:ss.
 _STAMP_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
@@ -177,7 +176,7 @@ def _parse_time_index(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
     wrap silently. Calendar and clock checks are numpy's; it rejects the
     leap second 60, which the per-cell parser accepts.
     """
-    if raw is not None and len(raw) and raw.dtype.itemsize >= 19:
+    if raw is not None and raw.dtype.itemsize >= 19:
         out = np.empty(len(raw), dtype=np.int64)
         for lo in range(0, len(raw), _STAMP_ROWS):
             block = _parse_stamps(raw[lo:lo + _STAMP_ROWS])
@@ -316,22 +315,13 @@ def _value_column(name: str, raw: np.ndarray | None, cells: Callable) -> np.ndar
     return np.asarray(cells())
 
 
-def _check_header(path, header: list[str], index_column: str) -> None:
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise DuplicateHeader(f"{path}: repeated column names {dupes}")
-    if index_column not in header:
-        raise ParseError(f"{path}: no column named {index_column!r} in header")
-
-
 def _cut_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
     """The cells ``buf[starts[i]:stops[i]]`` as one fixed-width ``S`` array,
-    or None when a cell is longer than _MAX_CELL_BYTES. Rows are copied in
-    blocks of _GATHER_BYTES from a strided view of ``buf``, then the bytes
-    past each cell are zeroed."""
+    or None for no cell or one over _MAX_CELL_BYTES. Rows are copied in blocks
+    of _GATHER_BYTES from a strided view of ``buf``, then zeroed past a cell."""
     widths = stops - starts
-    width = max(int(widths.max()), 1)
-    if width > _MAX_CELL_BYTES:
+    width = max(int(widths.max(initial=0)), 1)
+    if width > _MAX_CELL_BYTES or not len(starts):
         return None
     out = np.empty(len(starts), dtype=f"S{width}")
     b = out.view(np.uint8).reshape(len(starts), width)
@@ -344,114 +334,131 @@ def _cut_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.nda
         block[...] = windows[np.minimum(starts[lo:lo + step], last)]
         block *= offsets < widths[lo:lo + step, None]
     for i in np.flatnonzero(starts > last).tolist():  # cells near the file's end
-        cell = buf[starts[i]:stops[i]]
-        b[i] = 0
-        b[i, :len(cell)] = cell
+        b[i, :widths[i]] = buf[starts[i]:stops[i]]
     return out
 
 
-def _byte_table(path, raw: bytes, index_column: str):
-    """``(header, column)`` for a file that needs none of the CSV quoting
-    rules (ASCII without quote or NUL bytes, LF or CRLF line ends, no blank
-    line, every row as wide as the header), else None. ``column(j)`` is
-    ``(S array or None, cells)`` where ``cells()`` returns the column as a
-    list of str. A column is typed from its ``S`` array when it has one;
-    ``cells()`` serves the per-cell paths and the labels."""
-    if not raw.isascii() or b'"' in raw or b"\0" in raw:
-        return None
-    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
-        return None  # a lone CR ends a row for csv.reader
-    head_end = raw.find(b"\n")
-    body = head_end + 1
-    if head_end < 0 or body == len(raw):
-        return None  # no data rows
-    header_line = raw[:head_end].removesuffix(b"\r")
-    if not header_line:
-        return None  # csv.reader reads a blank line as a row of no fields
-    header = header_line.decode("ascii").split(",")
-    k = len(header)
+def _find(buf: np.ndarray, byte: int, dtype) -> np.ndarray:  # compared _SCAN_BYTES at a time
+    return np.concatenate([np.flatnonzero(buf[lo:lo + _SCAN_BYTES] == byte) + lo
+                           for lo in range(0, len(buf), _SCAN_BYTES)], dtype=dtype)
 
-    # Every comma and line end after the header, plus the file's end when
-    # the last row has no line end: row i's k delimiters are ends[i].
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    dtype = np.int32 if len(raw) < 2**31 else np.int64
-    parts = []
-    for lo in range(body, len(raw), _SCAN_BYTES):
+
+def _field_ends(raw: bytes, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Field ends as csv.reader reads the file, and quotes: each comma, LF and
+    lone CR after an even number of field quotes, then the file's end if no
+    line end is its last byte. A quote that neither starts a field nor
+    doubles a closing one is literal; only then are the quotes walked."""
+    n, parts = len(raw), []
+    dtype = np.int32 if n < 2**31 else np.int64
+    quotes = _find(buf, _QUOTE, dtype) if b'"' in raw else np.zeros(0, dtype=dtype)
+    opening, fq = quotes[::2], quotes
+    ok = (opening == 0) | np.isin(buf[opening - 1], (_COMMA, _LF, _CR))
+    ok[1:] |= opening[1:] - 1 == quotes[1::2][:len(opening) - 1]
+    if not ok.all():
+        kept, inside, closed = [], False, -2
+        for q in quotes.tolist():
+            if inside:
+                closed = q
+            elif not (q == closed + 1 or q == 0 or raw[q - 1] in b",\r\n"):
+                continue
+            kept.append(q)
+            inside = not inside
+        fq = np.array(kept, dtype=dtype)
+    lone_cr = b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
+    for lo in range(0, n, _SCAN_BYTES):
         chunk = buf[lo:lo + _SCAN_BYTES]
-        hits = np.flatnonzero((chunk == _COMMA) | (chunk == _LF))
-        hits += lo
-        parts.append(hits.astype(dtype))
-    if not raw.endswith(b"\n"):
-        parts.append(np.array([len(raw)], dtype=dtype))
-    ends = np.concatenate(parts)
-    del parts
-    if len(ends) % k:
-        return None
-    ends = ends.reshape(-1, k)
-    # Each row is k fields: its last delimiter is a line end, the others are
-    # commas.
-    line_ends = ends[:, -1] if raw.endswith(b"\n") else ends[:-1, -1]
-    if not (buf[line_ends] == _LF).all() or (buf[ends[:, :-1]] == _LF).any():
-        return None
-    row_starts = np.concatenate(([body], ends[:-1, -1] + 1)).astype(dtype)
-    row_stops = ends[:, -1] - (buf[ends[:, -1] - 1] == _CR)
-    if k == 1 and (row_stops == row_starts).any():
-        return None  # a blank line
+        hit = (chunk == _COMMA) | (chunk == _LF)
+        if lone_cr:
+            hit |= chunk == _CR
+        hits = np.flatnonzero(hit).astype(dtype) + lo  # fq's dtype: searchsorted copies neither
+        if lone_cr:  # the CR of a CRLF stays in the field before it
+            hits = hits[(buf[hits] != _CR) | (buf[np.minimum(hits + 1, n - 1)] != _LF)]
+        if len(fq):
+            hits = hits[np.searchsorted(fq, hits) % 2 == 0]
+        parts.append(hits)
+    if not (len(parts[-1]) and parts[-1][-1] == n - 1 and buf[-1] != _COMMA):
+        parts.append(np.array([n], dtype=dtype))
+    return np.concatenate(parts), quotes
 
-    _check_header(path, header, index_column)
+
+def _byte_table(path, raw: bytes, index_column: str):
+    """``(header, column)`` of the file as csv.reader reads it: ``column(j)``
+    is ``(S array or None, cells)``, ``cells()`` the column as str. A column
+    holding a NUL or a cell with an inner quote has no ``S`` array."""
+    if not raw:
+        raise ParseError(f"{path}: file is empty, expected a header row")
+    n, buf = len(raw), np.frombuffer(raw, dtype=np.uint8)
+    ends, quotes = _field_ends(raw, buf)
+    term = np.append(buf[ends[:-1]] != _COMMA, True)  # a line end or the file's end ends a row
+
+    def unquote(text: str) -> str:  # csv.Error past csv.field_size_limit() characters
+        return (next(csv.reader([text])) or [""])[0]
+    def trim(stops):  # the CR of a CRLF is in no field
+        at = np.minimum(stops, n - 1)
+        return stops - ((stops > 0) & (stops < n) & (buf[at] == _LF) & (buf[at - 1] == _CR))
+    def spans(f):  # start and stop bytes of the fields f
+        return np.where(f > 0, ends[f - 1] + 1, 0), trim(ends[f])
+    def fail(message, f):  # a ParseError at the row of field f
+        raise ParseError(f"{path}: {message}", row=int(np.count_nonzero(term[:f])) + 1) from None
+
+    pos = 0 if not raw.isascii() else n
+    while pos < n:  # UTF-8, a block at a time; a sequence cut by its end goes with the next
+        stop = pos + max(_SCAN_BYTES, 4)  # 4 bytes hold any one sequence
+        try:
+            pos += codecs.utf_8_decode(raw[pos:stop], "strict", stop >= n)[1]
+        except UnicodeDecodeError as exc:
+            pos += exc.start
+            fail(f"not valid UTF-8 (byte 0x{raw[pos]:02x})", np.searchsorted(ends, pos))
+    nul = np.searchsorted(ends, _find(buf, 0, ends.dtype)) if b"\0" in raw else ends[:0]
+    # csv.reader reads alone each field of more bytes than its limit (of characters)
+    # and the first NUL, which it rejects before Python 3.11
+    check = np.unique(np.concatenate((nul[:1], np.flatnonzero(
+        np.diff(ends, prepend=ends.dtype.type(-1)) > csv.field_size_limit() + 1))))
+    for f, a, b in zip(check.tolist(), *(s.tolist() for s in spans(check))):
+        try:
+            unquote(raw[a:b].decode())
+        except csv.Error as exc:
+            fail(exc, f)
+    last = np.flatnonzero(term)  # each row's last field
+    fields = np.diff(last, prepend=-1)
+    one = np.flatnonzero(fields == 1)
+    fields[one[np.equal(*spans(last[one]))]] = 0  # a blank line has no field
+    k = int(fields[0])
+    header = [unquote(raw[a:b].decode())
+              for a, b in zip(*(s.tolist() for s in spans(np.arange(k))))]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DuplicateHeader(f"{path}: repeated column names {dupes}")
+    if index_column not in header:
+        raise ParseError(f"{path}: no column named {index_column!r} in header")
+    bad = np.flatnonzero(fields != k)
+    if len(bad):
+        raise ParseError(f"expected {k} fields, got {fields[bad[0]]}", row=int(bad[0]) + 1)
+    table = ends.reshape(-1, k)
+    quoted = np.searchsorted(ends, quotes)  # the fields holding a quote, once each
+    quoted = quoted[np.diff(quoted, prepend=-1) > 0]
+    nul_columns = set((nul[nul >= k] % k).tolist())
 
     def column(j):
-        starts = ends[:, j - 1] + 1 if j else row_starts
-        stops = ends[:, j] if j < k - 1 else row_stops
+        starts = table[1:, j - 1] + 1 if j else table[:-1, -1] + 1
+        stops = table[1:, j] if j < k - 1 or b"\r" not in raw else trim(table[1:, j])
+        rows, odd = quoted[(quoted >= k) & (quoted % k == j)] // k - 1, []
+        if len(rows):
+            lo, hi = np.searchsorted(quotes, starts[rows]), np.searchsorted(quotes, stops[rows])
+            simple = ((hi - lo == 2) & (quotes[lo] == starts[rows])
+                      & (quotes[hi - 1] == stops[rows] - 1))
+            starts, stops = starts.copy(), stops.copy()
+            starts[rows[simple]] += 1
+            stops[rows[simple]] -= 1
+            odd = rows[~simple].tolist()
+        cut = None if odd or j in nul_columns else _cut_cells(buf, starts, stops)
 
         def cells():
-            return [raw[a:b].decode("ascii") for a, b in zip(starts.tolist(), stops.tolist())]
-        return _cut_cells(buf, starts, stops), cells
-    return header, column
-
-
-def _ascii_cells(cells: list[str]) -> np.ndarray | None:
-    """``cells`` as an ``S`` array when they are NUL-free ASCII no longer
-    than _MAX_CELL_BYTES, else None."""
-    if not cells or max(map(len, cells)) > _MAX_CELL_BYTES:
-        return None
-    joined = "".join(cells)
-    if not joined.isascii() or "\0" in joined:
-        return None
-    return np.array(cells, dtype="S")
-
-
-def _text_table(path, raw: bytes, index_column: str):
-    """``(header, column)`` by ``csv.reader``, as ``_byte_table``."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The row holding the bad byte is the last one of the text before it
-        # with one more character appended.
-        before = raw[:exc.start].decode("utf-8") + "?"
-        row = sum(1 for _ in csv.reader(StringIO(before, newline="")))
-        raise ParseError(
-            f"{path}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})", row=row
-        ) from None
-    rows = []
-    try:
-        for row in csv.reader(StringIO(text, newline="")):
-            rows.append(row)
-    except csv.Error as exc:  # e.g. a quoted field over csv.field_size_limit()
-        raise ParseError(f"{path}: {exc}", row=len(rows) + 1) from None
-    if not rows:
-        raise ParseError(f"{path}: file is empty, expected a header row")
-    header, data = rows[0], rows[1:]
-    _check_header(path, header, index_column)
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", row=i + 2
-            )
-
-    def column(j):
-        cells = [row[j] for row in data]
-        return _ascii_cells(cells), lambda: cells
+            out = [raw[a:b].decode() for a, b in zip(starts.tolist(), stops.tolist())]
+            for i in odd:
+                out[i] = unquote(out[i])
+            return out
+        return cut, cells
     return header, column
 
 
@@ -468,7 +475,7 @@ def load_csv(path, index_column: str = "index", kind_hint: IndexKind | None = No
             raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    header, column = _byte_table(path, raw, index_column) or _text_table(path, raw, index_column)
+    header, column = _byte_table(path, raw, index_column)
     idx_pos = header.index(index_column)
     index_raw, index_cells = column(idx_pos)
 
@@ -713,12 +720,6 @@ def parse_pipeline_config(doc) -> Pipeline:
     return pipeline
 
 
-def _param_to_json(value):
-    if isinstance(value, Delta):
-        return value.render()
-    return value
-
-
 def serialize_pipeline_config(pipeline: Pipeline) -> dict:
     steps = []
     for step in pipeline.steps:
@@ -730,9 +731,8 @@ def serialize_pipeline_config(pipeline: Pipeline) -> dict:
             entry if isinstance(entry, str) else list(entry)
             for entry in step.series_selector
         ]
-        params = {
-            k: _param_to_json(v) for k, v in step.bound_kwargs.items() if v is not None
-        }
+        params = {k: v.render() if isinstance(v, Delta) else v
+                  for k, v in step.bound_kwargs.items() if v is not None}
         steps.append({"function": step.label, "series": series, "params": params})
     return {"steps": steps}
 

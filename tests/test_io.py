@@ -502,13 +502,39 @@ def reference_load(path, index_column="index", kind_hint=None, sort=False):
     return [Series(name, index, values, kind=kind) for name, values in columns.items()]
 
 
+def reference_error(path):
+    """The ParseError load_csv raises where reference_load's own readers
+    fail: on bytes that are not UTF-8, at the row of the first bad byte (the
+    last row of the text before it with one character appended), and on a
+    field longer than csv.field_size_limit(), at its record."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[:exc.start].decode("utf-8") + "?"
+        row = sum(1 for _ in csv.reader(io.StringIO(before, newline="")))
+        return ParseError(f"{path}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})", row=row)
+    rows = 0
+    try:
+        for _ in csv.reader(io.StringIO(text, newline="")):
+            rows += 1
+    except csv.Error as exc:
+        return ParseError(f"{path}: {exc}", row=rows + 1)
+    raise AssertionError(f"{path}: csv.reader reads it without an error")
+
+
 def assert_loads_like_reference(path, **kw):
     try:
         expected = reference_load(path, **kw)
+    except (UnicodeDecodeError, csv.Error):
+        expected = reference_error(path)
     except StridekitError as exc:
-        with pytest.raises(type(exc)) as err:
+        expected = exc
+    if isinstance(expected, StridekitError):
+        with pytest.raises(type(expected)) as err:
             load_csv(path, **kw)
-        assert str(err.value) == str(exc)
+        assert str(err.value) == str(expected)
         return
     got = load_csv(path, **kw)
     assert [s.name for s in got] == [s.name for s in expected]
@@ -654,11 +680,54 @@ def test_load_block_edges_match_csv_reader_reference(tmp_path_factory, doc, sort
     b"index,V\n1,nan\n2,-nan\n",
     b"index,V\nnan,1\n",
     b"index,V\n2020-01-01T00:00:60Z,1\n2020-01-01 00:00:00.5+01:00,2\n",
+    # Every field is held to csv.field_size_limit(), quoted or not.
+    b"index,V\n1," + b"x" * 200_000 + b"\n",
+    b"index," + b"x" * 200_000 + b"\n1,2\n",
+    # A fixed-width bytes array would drop the trailing NUL.
+    b"index,V\n1,5\x00\n2,6\n",
+    b"index,V\n2020-01-01T00:00:00Z,1\n2020-01-01T00:00:01Z\x00,2\n",
+    b'index,V\n1,"a\r\n',  # an unclosed quote keeps the last CRLF
 ])
 def test_edge_documents_load_like_reference(tmp_path, doc):
     path = tmp_path / "doc.csv"
     path.write_bytes(doc)
     assert_loads_like_reference(str(path), sort=True)
+
+
+_RAW_BYTES = st.sampled_from([b"0", b"1", b".", b"e", b",", b'"', b"\r", b"\n", b"\r\n", b"\0",
+                              "\u00e9".encode(), b"\xff"])
+#: Quoted cells, quotes csv.reader takes as literal bytes or ends a field
+#: early on, and an unclosed one.
+_QUOTES = st.sampled_from([b'"1"', b'"a,b"', b'"x""y"', b'"\r\n"', b'ab"c', b'"ab"c', b'"ab" ,d',
+                           b'"'])
+_RAW_ROWS = st.one_of(
+    _STAMP_FORMS.map(lambda f: _render_stamp(*f).encode() + b",1\n"),
+    st.integers(-5, 99).map(lambda i: b"%d,%d\n" % (i, i)),
+    st.integers(-5, 99).map(lambda i: b"%d," % i),  # a row's start
+)
+
+
+@st.composite
+def raw_documents(draw):
+    """A header and then any bytes: pieces of rows, quotes, line ends, NULs
+    and non-UTF-8 bytes mixed into stamp- and number-shaped rows."""
+    header = draw(st.sampled_from([b"index,V\n", b"index\r\n", b'"index",V\n', b"V,index\n"]))
+    pieces = st.lists(st.one_of(_RAW_BYTES, _QUOTES, _RAW_ROWS), max_size=24)
+    end = st.sampled_from([b"", b"\n", b"\r\n", b"\r"])
+    return header + b"".join(draw(pieces)) + draw(end)
+
+
+@settings(max_examples=400)
+@given(doc=raw_documents(), sort=st.booleans(),
+       budgets=st.none() | st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 3)))
+def test_raw_bytes_load_like_reference(tmp_path_factory, doc, sort, budgets):
+    path = tmp_path_factory.mktemp("raw") / "doc.csv"
+    path.write_bytes(doc)
+    scan, gather, stamp_rows = budgets or (stridekit_io._SCAN_BYTES, stridekit_io._GATHER_BYTES,
+                                           stridekit_io._STAMP_ROWS)
+    with mock.patch.multiple(stridekit_io, _SCAN_BYTES=scan, _GATHER_BYTES=gather,
+                             _STAMP_ROWS=stamp_rows):
+        assert_loads_like_reference(str(path), sort=sort)
 
 
 def test_load_peak_is_bounded_by_array_and_file_bytes(tmp_path):

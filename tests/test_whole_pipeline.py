@@ -61,9 +61,13 @@ def output_key(entry):
     return repr((entry.get("name"), entry.get("params"))) if isinstance(entry, dict) else repr(entry)
 
 
+FLOAT_CELLS = st.one_of(st.floats(-1e3, 1e3, width=32),
+                        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 3e38]))
+
+
 @st.composite
-def series_of(draw, name, kind):
-    tag = draw(st.sampled_from(list(ValueTag)))
+def series_of(draw, name, kind, tags=tuple(ValueTag), float_cells=FLOAT_CELLS):
+    tag = draw(st.sampled_from(tags))
     n = draw(mostly(st.integers(2, 40), st.sampled_from([0, 1])))
     steps = np.array(draw(st.lists(st.sampled_from(STEPS), min_size=max(n - 1, 0),
                                    max_size=max(n - 1, 0))), dtype=np.int64)
@@ -73,9 +77,7 @@ def series_of(draw, name, kind):
     else:  # float drift: the steps' tenths summed one by one
         index = start * 0.1 + np.cumsum(np.concatenate([[0.0], steps * 0.1]))[:n]
     if tag in FLOAT_TAGS:
-        cells = st.one_of(st.floats(-1e3, 1e3, width=32), st.sampled_from(
-            [math.nan, math.inf, -math.inf, -0.0, 0.0, 3e38]))
-        values = np.array(draw(st.lists(cells, min_size=n, max_size=n)),
+        values = np.array(draw(st.lists(float_cells, min_size=n, max_size=n)),
                           dtype=np.float32 if tag is ValueTag.F32 else np.float64)
     elif tag is ValueTag.I64:
         cells = st.one_of(st.integers(-50, 50), st.sampled_from(BIG))
@@ -273,3 +275,29 @@ def test_config_to_reloaded_csv_raises_only_stridekit_errors(data):
     assert_oracle_cells(series_set, collection, options, one)
     with tempfile.TemporaryDirectory() as tmp:
         assert_reloads(one, os.path.join(tmp, "features.csv"))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_moment_builtins_match_the_oracle(data):
+    """Only well-formed robust moment entries on finite float series, so
+    that most sampled windows reach criterion 2's moment oracles."""
+    kind = data.draw(st.sampled_from(list(IndexKind)))
+    names = data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True))
+    finite = st.one_of(st.floats(-1e3, 1e3, width=32), st.sampled_from([-0.0, 0.0, 3e38]))
+    series_set = SeriesSet(
+        data.draw(series_of(name, kind, (ValueTag.F32, ValueTag.F64), finite).filter(len))
+        for name in names)
+    moments = data.draw(st.lists(st.sampled_from(MOMENTS), min_size=1, unique=True))
+    min_samples = data.draw(st.sampled_from([1, 2, 5]))
+    doc = {"features": [{
+        "series": names,
+        "functions": [{"name": name, "robust": {"min_samples": min_samples}} for name in moments],
+        # not WINDOWS[kind][0]: a 1ns (1e-9) window holds a single stamp
+        "windows": data.draw(st.lists(st.sampled_from(WINDOWS[kind][1:]), min_size=1, max_size=2,
+                                      unique=True)),
+        "strides": [data.draw(st.sampled_from(STRIDES[kind]))],
+    }]}
+    collection, options = parse_feature_config(doc)
+    matrix = extract(series_set, collection, options).matrix
+    assert_oracle_cells(series_set, collection, options, matrix)
