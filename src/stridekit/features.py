@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BadParam,
@@ -707,22 +707,28 @@ def _blocks(sources: list, starts: np.ndarray, c: int, raw: bool) -> Iterator[tu
     """(slice of ``starts``, blocks) for each block of the windows [s, s + c)
     of ``sources``, s in ``starts``: BLOCK_BYTES of samples, at least one
     window, in the stored itemsize when ``raw`` and in float64 otherwise,
-    the values cast to float64 unless ``raw``. A block is a strided slice of
-    each source's sliding-window view where its starts are evenly spaced and
-    ascending, else a gather. The spacing check costs no numpy call per
-    block of one or two rows, and one comparison otherwise."""
-    views = [sliding_window_view(src, c) for src in sources]
+    the values cast to float64 unless ``raw``. A one-window block is a slice
+    of each source. Any other is a strided slice of each source's window
+    view (one ``as_strided`` per source, on first use) where its starts are
+    evenly spaced and ascending, else a gather; only blocks of three or more
+    rows need a numpy call to check the spacing."""
+    views = None
     per_block = max(1, BLOCK_BYTES // (c * (sources[0].itemsize if raw else 8)))
-    steps = np.diff(starts)
     lo = starts.tolist()
     for a in range(0, len(lo), per_block):
         b = min(a + per_block, len(lo))
-        step = lo[a + 1] - lo[a] if b - a > 1 else 1
-        if step > 0 and (b - a < 3 or (steps[a:b - 1] == step).all()):
-            rows = slice(lo[a], lo[b - 1] + 1, step)
+        if b - a == 1:
+            blocks = [src[None, lo[a]:lo[a] + c] for src in sources]
         else:
-            rows = starts[a:b]
-        blocks = [v[rows] for v in views]
+            if views is None:
+                views = [as_strided(src, (len(src) - c + 1, c), src.strides * 2, writeable=False)
+                         for src in sources]
+            step = lo[a + 1] - lo[a]
+            if step > 0 and (b - a < 3 or (np.diff(starts[a:b]) == step).all()):
+                rows = slice(lo[a], lo[b - 1] + 1, step)
+            else:
+                rows = starts[a:b]
+            blocks = [v[rows] for v in views]
         if not raw:
             blocks[0] = np.ascontiguousarray(blocks[0], dtype=np.float64)
         yield slice(a, b), blocks
@@ -819,7 +825,7 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple],
                 windows: slice = slice(None)) -> None:
     """The ``windows`` of the group's grid (all by default), one family call
     per block of windows with equal sample counts, each block a (strided)
-    slice of the series' sliding-window view, so extra memory is bounded by
+    slice of the series' window view, so extra memory is bounded by
     BLOCK_BYTES. ``unit`` holds (wrapper, tag, column) per member: builtins
     of one family sharing ``min_samples``, which share each block. A chunked
     family takes the windows longer than the group's chunk length in start
@@ -990,18 +996,26 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
         _WORKER_GROUPS = None
 
 
-def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> FeatureMatrix:
-    """Outer-join the columns on the grids' sorted, distinct stamps: one grid's
-    own when they strictly increase (float drift can repeat a numeric one)."""
-    stamps = {grid: grid.output_index() for grid in dict.fromkeys(g.grid for g in groups)}
-    active = [x for x in stamps.values() if len(x)]
-    kind = groups[0].grid.kind if groups else None
-    index_dtype = np.int64 if kind is IndexKind.TIME_NS else np.float64
+def _union(stamps: list[np.ndarray], dtype) -> np.ndarray:
+    """The sorted, distinct stamps of the grids: one grid's own when they
+    strictly increase (float drift can repeat a numeric one), else by
+    np.unique's sort path, a sort and a neighbour compare, so that of -0.0
+    and 0.0 the same one is kept. (np.unique hashes int64 instead, which is
+    slow on many distinct values.)"""
+    active = [x for x in stamps if len(x)]
     if len(active) == 1 and (active[0][1:] > active[0][:-1]).all():
-        index = active[0]
-    else:
-        index = np.unique(np.concatenate(active or [np.array([], dtype=index_dtype)]))
-    index = index.astype(index_dtype, copy=False)
+        return active[0].astype(dtype, copy=False)
+    index = np.sort(np.concatenate(active or [np.array([], dtype=dtype)]))
+    keep = np.ones(len(index), dtype=bool)
+    keep[1:] = index[1:] != index[:-1]
+    return index[keep].astype(dtype, copy=False)
+
+
+def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> FeatureMatrix:
+    """Outer-join the columns on the grids' sorted, distinct stamps."""
+    stamps = {grid: grid.output_index() for grid in dict.fromkeys(g.grid for g in groups)}
+    kind = groups[0].grid.kind if groups else None
+    index = _union(list(stamps.values()), np.int64 if kind is IndexKind.TIME_NS else np.float64)
     rows = {grid: slice(None) if x is index else np.searchsorted(index, x)
             for grid, x in stamps.items()}
 

@@ -28,10 +28,15 @@ therefore reloads as F64: values survive exactly, the narrower tag does not.
 ``csv.reader`` does, from the file's bytes column by column with numpy: one
 scan finds the field ends (commas and line ends with an even number of
 quotes before them), each column is cut out as a fixed-width bytes array in
-row blocks (a ``"..."`` cell between its quotes), the automaton types it,
-and numpy's casts produce the values. Cells with an inner quote are
-unquoted by ``csv.reader``; they, NULs and long cells keep a column on the
-per-cell parsers, which name the row of a bad cell.
+row blocks (a ``"..."`` cell between its quotes), and a walk over its byte
+columns, in row blocks, types it with the automaton and reads each cell's
+digits. A plain decimal of at most 15 digits is its digits over a power of
+ten, one correctly rounded division (Clinger's fast path), so bitwise
+``float()``; integers are their digits. Timestamps are decoded from their
+digit pairs with calendar arithmetic. Only other numbers (exponents, more
+digits, inf, nan) go through numpy's cast, those cells alone. Cells with an
+inner quote are unquoted by ``csv.reader``; they, NULs and long cells keep
+a column on the per-cell parsers, which name the row of a bad cell.
 """
 
 from __future__ import annotations
@@ -68,8 +73,8 @@ from .features import (
 )
 from .calculators import builtin
 from .processing import PROCESSOR_NAMES, Pipeline, _normalize_selector, builtin_processor
-from .series import (_EMPTY, _FALSE, _INT, _IS_FLOAT, _NUMERIC_NEXT, _TRUE, _number_state,
-                     _same_index)
+from .series import (_DEAD, _EMPTY, _FALSE, _FRAC, _INT, _INT_DOT, _IS_FLOAT, _NUMERIC_NEXT,
+                     _TRUE, _number_state, _same_index)
 from .series import (
     Delta,
     FLOAT_TAGS,
@@ -149,32 +154,33 @@ _GATHER_BYTES = 256 * 1024
 _MAX_CELL_BYTES = 64
 #: Integer cells of at most this many bytes, sign included, fit int64.
 _SAFE_INT_BYTES = 18
-#: Timestamps checked and parsed at a time.
+#: Rows of a column decoded at a time.
 _STAMP_ROWS = 16 * 1024
 
-_COMMA, _LF, _CR, _QUOTE = ord(","), ord("\n"), ord("\r"), ord('"')
+_COMMA, _LF, _CR, _QUOTE, _DOT, _MINUS = (ord(c) for c in ',\n\r".-')
 
-# Byte columns that hold a digit in every timestamp: YYYY-MM-DD?hh:mm:ss.
-_STAMP_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
-
-
-def _is_digit(column: np.ndarray) -> np.ndarray:
-    return column - np.uint8(ord("0")) <= 9
+#: Two ASCII digits, read as one little-endian uint16, to their value; 255
+#: for any other two bytes.
+_PAIRS = np.full(1 << 16, 255, dtype=np.uint8)
+_PAIRS[np.add.outer(np.arange(48, 58), 256 * np.arange(48, 58))] = np.arange(100).reshape(10, 10)
+_MONTH_DAYS = np.zeros(256, dtype=np.int32)
+_MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+#: Days from March 1 to the first of each month.
+_MARCH_DAYS = (153 * ((np.arange(256, dtype=np.int32) + 9) % 12) + 2) // 5
+#: The divisor of a cell on the fast path by its code (see ``_numbers``).
+_SCALE = np.array([float(10 ** k) for k in range(128)])
+_SCALE = np.concatenate([_SCALE, -_SCALE])
+_FAST = np.isin(np.arange(_DEAD + 1), [_INT, _INT_DOT, _FRAC])
 
 
 def _parse_time_index(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
     """Integer nanoseconds. An ``S`` array of NUL-free cells that each match
-    ``_RFC_RE`` with a year in 1678-2261 is parsed by numpy, and used up:
-    its bytes are rewritten in place. Any other column is parsed cell by
-    cell, which names the row of a bad cell.
-
-    The layout is checked on the cells' bytes, one byte column at a time,
-    in blocks of _STAMP_ROWS rows so the temporaries stay small. numpy then
-    parses only the offset-free stamps: it warns on an offset, and for bytes
-    input can crash on one, so offsets are cut off and applied here. The
-    year limits keep every value inside int64 nanoseconds, where numpy would
-    wrap silently. Calendar and clock checks are numpy's; it rejects the
-    leap second 60, which the per-cell parser accepts.
+    ``_RFC_RE`` with a year in 1678-2261 is decoded from its bytes (and
+    rewritten in place) in blocks of _STAMP_ROWS rows, so the temporaries
+    stay small. Any other column is parsed cell by cell, which names the row
+    of a bad cell. The year limits keep every value inside int64
+    nanoseconds; calendar and clock are checked as ``parse_rfc3339_ns``
+    checks them, leap second 60 included, and give its values.
     """
     if raw is not None and raw.dtype.itemsize >= 19:
         out = np.empty(len(raw), dtype=np.int64)
@@ -190,46 +196,63 @@ def _parse_time_index(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
 
 def _parse_stamps(raw: np.ndarray) -> np.ndarray | None:
     n, width = len(raw), raw.dtype.itemsize
-    b = raw.view(np.uint8).reshape(n, width)
-    lengths = np.count_nonzero(b, axis=1)
-    ok = lengths >= 19
-    for j in _STAMP_DIGITS:
-        ok &= _is_digit(b[:, j])
-    for j, ch in ((4, "-"), (7, "-"), (13, ":"), (16, ":")):
-        ok &= b[:, j] == ord(ch)
-    ok &= np.isin(b[:, 10], list(b"Tt "))
-    year = (b[:, :4] - np.uint8(ord("0"))).astype(np.int32) @ np.array([1000, 100, 10, 1])
-    ok &= (year >= 1678) & (year <= 2261)
+    flat = raw.view(np.uint8)
+    b = flat.reshape(n, width)
+
+    def pairs(u16):  # little-endian digit pairs as 0-99, else 255 (see _PAIRS)
+        return _PAIRS.take(u16).astype(np.int32)
+
+    def two(j):  # the pair at byte columns j and j + 1
+        return pairs(b[:, j:j + 2].view("<u2")[:, 0])
 
     # Suffix: optional "." and 1-9 digits, then optional Z, z or +hh:mm/-hh:mm.
-    rows = np.arange(n)
-    last = b[rows, lengths - 1]
-    zulu = (last == ord("Z")) | (last == ord("z"))
-    sign = b[rows, lengths - 6]
-    offset = (lengths >= 25) & ((sign == ord("+")) | (sign == ord("-")))
-    offset &= b[rows, lengths - 3] == ord(":")
-    for d in (5, 4, 2, 1):
-        offset &= _is_digit(b[rows, lengths - d])
-    stop = lengths - np.where(offset, 6, zulu)
-    ok &= (stop == 19) | ((stop >= 21) & (stop <= 29))
-    shift_ns = np.zeros(n, dtype=np.int64)
+    length = np.char.str_len(raw)  # the cells hold no NUL
+    end = np.arange(0, n * width, width) + length
+    last, sign = flat.take(end - 1), flat.take(end - 6)
+    offset = ((sign == ord("+")) | (sign == _MINUS)) & (flat.take(end - 3) == ord(":"))
+    shift_ns = 0
     if offset.any():
-        r = np.flatnonzero(offset)
-        digit = [b[r, lengths[r] - d].astype(np.int64) - ord("0") for d in (5, 4, 2, 1)]
-        minutes = (digit[0] * 10 + digit[1]) * 60 + digit[2] * 10 + digit[3]
-        shift_ns[r] = np.where(sign[r] == ord("+"), minutes, -minutes) * 60_000_000_000
-    for j in range(19, width):
-        inside = j < stop
-        ok &= ~inside | (_is_digit(b[:, j]) if j > 19 else b[:, j] == ord("."))
-        b[~inside, j] = 0
+        hh, mm = (pairs(flat.take(end - d) + (flat.take(end - d + 1).astype(np.uint16) << 8))
+                  for d in (5, 2))
+        offset &= (hh <= 99) & (mm <= 99)
+        shift_ns = np.where(sign == _MINUS, -60, 60) * (hh * 60 + mm) * offset * 1_000_000_000
+    stop = length - np.where(offset, 6, (last == ord("Z")) | (last == ord("z")))
+    ok = (length >= 19) & ((stop == 19) | ((stop >= 21) & (stop <= 29)))
+    del length, end  # so that a block's temporaries stay few
+    ok &= b.take([4, 7, 13, 16], axis=1).view("<u4")[:, 0] == int.from_bytes(b"--::", "little")
+    ok &= (b[:, 10] == ord("T")) | (b[:, 10] == ord("t")) | (b[:, 10] == ord(" "))
+
+    # Fraction: bytes past it and the "." read as "0", then 9 digits by pairs.
+    hi, frac = min(width, 29), 0
+    if hi > 19:
+        ok &= (stop == 19) | (b[:, 19] == _DOT)
+        b[:, 19] = ord("0")
+        least, most = int(stop.min()), int(stop.max())  # one stop in a fixed format
+        b[:, max(most, 20):hi] = ord("0")
+        for j in range(max(least, 20), min(most, hi)):
+            np.copyto(b[:, j], np.uint8(ord("0")), where=stop <= j)
+    del stop
+    for j in range(19, hi, 2):
+        pair = two(j) if j + 1 < hi else pairs((b[:, j].astype(np.uint16) << 8) + ord("0"))
+        ok &= pair <= 99
+        frac = frac * (100 if j + 1 < hi else 10) + pair
+
+    century, year, month, day = two(0), two(2), two(5), two(8)
+    ok &= year <= 99
+    leap = ((year & 3) == 0) & ((year != 0) | ((century & 3) == 0))
+    year += century * 100
+    ok &= (year >= 1678) & (year <= 2261)
+    ok &= (day >= 1) & (day <= _MONTH_DAYS.take(month) + (leap & (month == 2)))
+    hour, minute, second = two(11), two(14), two(17)
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 60)
     if not ok.all():
         return None
-    b[:, 10] = ord("T")
-    try:
-        ns = raw.astype("datetime64[ns]").view(np.int64)
-    except ValueError:
-        return None
-    return ns - shift_ns
+    year -= month <= 2  # days from civil, years counted from March
+    day += 365 * year + year // 4 - year // 100 + year // 400 + _MARCH_DAYS.take(month) - 719_469
+    second += hour * 3_600 + minute * 60
+    del century, year, month, leap, hour, minute
+    ns = (day.astype(np.int64) * 86_400 + second) * 1_000_000_000
+    return ns + frac * 10 ** (29 - hi) - shift_ns  # the fraction is below 1e9
 
 
 def _parse_time_cells(cells: list[str], first_data_line: int) -> np.ndarray:
@@ -247,38 +270,73 @@ def _parse_time_cells(cells: list[str], first_data_line: int) -> np.ndarray:
     return out
 
 
-def _numeric_states(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
-    """The automaton's final state for each cell of a column: from its ``S``
-    array, or cell by cell through ``_number_state``."""
+def _numbers(raw: np.ndarray | None, cells: Callable) -> tuple:
+    """``(state, m, code)`` of a column's cells: the automaton's final state,
+    from its ``S`` array or cell by cell through ``_number_state`` (then m
+    and code are None). From the ``S`` array, a block of _STAMP_ROWS rows at
+    a time, also m, a cell's digits as one int64 (wrapped past 18), and
+    code, 128 for a minus sign plus the fraction digits f of a fast cell,
+    else plus 127. A fast cell is in _INT, _INT_DOT or _FRAC with at most
+    15 digits: m and 10**f are exact float64s, so ``m / 10**f`` is
+    correctly rounded, bitwise ``float()``. Digits are read from the first
+    _SAFE_INT_BYTES bytes, which hold every fast cell and every safe int."""
     if raw is None:
-        return np.array([_number_state(cell) for cell in cells()], dtype=np.uint16)
-    b = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)
-    state = np.zeros(len(raw), dtype=np.uint16)
-    for j in range(b.shape[1]):
-        state = _NUMERIC_NEXT[state + b[:, j]]
-    return state >> 8
+        return np.array([_number_state(cell) for cell in cells()], dtype=np.uint8), None, None
+    n, width = len(raw), raw.dtype.itemsize
+    b = raw.view(np.uint8).reshape(n, width)
+    state, m, code = (np.empty(n, dtype=t) for t in (np.uint8, np.int64, np.uint8))
+    for lo in range(0, n, _STAMP_ROWS):
+        columns = b[lo:lo + _STAMP_ROWS].T.copy()  # a byte column per row, contiguous
+        s, mm = np.zeros(columns.shape[1], dtype=np.uint16), m[lo:lo + _STAMP_ROWS]
+        for c in columns:
+            s = _NUMERIC_NEXT.take(s + c)
+        s >>= 8
+        digits, fraction = np.zeros((2, len(s)), dtype=np.uint8)
+        mm[:] = 0
+        for c in columns[:_SAFE_INT_BYTES]:
+            d = c - np.uint8(48)  # wraps: a digit is below 10
+            digit = d < 10
+            digits += digit
+            fraction += digit
+            fraction *= c != _DOT  # the digits since the last "."
+            mm *= digit * np.uint8(9) + np.uint8(1)
+            mm += d * digit
+        state[lo:lo + _STAMP_ROWS] = s
+        fast = _FAST.take(s) & (digits <= 15)
+        code[lo:lo + _STAMP_ROWS] = (np.where(fast, fraction * (s != _INT), np.uint8(127))
+                                     + np.uint8(128) * (columns[0] == _MINUS))
+    return state, m, code
 
 
-def _floats(raw: np.ndarray | None, cells: Callable, number: np.ndarray) -> np.ndarray:
-    """Float64 of the cells where ``number`` holds, NaN elsewhere."""
+def _floats(raw: np.ndarray | None, cells: Callable, number: np.ndarray, m, code) -> np.ndarray:
+    """Float64 of the cells where ``number`` holds, NaN elsewhere: from the
+    ``S`` array, into ``m``'s memory a block of _STAMP_ROWS rows at a time, a
+    fast cell's ``m / ±10**f`` and any other number by numpy's cast of those
+    cells alone; else float() of each cell."""
     if raw is None:
         return np.array([float(c) if ok else math.nan
                          for c, ok in zip(cells(), number.tolist())], dtype=np.float64)
+    slow = (code & 127) == 127
+    slow &= number
+    values = m.view(np.float64)
     # numpy warns on some cells past float64 (20000.1E320), not on others
     # (1e400); float() reads both as inf, and so does this cast
     with np.errstate(over="ignore"):
-        if number.all():
-            return raw.astype(np.float64)
-        values = np.full(len(raw), np.nan)
-        values[number] = raw[number].astype(np.float64)
+        for lo in range(0, len(m), _STAMP_ROWS):
+            block, cast = slice(lo, lo + _STAMP_ROWS), slow[lo:lo + _STAMP_ROWS]
+            np.divide(m[block], _SCALE.take(code[block]), out=values[block])
+            if cast.any():
+                values[block][cast] = raw[block][cast].astype(np.float64)
+    values[~number] = np.nan
     return values
 
 
 def _parse_numeric_index(raw: np.ndarray | None, cells: Callable) -> np.ndarray:
     """Float64 positions; the first cell that is no number, or NaN, is a
     ParseError naming its row."""
-    number = _IS_FLOAT[_numeric_states(raw, cells)]
-    values = _floats(raw, cells, number)
+    state, m, code = _numbers(raw, cells)
+    number = _IS_FLOAT[state]
+    values = _floats(raw, cells, number, m, code)
     nan = np.isnan(values)
     if nan.any():
         i = int(nan.argmax())
@@ -293,10 +351,10 @@ def _value_column(name: str, raw: np.ndarray | None, cells: Callable) -> np.ndar
     an integer, F64 when every cell is a number or empty (NaN), else labels;
     the first integer outside int64 and the first empty label are
     ParseErrors naming their rows."""
-    state = _numeric_states(raw, cells)
+    state, m, code = _numbers(raw, cells)
     if len(state) and (state == _INT).all():
         if raw is not None and raw.dtype.itemsize <= _SAFE_INT_BYTES:
-            return raw.astype(np.int64)
+            return np.negative(m, out=m, where=code >= 128)
         text = cells()
         values = [int(c) for c in text]
         for i, v in enumerate(values):
@@ -308,7 +366,7 @@ def _value_column(name: str, raw: np.ndarray | None, cells: Callable) -> np.ndar
         return state == _TRUE
     empty = state == _EMPTY
     if (_IS_FLOAT[state] | empty).all():
-        return _floats(raw, cells, ~empty)
+        return _floats(raw, cells, np.logical_not(empty, out=empty), m, code)
     if empty.any():
         raise ParseError(f"empty cell in non-numeric column {name!r}",
                          row=2 + int(empty.argmax()))
@@ -365,7 +423,9 @@ def _field_ends(raw: bytes, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             inside = not inside
         fq = np.array(kept, dtype=dtype)
     lone_cr = b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
-    for lo in range(0, n, _SCAN_BYTES):
+    # the field quotes before each block: a block searches only its own
+    before = [*np.searchsorted(fq, np.arange(0, n, _SCAN_BYTES, dtype=dtype)).tolist(), len(fq)]
+    for i, lo in enumerate(range(0, n, _SCAN_BYTES)):
         chunk = buf[lo:lo + _SCAN_BYTES]
         hit = (chunk == _COMMA) | (chunk == _LF)
         if lone_cr:
@@ -374,7 +434,8 @@ def _field_ends(raw: bytes, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if lone_cr:  # the CR of a CRLF stays in the field before it
             hits = hits[(buf[hits] != _CR) | (buf[np.minimum(hits + 1, n - 1)] != _LF)]
         if len(fq):
-            hits = hits[np.searchsorted(fq, hits) % 2 == 0]
+            a, b = before[i], before[i + 1]
+            hits = hits[(np.searchsorted(fq[a:b], hits) + a) % 2 == 0]
         parts.append(hits)
     if not (len(parts[-1]) and parts[-1][-1] == n - 1 and buf[-1] != _COMMA):
         parts.append(np.array([n], dtype=dtype))

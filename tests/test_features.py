@@ -45,6 +45,7 @@ from stridekit.errors import (
 )
 
 from stridekit import features
+from stridekit.segment import SegmentGrid
 
 from conftest import NS, numeric_series, time_series
 
@@ -939,3 +940,35 @@ def test_merge_equals_the_unique_join_bitwise(case):
     assert got.equals(unique_merge(groups, results))
     n_stamps = sum(g.grid.n_segments for g in groups if g.key[0] == ("A",))
     assert (got.n_rows < n_stamps) is (case in ("mixed", "drift"))
+
+
+_POSITIONS = st.sampled_from(list(OutputPosition))
+#: Grids as the segmenter builds them (begin + k * stride, plus the window
+#: for END stamps): time grids, and numeric grids that cross zero or sit
+#: past 2**53, where float drift repeats stamps.
+_TIME_GRIDS = st.builds(lambda *a: SegmentGrid(IndexKind.TIME_NS, *a),
+                        st.integers(-10**12, 10**12), st.integers(1, 10**9),
+                        st.integers(1, 10**9), st.integers(0, 40), _POSITIONS)
+_NUMERIC_GRIDS = st.builds(
+    lambda *a: SegmentGrid(IndexKind.NUMERIC, *a),
+    st.sampled_from([-3.0, -1.5, -0.5, -0.0, 0.0, 1e16, 1e16 + 2.0, -1e16])
+    | st.floats(-100.0, 100.0),
+    st.sampled_from([0.5, 1.0, 1.5, 0.1, 1 / 3]), st.sampled_from([0.5, 1.0, 0.25, 0.1, 1 / 3]),
+    st.integers(0, 40), _POSITIONS)
+#: Sorted stamp runs holding -0.0 and 0.0 in drawn order, which no grid
+#: formula yields (-0.0 + 0.0 is 0.0).
+_SIGNED_ZEROS = st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0, 0.5]), max_size=6).map(
+    lambda xs: np.array(sorted(xs), dtype=np.float64))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), time=st.booleans())
+def test_grid_union_equals_np_unique_bitwise(data, time):
+    grids = data.draw(st.lists(_TIME_GRIDS if time else _NUMERIC_GRIDS, min_size=1, max_size=4))
+    stamps = [g.output_index() for g in grids]
+    if not time:
+        stamps += data.draw(st.lists(_SIGNED_ZEROS, max_size=3))
+    dtype = np.int64 if time else np.float64
+    got = features._union(stamps, dtype)
+    expected = np.unique(np.concatenate([np.array([], dtype=dtype), *stamps]))
+    assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())

@@ -750,6 +750,159 @@ def test_load_peak_is_bounded_by_array_and_file_bytes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The column decoder: numbers and timestamps from their bytes
+# ---------------------------------------------------------------------------
+
+def _decimal(sign, digits, point, zeros):
+    """``digits`` with ``zeros`` leading zeros and a "." ``point`` digits
+    from the left (none when None), after ``sign``."""
+    text = "0" * zeros + digits
+    if point is not None:
+        point = min(point, len(text))
+        text = text[:point] + "." + text[point:]
+    return sign + text
+
+
+_PLAIN_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
+_SIGNIFICANDS = st.one_of(
+    st.integers(1, 16).flatmap(lambda k: st.integers(10 ** (k - 1), 10 ** k - 1)),
+    st.integers(-3, 3).map(lambda d: 2**53 + d),
+    st.sampled_from([10**14, 10**15 - 1, 10**15, 10**16 - 1, 999999999999999]),
+).map(str)
+#: Number cells clustered at the fast path's edges (14, 15 and 16 digits,
+#: significands within 3 of 2**53, leading zeros, signed zeros, a bare "."
+#: at either end), and cells it hands on: more than 15 digits, exponents,
+#: inf and nan.
+_DECODER_NUMBERS = st.one_of(
+    st.builds(_decimal, st.sampled_from(["", "-", "+"]), _SIGNIFICANDS,
+              st.none() | st.integers(0, 20), st.integers(0, 3)),
+    st.builds(lambda m, e: m + e, st.builds(_decimal, st.sampled_from(["", "-"]), _SIGNIFICANDS,
+                                            st.none() | st.integers(0, 20), st.just(0)),
+              st.from_regex(r"[eE][+-]?[0-9]{1,3}", fullmatch=True)),
+    st.floats(width=64).map(repr),
+    st.sampled_from(["-0", "-0.000", "0", "+0.0", ".5", "5.", "+5", "-.5", "0.1234567890123456789",
+                     "123456789012345.6", "1234567890123456.7", "9007199254740993", "inf",
+                     "-Inf", "nan", "+NaN", "1e400", "-1E400", "5e-324", "2.2250738585072014e-308"]),
+)
+
+
+@settings(max_examples=400)
+@given(cells=st.lists(_DECODER_NUMBERS, min_size=1, max_size=30),
+       rows=st.none() | st.integers(1, 4), index=st.booleans())
+def test_number_decoder_is_bitwise_float_and_int(cells, rows, index):
+    raw = np.array([c.encode() for c in cells])
+    if index:
+        decode, reference = stridekit_io._parse_numeric_index, reference_numeric_index
+    else:
+        decode = lambda raw, cells: stridekit_io._value_column("V", raw, cells)  # noqa: E731
+        reference = lambda cells: reference_value_column("V", cells)  # noqa: E731
+    try:
+        expected = reference(cells)
+    except ParseError as exc:  # a NaN index cell
+        expected = exc
+    with mock.patch.object(stridekit_io, "_STAMP_ROWS", rows or stridekit_io._STAMP_ROWS):
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as err:
+                decode(raw, lambda: cells)
+            assert str(err.value) == str(expected)
+            return
+        got = decode(raw, lambda: cells)
+    assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
+    # the fast path takes every plain decimal of at most 15 digits
+    _, _, code = stridekit_io._numbers(raw, lambda: cells)
+    assert ((code & 127) != 127).tolist() == [
+        bool(_PLAIN_DECIMAL.fullmatch(c)) and sum(map(str.isdigit, c)) <= 15 for c in cells]
+
+
+@settings(max_examples=200)
+@given(cells=st.lists(st.integers(-(10**17) + 1, 10**17 - 1).map(str)
+                      | st.sampled_from(["-0", "+0", "+7", "007", "-000000000000000001"]),
+                      min_size=1, max_size=30), rows=st.integers(1, 4))
+def test_integer_decoder_is_int(cells, rows):
+    raw = np.array([c.encode() for c in cells])
+    with mock.patch.object(stridekit_io, "_STAMP_ROWS", rows):
+        got = stridekit_io._value_column("V", raw, lambda: cells)
+    assert got.dtype == np.int64 and got.tolist() == [int(c) for c in cells]
+
+
+def _stamp(date, clock, sep, fraction, zone):
+    (y, mo, d), (h, mi, s) = date, clock
+    return f"{y:04d}-{mo:02d}-{d:02d}{sep}{h:02d}:{mi:02d}:{s:02d}{fraction}{zone}"
+
+
+def _month_end(year, month):
+    return (dt.date(year + month // 12, month % 12 + 1, 1) - dt.timedelta(days=1)).day
+
+
+_STAMP_TAILS = (st.sampled_from(["T", "t", " "]),
+                st.just("") | st.from_regex(r"\.[0-9]{1,9}", fullmatch=True),
+                st.sampled_from(["", "Z", "z"])
+                | st.from_regex(r"[+-](0[0-9]|1[0-9]|2[0-3]):[0-5][0-9]", fullmatch=True))
+_CLOCKS = st.tuples(st.integers(0, 23), st.integers(0, 59), st.integers(0, 59) | st.just(60))
+#: Stamp cells at the calendar's edges: month ends, Feb 29 of 2000 and
+#: 2024, the first and last years of the decoder's 1678-2261 range, every
+#: fraction length, both separators and cases, offsets, and second 60.
+_GOOD_STAMPS = st.builds(
+    _stamp,
+    st.one_of(st.tuples(st.integers(1678, 2261), st.integers(1, 12), st.integers(1, 28)),
+              st.tuples(st.sampled_from([1678, 1900, 2000, 2024, 2100, 2261]), st.integers(1, 12))
+              .map(lambda ym: (*ym, _month_end(*ym))),
+              st.sampled_from([(2000, 2, 29), (2024, 2, 29), (1904, 2, 29), (2260, 2, 29)])),
+    _CLOCKS, *_STAMP_TAILS)
+#: Cells the decoder must hand on: Feb 29 of 1900 and 2100, a day past a
+#: month's end, fields out of range, and years outside 1678-2261 (1677 and
+#: 2262 stamps that still fit int64 nanoseconds parse cell by cell).
+_BAD_STAMPS = st.one_of(
+    st.builds(_stamp, st.sampled_from([(1900, 2, 29), (2100, 2, 29), (2023, 2, 29), (2024, 4, 31),
+                                       (2024, 2, 30), (2024, 0, 1), (2024, 13, 1), (2024, 1, 0),
+                                       (2024, 1, 32), (1677, 12, 31), (1677, 1, 1), (2262, 1, 1),
+                                       (2262, 12, 31)]), _CLOCKS, *_STAMP_TAILS),
+    st.builds(_stamp, st.just((2024, 3, 1)), st.sampled_from([(24, 0, 0), (0, 60, 0), (0, 0, 61)]),
+              *_STAMP_TAILS),
+    # one byte replaced, which mostly breaks the layout
+    st.builds(lambda cell, at, byte: cell[:at % len(cell)] + byte + cell[at % len(cell) + 1:],
+              _GOOD_STAMPS, st.integers(0, 40), st.sampled_from(list("x:-T.Z+0 /"))))
+
+
+@st.composite
+def stamp_columns(draw):
+    """Edge stamps, and in half the columns one cell the decoder hands on."""
+    cells = draw(st.lists(_GOOD_STAMPS, min_size=1, max_size=30))
+    if draw(st.booleans()):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_BAD_STAMPS)
+    return cells
+
+
+@settings(max_examples=400)
+@given(cells=stamp_columns(), rows=st.none() | st.integers(1, 4))
+def test_stamp_decoder_matches_per_cell_parser(cells, rows):
+    raw = np.array([c.encode() for c in cells])
+    try:
+        expected = stridekit_io._parse_time_cells(cells, first_data_line=2)
+    except ParseError as exc:
+        expected = exc
+    # the decoder takes a block exactly when each of its cells parses, in 1678-2261
+    decoded = stridekit_io._parse_stamps(raw.copy())
+    assert (decoded is None) == (isinstance(expected, ParseError)
+                                 or not all("1678" <= c[:4] <= "2261" for c in cells))
+    with mock.patch.object(stridekit_io, "_STAMP_ROWS", rows or stridekit_io._STAMP_ROWS):
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as err:
+                stridekit_io._parse_time_index(raw, lambda: cells)
+            assert str(err.value) == str(expected)
+        else:
+            got = stridekit_io._parse_time_index(raw, lambda: cells)
+            assert got.tolist() == expected.tolist()
+
+
+def test_mixed_fast_and_fallback_column_loads_like_reference(tmp_path):
+    path = tmp_path / "doc.csv"
+    path.write_bytes(b"index,V\n0.5,0.1\n1,1e5\n1.5,0.12345678901234567\n2,-0\n2.5,inf\n"
+                     b"3,9007199254740993\n3.5,.5\n4,\n4.5,-123456789012345.6\n5,5.\n")
+    assert_loads_like_reference(str(path))
+
+
+# ---------------------------------------------------------------------------
 # write_series_csv round trips
 # ---------------------------------------------------------------------------
 
