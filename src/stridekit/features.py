@@ -5,9 +5,12 @@ Descriptors are grouped by (series names, window, stride) so each group's
 window grid and sample positions are computed once and shared by every
 function registered under it. The unit of parallel work is one (group,
 function) pair, or the builtins of one family in a group, which share each
-block (see BlockKernel); workers inherit the resolved groups through a
-fork and the collector merges results in registration order, which makes the
-output bit-identical for any worker count. A builtin unit runs over blocks
+block (see BlockKernel). With several workers the units run on forked
+processes, which inherit the resolved groups, take unit positions in
+registration order from one shared counter and pipe each outcome back; this
+process runs no unit, only reads the pipes and reaps the workers (see
+_fork_units). The collector merges results in registration order, which makes
+the output bit-identical for any worker count. A builtin unit runs over blocks
 of windows; a builtin that raises there is searched over halves of its
 windows down to the first window that raises alone, which the failure names.
 """
@@ -17,14 +20,22 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import fcntl
 import itertools
 import json
 import math
-import multiprocessing
+import mmap
 import numbers
 import operator
+import os
+import pickle
+import select
+import signal
+import struct
+import sys
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -975,25 +986,205 @@ def _collect(units: list[tuple], outcomes: Iterator) -> dict[tuple, tuple]:
     return results
 
 
-def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tuple]:
-    units = _units(groups)
-    use_pool = (
-        n_workers > 1
-        and len(units) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if not use_pool:
-        return _collect(units, (_compute_unit(groups[gi], fis) for gi, fis in units))
-    # fork starts every worker at the first submit: no more than there are units
-    pool = ProcessPoolExecutor(min(n_workers, len(units)),
-                               mp_context=multiprocessing.get_context("fork"))
-    global _WORKER_GROUPS
-    _WORKER_GROUPS = groups
+#: A result frame's header: the unit's position and the pickle's length.
+_FRAME = struct.Struct("=qq")
+
+
+def _flush_std() -> None:
+    """Flush Python's standard streams, so that what the parent buffered is
+    not written again by a worker and what a worker buffered is not lost."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # None, or closed
+            pass
+
+
+def _take(shared: np.ndarray, lock: int, n: int, every: bool = False) -> range:
+    """The next queued unit position, or every queued one, under the lock."""
+    fcntl.lockf(lock, fcntl.LOCK_EX)
     try:
-        return _collect(units, pool.map(_unit_worker, units))
+        first = int(shared[0])
+        shared[0] = last = n if every else min(first + 1, n)
     finally:
-        pool.shutdown(cancel_futures=True)  # drops queued units, does not wait for them
-        _WORKER_GROUPS = None
+        fcntl.lockf(lock, fcntl.LOCK_UN)
+    return range(first, last)
+
+
+def _send(out: int, position: int, outcome) -> None:
+    """One frame: the header, then the pickled outcome."""
+    payload = pickle.dumps(outcome)
+    for part in (_FRAME.pack(position, len(payload)), payload):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(out, view):]
+
+
+def _read(fd: int, size: int) -> bytearray | None:
+    """``size`` bytes from ``fd``, or None if it ends first."""
+    buf = bytearray(size)
+    view, got = memoryview(buf), 0
+    while got < size:
+        k = os.readv(fd, [view[got:]])
+        if k == 0:
+            return None
+        got += k
+    return buf
+
+
+def _work(groups: list[_ResolvedGroup], units: list[tuple], shared: np.ndarray, lock: int,
+          worker: int, out: int) -> None:
+    """A forked worker: takes positions one at a time and sends each
+    outcome. Marks the unit it runs in ``shared[1 + worker]`` first, so its
+    death names it. A unit that fails takes every queued position; of
+    those, only units whose first function comes before the failing one
+    run. A BaseException (SystemExit, KeyboardInterrupt) is sent like an
+    outcome, raised by the parent at this unit, and ends the loop."""
+    n, stop, queue = len(units), None, range(0)
+    while True:
+        if not queue:
+            if stop is not None:
+                return
+            queue = _take(shared, lock, n)
+            if not queue:
+                return
+        p, queue = queue[0], queue[1:]
+        gi, fis = units[p]
+        if stop is not None and (gi, fis[0]) > stop:
+            return
+        shared[1 + worker] = p
+        try:
+            outcome = _compute_unit(groups[gi], fis)
+        except BaseException as exc:  # raised again by the parent
+            outcome = exc
+        failed = isinstance(outcome, BaseException) or outcome[3] is not None
+        if failed and stop is None:
+            queue = _take(shared, lock, n, every=True)
+        _send(out, p, outcome)
+        if isinstance(outcome, BaseException):
+            return
+        if failed:
+            key = gi, outcome[3][0]
+            stop = key if stop is None else min(stop, key)
+
+
+def _lost(group: _ResolvedGroup, fis: tuple[int, ...], status: int) -> tuple:
+    """The outcome of a unit whose worker ended, with wait ``status``,
+    without sending it: a FunctionFailure of its first function."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        how = f"exited with status {code}"
+    else:
+        try:
+            how = f"was killed by {signal.Signals(-code).name}"
+        except ValueError:  # a signal without a name
+            how = f"was killed by signal {-code}"
+    names = " + ".join(repr(group.wrappers[fi].base_name) for fi in fis)
+    return [], 0.0, "window", (fis[0], FunctionFailure(
+        f"function {names} on group {'|'.join(group.key[0])!r}: its worker {how} "
+        f"before reporting it"))
+
+
+def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int) -> list:
+    """The outcome of each unit by position, computed on min(n_workers,
+    units) forked workers: a ``_compute_unit`` tuple, a BaseException to
+    raise in its place, or None for a unit that a failure left unrun.
+
+    Workers take positions in registration order from one counter in a
+    shared mapping of an unlinked temporary file, under a POSIX record lock
+    on that file, which the kernel releases when its holder dies. Each
+    worker sends its outcomes through its own pipe. This process runs no
+    unit: it reads every pipe as data arrives, a frame at a time, so no
+    worker blocks on a full one for longer than another's frame takes, and
+    reaps each worker at its end of file. A unit whose worker dies
+    before sending it (a signal, ``os._exit``) fails with the worker's exit
+    status; when a worker dies between units, the units left unrun do."""
+    n, n_forks = len(units), min(n_workers, len(units))
+    outcomes: list = [None] * n
+    readers: dict[int, tuple[int, int]] = {}  # read end -> (pid, worker)
+    orphaned = None  # wait status of a worker that died between units
+    with tempfile.TemporaryFile() as file:
+        lock = file.fileno()
+        os.ftruncate(lock, 8 * (1 + n_forks))
+        # [0]: the next queued position; [1 + w]: the unit worker w runs
+        shared = np.frombuffer(mmap.mmap(lock, 8 * (1 + n_forks)), dtype=np.int64)
+        shared[1:] = n
+        _flush_std()
+        try:
+            for w in range(n_forks):
+                r, out = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(out)
+                    raise
+                if pid == 0:  # the worker; never returns
+                    status = 1
+                    try:
+                        for inherited in (r, *readers):
+                            os.close(inherited)
+                        _work(groups, units, shared, lock, w, out)
+                        status = 0
+                    except BaseException:
+                        traceback.print_exc()
+                    finally:
+                        _flush_std()
+                        os._exit(status)
+                os.close(out)
+                readers[r] = pid, w
+
+            poller = select.poll()
+            for r in readers:
+                poller.register(r, select.POLLIN)
+            while readers:
+                for r, _ in poller.poll():
+                    # a worker writes a frame whole once it starts one
+                    header = _read(r, _FRAME.size)
+                    payload = header and _read(r, _FRAME.unpack(header)[1])
+                    if payload is None:  # the worker is gone: reap it
+                        poller.unregister(r)
+                        os.close(r)
+                        pid, w = readers.pop(r)
+                        status = os.waitpid(pid, 0)[1]
+                        held = int(shared[1 + w])
+                        if held < n and outcomes[held] is None:
+                            outcomes[held] = _lost(groups[units[held][0]], units[held][1], status)
+                        elif status:
+                            orphaned = status
+                        continue
+                    position = _FRAME.unpack(header)[0]
+                    try:
+                        outcomes[position] = pickle.loads(payload)
+                    except Exception as exc:
+                        outcomes[position] = exc
+        finally:
+            for r, (pid, _) in readers.items():  # only when this process raised
+                os.kill(pid, signal.SIGKILL)
+                os.close(r)
+                os.waitpid(pid, 0)
+    if orphaned is not None:
+        for p, (gi, fis) in enumerate(units):
+            if outcomes[p] is None:
+                outcomes[p] = _lost(groups[gi], fis, orphaned)
+    return outcomes
+
+
+def _raised(outcome):
+    """The outcome, unless it is an exception to raise in its place."""
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tuple]:
+    """Run every unit and collect the results (see _collect): in this
+    process, one unit after another, when there is one worker, one unit or
+    no ``os.fork``; else on forked workers (see _fork_units)."""
+    units = _units(groups)
+    if n_workers == 1 or len(units) < 2 or not hasattr(os, "fork"):
+        return _collect(units, (_compute_unit(groups[gi], fis) for gi, fis in units))
+    return _collect(units, map(_raised, _fork_units(groups, units, n_workers)))
 
 
 def _union(stamps: list[np.ndarray], dtype) -> np.ndarray:

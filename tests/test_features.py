@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import signal
 import time
 from unittest import mock
 
@@ -387,26 +389,133 @@ def test_make_robust_below_the_wrapped_threshold_is_invalid_descriptor(wrapper):
 
 
 def test_the_fork_pool_has_no_more_workers_than_units():
-    sizes = []
-
-    class RecordingPool:  # runs the units in this process
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-        def shutdown(self, cancel_futures):
-            pass
-
     data = SeriesSet([tmp_4hz()])
     c = FeatureCollection(expand_multiple([builtin("mean"), builtin("min"), builtin("max")],
                                           ["TMP"], ["30s"], ["10s"]))
     serial = extract(data, c).matrix
-    with mock.patch.object(features, "ProcessPoolExecutor", RecordingPool):
-        pooled = extract(data, c, ExtractOptions(n_workers=10**6)).matrix
-    assert sizes == [3]  # mean, min and max: one unit each
-    assert pooled.equals(serial)
+    # mean, min and max: one unit each
+    for n_workers, forks in [(10**6, 3), (2, 2), (1, 0)]:
+        with mock.patch.object(features.os, "fork", wraps=os.fork) as fork:
+            pooled = extract(data, c, ExtractOptions(n_workers=n_workers)).matrix
+        assert fork.call_count == forks
+        assert pooled.equals(serial)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _kill_in_a_worker(how):
+    parent = os.getpid()
+
+    def run(x):
+        if os.getpid() != parent:
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+        return 0.0
+    return run
+
+
+@pytest.mark.parametrize("how, status", [("signal", "was killed by SIGKILL"),
+                                         ("exit", "exited with status 3")])
+def test_a_worker_that_dies_fails_the_function_it_held(how, status):
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", builtin("mean"), 2.0, 2.0),
+                      ("S", FuncWrapper(_kill_in_a_worker(how), base_name="die"), 2.0, 2.0),
+                      ("S", builtin("slope"), 2.0, 2.0))
+    with pytest.raises(FunctionFailure) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=2))
+    assert str(err.value) == f"function 'die' on group 'S': its worker {status} before reporting it"
+    _no_child_left()
+    # in this process the function returns
+    assert extract(SeriesSet([s]), c).matrix.n_rows == 4
+
+
+def test_a_worker_that_dies_between_units_fails_the_units_left_unrun():
+    parent, take = os.getpid(), features._take
+    taken = []
+
+    def take_once(*args, **kwargs):  # a worker dies at its second take
+        if os.getpid() != parent and taken:
+            os.kill(os.getpid(), signal.SIGKILL)
+        taken.append(args)
+        return take(*args, **kwargs)
+
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(*(("S", builtin(f), 2.0, 2.0) for f in ("mean", "min", "slope")))
+    with mock.patch.object(features, "_take", take_once):
+        with pytest.raises(FunctionFailure) as err:
+            extract(SeriesSet([s]), c, ExtractOptions(n_workers=2))
+    assert str(err.value) == ("function 'slope' on group 'S': its worker was killed by SIGKILL "
+                              "before reporting it")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc", [SystemExit(7), KeyboardInterrupt()], ids=repr)
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_base_exception_surfaces_alike_for_every_worker_count(exc, n_workers):
+    def stop(x):
+        raise exc
+
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", builtin("mean"), 2.0, 2.0),
+                      ("S", FuncWrapper(stop, base_name="stop"), 2.0, 2.0),
+                      ("S", builtin("slope"), 2.0, 2.0))
+    with pytest.raises(type(exc)) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
+    assert err.value.args == exc.args
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_the_pool_leaves_no_process_behind(failing):
+    def boom(x):
+        raise RuntimeError("bad window")
+
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", builtin("mean"), 2.0, 2.0), ("S", builtin("slope"), 2.0, 2.0),
+                      *([("S", FuncWrapper(boom, base_name="boom"), 2.0, 2.0)] * failing))
+    if failing:
+        with pytest.raises(FunctionFailure, match="'boom'"):
+            extract(SeriesSet([s]), c, ExtractOptions(n_workers=2))
+    else:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=2))
+    _no_child_left()
+
+
+def test_the_pool_runs_more_units_than_a_pipe_holds_positions():
+    # 16,384 eight-byte positions fill a 64 KiB pipe
+    s = numeric_series("S", np.arange(0.0, 5.0))
+    c = FeatureCollection(FeatureDescriptor("S", FuncWrapper(lambda x, i=i: i + float(len(x)),
+                                                             base_name=f"f{i}"), 2.0, 2.0)
+                          for i in range(16_500))
+    pooled = extract(SeriesSet([s]), c, ExtractOptions(n_workers=2)).matrix
+    assert pooled.equals(extract(SeriesSet([s]), c).matrix)
+    _no_child_left()
+
+
+def test_forked_workers_run_every_unit_exactly_once(tmp_path):
+    def unit(i):
+        ran = []
+
+        def run(x):
+            if not ran:  # a unit run twice, in two workers, raises here
+                open(tmp_path / str(i), "x").close()
+                ran.append(i)
+            return i + float(len(x))
+        return FuncWrapper(run, base_name=f"f{i}")
+
+    s = numeric_series("S", np.arange(0.0, 5.0))
+    c = FeatureCollection(FeatureDescriptor("S", unit(i), 2.0, 2.0) for i in range(2000))
+    # more workers than cores, so that takes from the shared counter contend
+    pooled = extract(SeriesSet([s]), c, ExtractOptions(n_workers=4)).matrix
+    assert len(list(tmp_path.iterdir())) == 2000
+    for marker in tmp_path.iterdir():
+        marker.unlink()
+    assert pooled.equals(extract(SeriesSet([s]), c).matrix)
+    _no_child_left()
 
 
 LABELS = np.array(["lo", "hi", "lo"] * 3, dtype=object)
