@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 
 class StridekitError(Exception):
     pass
@@ -82,7 +84,25 @@ class UnknownColumn(StridekitError):
 
 
 class FunctionFailure(StridekitError):
-    pass
+    """Pickles with its ``__cause__``, which exception pickling drops, so a
+    failure sent from a worker process keeps it; a cause that does not
+    pickle or unpickle is dropped alone."""
+
+    def __reduce__(self):
+        try:
+            cause = pickle.dumps(self.__cause__)
+        except Exception:
+            cause = None
+        return _function_failure, (type(self), self.args, cause), self.__dict__ or None
+
+
+def _function_failure(cls, args, cause):
+    failure = cls(*args)
+    try:
+        failure.__cause__ = pickle.loads(cause) if cause else None
+    except Exception:
+        pass
+    return failure
 
 
 class NonFloatOutput(StridekitError):

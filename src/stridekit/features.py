@@ -6,12 +6,12 @@ window grid and sample positions are computed once and shared by every
 function registered under it. The unit of parallel work is one (group,
 function) pair, or the builtins of one family in a group, which share each
 block (see BlockKernel). With several workers the units run on forked
-processes, which inherit the resolved groups, take unit positions in
-registration order from one shared counter and pipe each outcome back; this
-process runs no unit, only reads the pipes and reaps the workers (see
-_fork_units). The collector merges results in registration order, which makes
-the output bit-identical for any worker count. A builtin unit runs over blocks
-of windows; a builtin that raises there is searched over halves of its
+processes, at most one per CPU, which inherit the resolved groups; this
+process runs no unit, only hands each worker its next unit position, in
+registration order, reads the outcomes they pipe back and reaps the workers
+(see _fork_units). The collector merges results in registration order, which
+makes the output bit-identical for any worker count. A builtin unit runs over
+blocks of windows; a builtin that raises there is searched over halves of its
 windows down to the first window that raises alone, which the failure names.
 """
 
@@ -20,11 +20,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
-import fcntl
 import itertools
 import json
 import math
-import mmap
 import numbers
 import operator
 import os
@@ -33,7 +31,6 @@ import select
 import signal
 import struct
 import sys
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass
@@ -956,16 +953,6 @@ def _units(groups: list[_ResolvedGroup]) -> list[tuple[int, tuple[int, ...]]]:
     return [(gi, tuple(fis)) for gi, fis in units]
 
 
-# Worker context, inherited through fork; never pickled.
-_WORKER_GROUPS: list[_ResolvedGroup] | None = None
-
-
-def _unit_worker(unit: tuple[int, tuple[int, ...]]):
-    gi, fis = unit
-    assert _WORKER_GROUPS is not None
-    return _compute_unit(_WORKER_GROUPS[gi], fis)
-
-
 def _collect(units: list[tuple], outcomes: Iterator) -> dict[tuple, tuple]:
     """(columns, duration_s, path) per (group, function), a unit's wall time
     split evenly over its functions. Raises the FunctionFailure of the first
@@ -988,6 +975,8 @@ def _collect(units: list[tuple], outcomes: Iterator) -> dict[tuple, tuple]:
 
 #: A result frame's header: the unit's position and the pickle's length.
 _FRAME = struct.Struct("=qq")
+#: A task: the position of the unit a worker runs next, or -1 for none.
+_TASK = struct.Struct("=q")
 
 
 def _flush_std() -> None:
@@ -998,17 +987,6 @@ def _flush_std() -> None:
             stream.flush()
         except (AttributeError, ValueError):  # None, or closed
             pass
-
-
-def _take(shared: np.ndarray, lock: int, n: int, every: bool = False) -> range:
-    """The next queued unit position, or every queued one, under the lock."""
-    fcntl.lockf(lock, fcntl.LOCK_EX)
-    try:
-        first = int(shared[0])
-        shared[0] = last = n if every else min(first + 1, n)
-    finally:
-        fcntl.lockf(lock, fcntl.LOCK_UN)
-    return range(first, last)
 
 
 def _send(out: int, position: int, outcome) -> None:
@@ -1032,40 +1010,19 @@ def _read(fd: int, size: int) -> bytearray | None:
     return buf
 
 
-def _work(groups: list[_ResolvedGroup], units: list[tuple], shared: np.ndarray, lock: int,
-          worker: int, out: int) -> None:
-    """A forked worker: takes positions one at a time and sends each
-    outcome. Marks the unit it runs in ``shared[1 + worker]`` first, so its
-    death names it. A unit that fails takes every queued position; of
-    those, only units whose first function comes before the failing one
-    run. A BaseException (SystemExit, KeyboardInterrupt) is sent like an
-    outcome, raised by the parent at this unit, and ends the loop."""
-    n, stop, queue = len(units), None, range(0)
-    while True:
-        if not queue:
-            if stop is not None:
-                return
-            queue = _take(shared, lock, n)
-            if not queue:
-                return
-        p, queue = queue[0], queue[1:]
+def _work(groups: list[_ResolvedGroup], units: list[tuple], tasks: int, out: int) -> None:
+    """A forked worker: runs the unit at each position read from ``tasks``
+    and sends its outcome, until it reads -1 (or the pipe ends). A
+    BaseException (SystemExit, KeyboardInterrupt) is sent like an outcome,
+    raised by the parent at this unit, and ends the worker."""
+    while (p := _TASK.unpack(_read(tasks, _TASK.size) or _TASK.pack(-1))[0]) >= 0:
         gi, fis = units[p]
-        if stop is not None and (gi, fis[0]) > stop:
-            return
-        shared[1 + worker] = p
         try:
             outcome = _compute_unit(groups[gi], fis)
         except BaseException as exc:  # raised again by the parent
-            outcome = exc
-        failed = isinstance(outcome, BaseException) or outcome[3] is not None
-        if failed and stop is None:
-            queue = _take(shared, lock, n, every=True)
-        _send(out, p, outcome)
-        if isinstance(outcome, BaseException):
+            _send(out, p, exc)
             return
-        if failed:
-            key = gi, outcome[3][0]
-            stop = key if stop is None else min(stop, key)
+        _send(out, p, outcome)
 
 
 def _lost(group: _ResolvedGroup, fis: tuple[int, ...], status: int) -> tuple:
@@ -1087,86 +1044,97 @@ def _lost(group: _ResolvedGroup, fis: tuple[int, ...], status: int) -> tuple:
 
 def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int) -> list:
     """The outcome of each unit by position, computed on min(n_workers,
-    units) forked workers: a ``_compute_unit`` tuple, a BaseException to
-    raise in its place, or None for a unit that a failure left unrun.
+    units, CPUs) forked workers: a ``_compute_unit`` tuple, a BaseException
+    to raise in its place, or None for a unit that a failure left unrun.
 
-    Workers take positions in registration order from one counter in a
-    shared mapping of an unlinked temporary file, under a POSIX record lock
-    on that file, which the kernel releases when its holder dies. Each
-    worker sends its outcomes through its own pipe. This process runs no
-    unit: it reads every pipe as data arrives, a frame at a time, so no
-    worker blocks on a full one for longer than another's frame takes, and
-    reaps each worker at its end of file. A unit whose worker dies
-    before sending it (a signal, ``os._exit``) fails with the worker's exit
-    status; when a worker dies between units, the units left unrun do."""
-    n, n_forks = len(units), min(n_workers, len(units))
+    This process runs no unit and alone hands them out, in registration
+    order, through each worker's task pipe: a position when it forks the
+    worker and the next as soon as that worker's outcome frame arrives, or
+    -1, at which the worker exits, when none is left or the next unit's
+    first function comes after one known to fail (or to raise). It reads
+    the workers' result pipes as data arrives, a frame at a time, and reaps
+    each worker at its end of file. A worker that dies (a signal,
+    ``os._exit``) fails the unit it was last handed, with its exit status."""
+    n = len(units)
     outcomes: list = [None] * n
-    readers: dict[int, tuple[int, int]] = {}  # read end -> (pid, worker)
-    orphaned = None  # wait status of a worker that died between units
-    with tempfile.TemporaryFile() as file:
-        lock = file.fileno()
-        os.ftruncate(lock, 8 * (1 + n_forks))
-        # [0]: the next queued position; [1 + w]: the unit worker w runs
-        shared = np.frombuffer(mmap.mmap(lock, 8 * (1 + n_forks)), dtype=np.int64)
-        shared[1:] = n
-        _flush_std()
-        try:
-            for w in range(n_forks):
-                r, out = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(r)
-                    os.close(out)
-                    raise
-                if pid == 0:  # the worker; never returns
-                    status = 1
-                    try:
-                        for inherited in (r, *readers):
-                            os.close(inherited)
-                        _work(groups, units, shared, lock, w, out)
-                        status = 0
-                    except BaseException:
-                        traceback.print_exc()
-                    finally:
-                        _flush_std()
-                        os._exit(status)
-                os.close(out)
-                readers[r] = pid, w
+    workers: dict[int, list] = {}  # result read end -> [pid, task write end, unit held]
+    poller = select.poll()
+    handed, stop = 0, (math.inf,)  # units handed out; (group, function) of the first failure
 
-            poller = select.poll()
-            for r in readers:
-                poller.register(r, select.POLLIN)
-            while readers:
-                for r, _ in poller.poll():
-                    # a worker writes a frame whole once it starts one
-                    header = _read(r, _FRAME.size)
-                    payload = header and _read(r, _FRAME.unpack(header)[1])
-                    if payload is None:  # the worker is gone: reap it
-                        poller.unregister(r)
-                        os.close(r)
-                        pid, w = readers.pop(r)
-                        status = os.waitpid(pid, 0)[1]
-                        held = int(shared[1 + w])
-                        if held < n and outcomes[held] is None:
-                            outcomes[held] = _lost(groups[units[held][0]], units[held][1], status)
-                        elif status:
-                            orphaned = status
-                        continue
-                    position = _FRAME.unpack(header)[0]
-                    try:
-                        outcomes[position] = pickle.loads(payload)
-                    except Exception as exc:
-                        outcomes[position] = exc
-        finally:
-            for r, (pid, _) in readers.items():  # only when this process raised
-                os.kill(pid, signal.SIGKILL)
-                os.close(r)
-                os.waitpid(pid, 0)
-    if orphaned is not None:
-        for p, (gi, fis) in enumerate(units):
-            if outcomes[p] is None:
-                outcomes[p] = _lost(groups[gi], fis, orphaned)
+    def settle(p: int, outcome) -> None:
+        nonlocal stop
+        outcomes[p] = outcome
+        gi, fis = units[p]
+        failed = (fis[0],) if isinstance(outcome, BaseException) else outcome[3]
+        if failed is not None:
+            stop = min(stop, (gi, failed[0]))
+
+    def hand(r: int) -> None:
+        nonlocal handed
+        held = -1
+        if handed < n and (units[handed][0], units[handed][1][0]) < stop:
+            held, handed = handed, handed + 1
+        workers[r][2] = held
+        try:
+            os.write(workers[r][1], _TASK.pack(held))
+        except BrokenPipeError:  # the worker is gone; its end of file follows
+            pass
+
+    _flush_std()
+    try:
+        for _ in range(min(n_workers, n, os.cpu_count() or 1)):
+            r, out = os.pipe()
+            tasks, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                for fd in (r, out, tasks, w):
+                    os.close(fd)
+                raise
+            if pid == 0:  # the worker; never returns
+                status = 1
+                try:
+                    for inherited in (r, w, *workers, *(v[1] for v in workers.values())):
+                        os.close(inherited)
+                    _work(groups, units, tasks, out)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    _flush_std()
+                    os._exit(status)
+            os.close(out)
+            os.close(tasks)
+            workers[r] = [pid, w, -1]
+            poller.register(r, select.POLLIN)
+            hand(r)
+
+        while workers:
+            for r, _ in poller.poll():
+                # a worker writes a frame whole once it starts one
+                header = _read(r, _FRAME.size)
+                payload = header and _read(r, _FRAME.unpack(header)[1])
+                if payload is None:  # the worker is gone: reap it
+                    pid, w, held = workers.pop(r)
+                    poller.unregister(r)
+                    os.close(r)
+                    os.close(w)
+                    status = os.waitpid(pid, 0)[1]
+                    if held >= 0:
+                        settle(held, _lost(groups[units[held][0]], units[held][1], status))
+                    continue
+                try:
+                    outcome = pickle.loads(payload)
+                except Exception as exc:
+                    outcome = exc
+                settle(_FRAME.unpack(header)[0], outcome)
+                hand(r)
+    finally:
+        for r, (pid, w, _) in workers.items():  # only when this process raised
+            os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            os.close(w)
+            os.waitpid(pid, 0)
     return outcomes
 
 

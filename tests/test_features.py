@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import signal
 import time
 from unittest import mock
@@ -393,9 +394,11 @@ def test_the_fork_pool_has_no_more_workers_than_units():
     c = FeatureCollection(expand_multiple([builtin("mean"), builtin("min"), builtin("max")],
                                           ["TMP"], ["30s"], ["10s"]))
     serial = extract(data, c).matrix
-    # mean, min and max: one unit each
-    for n_workers, forks in [(10**6, 3), (2, 2), (1, 0)]:
-        with mock.patch.object(features.os, "fork", wraps=os.fork) as fork:
+    # mean, min and max: one unit each; no more workers than CPUs either
+    for n_workers, cpus, forks in [(10**6, 8, 3), (10**6, 2, 2), (2, 8, 2), (3, 1, 1),
+                                   (1, 8, 0)]:
+        with mock.patch.object(features.os, "fork", wraps=os.fork) as fork, \
+                mock.patch.object(features.os, "cpu_count", return_value=cpus):
             pooled = extract(data, c, ExtractOptions(n_workers=n_workers)).matrix
         assert fork.call_count == forks
         assert pooled.equals(serial)
@@ -433,19 +436,25 @@ def test_a_worker_that_dies_fails_the_function_it_held(how, status):
     assert extract(SeriesSet([s]), c).matrix.n_rows == 4
 
 
-def test_a_worker_that_dies_between_units_fails_the_units_left_unrun():
-    parent, take = os.getpid(), features._take
-    taken = []
+@pytest.mark.parametrize("late", [False, True], ids=["read-at-once", "read-late"])
+def test_a_worker_that_dies_after_reporting_a_unit_fails_the_unit_it_was_handed(late):
+    parent, send, loads = os.getpid(), features._send, pickle.loads
 
-    def take_once(*args, **kwargs):  # a worker dies at its second take
-        if os.getpid() != parent and taken:
+    def send_once(*args):  # a worker dies once it has reported its first unit
+        send(*args)
+        if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        taken.append(args)
-        return take(*args, **kwargs)
+
+    def late_loads(payload):
+        # the caller reads a report once its worker is dead, so the unit it
+        # hands that worker next meets a closed pipe (BrokenPipeError)
+        time.sleep(0.2)
+        return loads(payload)
 
     s = numeric_series("S", np.arange(0.0, 9.0))
     c = collection_of(*(("S", builtin(f), 2.0, 2.0) for f in ("mean", "min", "slope")))
-    with mock.patch.object(features, "_take", take_once):
+    with mock.patch.object(features, "_send", send_once), \
+            mock.patch.object(features.pickle, "loads", late_loads if late else loads):
         with pytest.raises(FunctionFailure) as err:
             extract(SeriesSet([s]), c, ExtractOptions(n_workers=2))
     assert str(err.value) == ("function 'slope' on group 'S': its worker was killed by SIGKILL "
@@ -466,6 +475,50 @@ def test_a_base_exception_surfaces_alike_for_every_worker_count(exc, n_workers):
     with pytest.raises(type(exc)) as err:
         extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
     assert err.value.args == exc.args
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_failure_has_the_same_cause_for_every_worker_count(n_workers):
+    def divide(x):
+        return 1 / 0
+
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", FuncWrapper(divide, base_name="divide"), 2.0, 2.0),
+                      ("S", builtin("mean"), 2.0, 2.0))  # a second unit for the pool
+    with pytest.raises(FunctionFailure) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
+    assert str(err.value) == "function 'divide' failed on group 'S' segment 0: division by zero"
+    assert type(err.value.__cause__) is ZeroDivisionError
+    assert err.value.__cause__.args == ("division by zero",)
+
+
+class _TwoArgumentError(Exception):  # pickles, but does not unpickle
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("local", [True, False], ids=["local-class", "two-arguments"])
+def test_a_cause_that_does_not_cross_the_pipe_is_dropped_alone(n_workers, local):
+    class LocalError(Exception):  # does not pickle
+        pass
+
+    error = LocalError if local else (lambda message: _TwoArgumentError(message, 1))
+
+    def fail(x):
+        raise error("bad window")
+
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", FuncWrapper(fail, base_name="fail"), 2.0, 2.0),
+                      ("S", builtin("mean"), 2.0, 2.0))
+    with pytest.raises(FunctionFailure) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
+    assert str(err.value) == "function 'fail' failed on group 'S' segment 0: bad window"
+    if n_workers == 1:
+        assert isinstance(err.value.__cause__, LocalError if local else _TwoArgumentError)
+    else:
+        assert err.value.__cause__ is None
     _no_child_left()
 
 
@@ -509,8 +562,9 @@ def test_forked_workers_run_every_unit_exactly_once(tmp_path):
 
     s = numeric_series("S", np.arange(0.0, 5.0))
     c = FeatureCollection(FeatureDescriptor("S", unit(i), 2.0, 2.0) for i in range(2000))
-    # more workers than cores, so that takes from the shared counter contend
-    pooled = extract(SeriesSet([s]), c, ExtractOptions(n_workers=4)).matrix
+    # more workers than cores, so that the workers' outcomes arrive interleaved
+    with mock.patch.object(features.os, "cpu_count", return_value=4):
+        pooled = extract(SeriesSet([s]), c, ExtractOptions(n_workers=4)).matrix
     assert len(list(tmp_path.iterdir())) == 2000
     for marker in tmp_path.iterdir():
         marker.unlink()
