@@ -17,16 +17,17 @@ so a builtin has one compute path whether extract fuses it with others of
 its family or not. min, max, count, first, last, slope and zero_cross are
 families of one member.
 
-The moment family, min, max and slope are chunk-merged (a ``_Chunks`` rule,
-which called on whole windows is the unchunked family): with the chunk
-length K of the window's (series, grid) (see ``features._chunk_length``), a
-window of c > K samples is computed as chunks of K samples from its start,
-the last one shorter when K does not divide c. Each chunk gets the kernel's
-statistics, computed once however many overlapping windows hold it, and
-each window reduces its chunks' statistics pairwise in chunk order:
-adjacent chunks first, then adjacent results. A window of one chunk (K >= c,
-or no K: windows that overlap less than threefold, a gcd below
-features.MIN_CHUNK, a direct call) takes the unchunked arithmetic.
+The moment family, min, max, slope and zero_cross are chunk-merged (a
+``_Chunks`` rule, which called on whole windows is the unchunked family):
+with the chunk length K of the window's (series, grid) (see
+``features._chunk_length``), a window of c > K samples is computed as chunks
+of K samples from its start, the last one shorter when K does not divide c.
+Each chunk gets the kernel's statistics, computed once however many
+overlapping windows hold it, and each window reduces its chunks' statistics
+pairwise in chunk order: adjacent chunks first, then adjacent results. A
+window of one chunk (K >= c, or no K: windows that overlap less than
+threefold, a gcd below features.MIN_CHUNK, a direct call) takes the
+unchunked arithmetic.
 
 Exact semantics, fixed here so results are reproducible bit for bit:
 
@@ -55,7 +56,8 @@ Exact semantics, fixed here so results are reproducible bit for bit:
   index units (int64 ns) before the cast; a zero-spread index yields a slope
   of 0.0;
 - zero_cross counts strict sign changes, i.e. consecutive products < 0,
-  evaluated in float64;
+  evaluated in float64; a chunked window adds a chunk's last value times
+  the next one's first at each seam, so its count is the unchunked one;
 - NaN and +-inf propagate as IEEE arithmetic makes them, without a warning:
   the kernels ignore the floating-point errors numpy would only warn about,
   and raise those a caller's np.errstate makes raise; a chunked window's NaN
@@ -253,12 +255,24 @@ def _count(members, v):
     return [np.full(len(v), v.shape[1], dtype=object)] * len(members)
 
 
-def _zero_cross(members, v):
-    # Summing the comparison as int8 into int32 is about twice as fast as
-    # count_nonzero along an axis; int32 cannot overflow, as a window of 2**31
-    # samples would need a 16 GiB float64 block.
+def _crossing_stats(members, v):
+    """Per row: the crossings "Z", and the first and last values (copies, so
+    that a chunk table does not keep its blocks). Summing the comparison as
+    int8 into int32 is about twice as fast as count_nonzero along an axis;
+    int32 cannot overflow, as a window of 2**31 samples would need a 16 GiB
+    float64 block."""
     crossings = (v[:, :-1] * v[:, 1:] < 0.0).view(np.int8)
-    return [np.add.reduce(crossings, axis=1, dtype=np.int32).astype(np.float64)] * len(members)
+    return {"Z": np.add.reduce(crossings, axis=1, dtype=np.int32).astype(np.float64),
+            "first": v[:, 0].copy(), "last": v[:, -1].copy()}
+
+
+def _merge_crossings(members, s, sizes, offsets, fold):
+    """The chunks' crossings, plus one at each seam where the last value of
+    a chunk times the first of the next is negative. Counts are integers, so
+    the sum is exact in any order."""
+    seams = np.zeros_like(s["Z"])
+    seams[1:] = s["last"][:-1] * s["first"][1:] < 0.0
+    return {"Z": fold(s["Z"] + seams)}
 
 
 def _no_params(params: dict, name: str) -> None:
@@ -306,7 +320,8 @@ _SIMPLE: dict[str, tuple] = {
               InputMode.VALUES_ONLY, PRESERVE),
     "last": (BlockKernel("last", lambda members, v: [v[:, -1]] * len(members), raw=True),
              InputMode.VALUES_ONLY, PRESERVE),
-    "zero_cross": _f64("zero_cross", _zero_cross),
+    "zero_cross": _f64("zero_cross", _Chunks(_crossing_stats, _merge_crossings,
+                                             lambda members, s, n: [s["Z"]] * len(members))),
 }
 
 BUILTIN_NAMES: tuple[str, ...] = tuple(list(_SIMPLE) + ["quantile"])

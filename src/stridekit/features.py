@@ -80,10 +80,18 @@ class _Chunks(NamedTuple):
     ``sizes`` holds the chunks' sample counts, ``offsets`` (index kernels
     only) each chunk's first index minus the window's, in index units, and
     ``fold(x, ufunc=np.add)`` reduces an (m, b) array over each window's
-    chunks pairwise, adjacent chunks first. ``finish(members, stats, n)``
-    turns the statistics of windows of n samples into one value per window
-    and member. Called, the rule is its own unchunked family: ``finish`` of
-    ``stats`` over whole windows."""
+    chunks pairwise, adjacent chunks first, for ufunc np.add, np.minimum or
+    np.maximum. ``finish(members, stats, n)`` turns the statistics of
+    windows of n samples into one value per window and member. Called, the
+    rule is its own unchunked family: ``finish`` of ``stats`` over whole
+    windows.
+
+    Windows of different chunk counts share one merge (see
+    _chunked_outputs): a window with fewer chunks than m has pad rows after
+    its own, which repeat its last chunk in ``stats``, ``sizes`` and
+    ``offsets``. So ``merge`` must be elementwise across windows and reduce
+    rows only through ``fold``, which replaces the pad rows by the ufunc's
+    identity (-0.0, +inf, -inf) first."""
 
     stats: Callable
     merge: Callable
@@ -763,10 +771,14 @@ def _chunked_outputs(kernels: list[BlockKernel], sources: list, starts: np.ndarr
     A full chunk's statistics are computed once however many windows hold
     it: windows with the same phase (start mod k) whose full chunks meet or
     overlap form a segment, and each segment's chunks one run of a table.
-    The windows with m chunks are then merged together, from (chunk, window)
-    arrays reduced pairwise down the chunks: about log2(m) vectorized
-    operations, whose adds for a window do not depend on the other
-    windows."""
+    The windows are then merged a bucket at a time, the windows of m chunks
+    with 2**(j-1) < m <= 2**j in bucket j, from (chunk, window) arrays of the
+    bucket's largest m rows reduced pairwise down the chunks: about j
+    vectorized operations. A window of fewer chunks has pad rows after its
+    own, which ``fold`` sets to the ufunc's identity before it reduces, so
+    each window gets the operations of its own count, and its adds do not
+    depend on the other windows. A bucket's arrays hold fewer than twice
+    its windows' chunks."""
     members = [kernel.member for kernel in kernels]
     full, tail = np.divmod(counts, k)
 
@@ -795,32 +807,45 @@ def _chunked_outputs(kernels: list[BlockKernel], sources: list, starts: np.ndarr
         for name, x in _chunk_stats(kernels, sources, starts[at] + full[at] * k, r).items():
             short[name][at] = x
 
-    def fold(x, ufunc=np.add):
-        # pairwise down the chunks: adjacent rows, then adjacent results, an
-        # odd last row carried up; the same operations for every window
-        while len(x) > 1:
-            top = ufunc(x[0:-1:2], x[1::2])
-            x = np.concatenate([top, x[-1:]]) if len(x) % 2 else top
-        return x[0]
-
     rule = kernels[0].family
-    outs = [np.empty(len(starts)) for _ in kernels]
+    identity = {np.add: -0.0, np.minimum: np.inf, np.maximum: -np.inf}  # x op it is x
     m_of = full + (tail > 0)
-    for m in np.unique(m_of).tolist():
-        at = np.flatnonzero(m_of == m)
-        cols = np.arange(m)[:, None]
-        # a short last chunk's row is clipped into the table, then overwritten
-        rows = np.minimum(base[at] + cols, n_table - 1)
-        stats = {name: t[rows] for name, t in table.items()}
+    bucket = np.frexp(m_of - 1)[1]  # j with 2**(j-1) < m <= 2**j (m >= 2)
+    # a window's chunk j is table row base + j, its short last chunk row
+    # n_table + its position
+    table = {name: np.concatenate([t, short[name]]) for name, t in table.items()}
+    outs = [np.empty(len(starts)) for _ in kernels]
+    for j in np.flatnonzero(np.bincount(bucket)).tolist():
+        at = np.flatnonzero(bucket == j)
+        m = m_of[at]
+        cols = np.arange(m.max())[:, None]
+        # a window's pad rows copy its last chunk, so the merge repeats that
+        # chunk's arithmetic on them; fold then makes them identities
+        pad = cols >= m if m.min() < len(cols) else None
+        last = cols if pad is None else np.minimum(cols, m - 1)
+        rows = base[at] + last
         sizes = np.full(rows.shape, float(k))
-        cut = np.flatnonzero(tail[at])
-        sizes[-1, cut] = tail[at[cut]]
-        for name, x in stats.items():
-            x[-1, cut] = short[name][at[cut]]
+        if tail[at].any():
+            inner = last < full[at]
+            rows = np.where(inner, rows, n_table + at)
+            sizes = np.where(inner, sizes, tail[at])
+        stats = {name: t[rows] for name, t in table.items()}
         offsets = None
         if len(sources) > 1:
             index = sources[1]
-            offsets = index[starts[at] + k * cols] - index[starts[at]]
+            offsets = index[starts[at] + k * last] - index[starts[at]]
+
+        def fold(x, ufunc=np.add):
+            # pairwise down the chunks: adjacent rows, then adjacent results,
+            # an odd last row carried up; identity pad rows at the end leave
+            # every window the operations of its own count
+            if pad is not None:
+                x = np.where(pad, identity[ufunc], x)
+            while len(x) > 1:
+                top = ufunc(x[0:-1:2], x[1::2])
+                x = np.concatenate([top, x[-1:]]) if len(x) % 2 else top
+            return x[0]
+
         merged = rule.merge(members, stats, sizes, offsets, fold)
         for out, value in zip(outs, rule.finish(members, merged, counts[at])):
             out[at] = value
@@ -842,8 +867,12 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple],
     BLOCK_BYTES. Short windows take each member's fills; a None fill raises.
     A window's arithmetic does not depend on the other windows run with it
     (rows reduce independently; a chunk table holds only chunks of the
-    windows being run), so a set of windows raises exactly when one of them
-    does alone. Exceptions propagate unnamed (see _search)."""
+    windows being run; a merge's pad rows repeat the window's own last
+    chunk), so a set of windows raises exactly when one of them does alone.
+    One exception: at a pad row zero_cross's seam multiplies the last
+    chunk's first and last values, which a caller's raising np.errstate can
+    trip; _search then computes the windows apart, to the same values.
+    Exceptions propagate unnamed (see _search)."""
     kernels = [wrapper.func for wrapper, _, _ in unit]
     family, raw, members = kernels[0].family, kernels[0].raw, [k.member for k in kernels]
     series, pos = group.series[0], group.positions[0][windows]

@@ -666,6 +666,108 @@ def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def today_zero_cross(v):
+    crossings = (v[:, :-1] * v[:, 1:] < 0.0).view(np.int8)
+    return np.add.reduce(crossings, axis=1, dtype=np.int32).astype(np.float64)
+
+
+def per_count_fold(kernels, sources, starts, counts, k):
+    """Chunk-merged values as merged before the padded buckets: the windows
+    of each chunk count m together, from unpadded (m, windows) arrays folded
+    pairwise down the chunks, an odd last row carried up. Each chunk's
+    statistics come from a block of its own samples."""
+    rule, members = kernels[0].family, [kernel.member for kernel in kernels]
+
+    def fold(x, ufunc=np.add):
+        while len(x) > 1:
+            top = ufunc(x[0:-1:2], x[1::2])
+            x = np.concatenate([top, x[-1:]]) if len(x) % 2 else top
+        return x[0]
+
+    m_of = -(-counts // k)
+    outs = [np.empty(len(starts)) for _ in kernels]
+    for m in np.unique(m_of).tolist():
+        at = np.flatnonzero(m_of == m)
+        lo = starts[at] + k * np.arange(m)[:, None]
+        sizes = np.minimum(k, starts[at] + counts[at] - lo)
+        stats = {}
+        for size in np.unique(sizes).tolist():
+            pick = sizes == size
+            cells = lo[pick][:, None] + np.arange(size)
+            blocks = [sources[0][cells].astype(np.float64)] + [s[cells] for s in sources[1:]]
+            for name, x in rule.stats(members, *blocks).items():
+                stats.setdefault(name, np.empty(sizes.shape))[pick] = x
+        offsets = sources[1][lo] - sources[1][starts[at]] if len(sources) > 1 else None
+        merged = rule.merge(members, stats, sizes.astype(np.float64), offsets, fold)
+        for out, value in zip(outs, rule.finish(members, merged, counts[at])):
+            out[at] = value
+    for out in outs:
+        out[np.isnan(out)] = np.nan
+    return outs
+
+
+@st.composite
+def mixed_batches(draw):
+    """Windows of one chunk length k whose chunk counts mix 2, powers of two,
+    one past them and anything up to 40, each with a short last chunk of any
+    length or none, over a series that ends where the last window does.
+    Values are normal draws sprinkled with SPECIALS, SPECIALS throughout, or
+    one SPECIALS value throughout (all -0.0 sums to -0.0)."""
+    k = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    ms = draw(st.lists(st.one_of(st.sampled_from([2, 4, 5, 8, 9, 16, 17, 32, 33]),
+                                 st.integers(2, 40)), min_size=1, max_size=12))
+    counts = np.array([(m - 1) * k + draw(st.integers(1, k)) for m in ms])
+    starts = np.sort(np.array(draw(st.lists(st.integers(0, 40), min_size=len(ms),
+                                            max_size=len(ms)))))
+    n = int((starts + counts).max())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["normal", "specials", "constant"]))
+    if mode == "normal":
+        values = rng.normal(draw(st.sampled_from([0.0, 100.0])), 3.0, n)
+        for at, x in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIALS)),
+                                   max_size=4)):
+            values[at] = x
+    elif mode == "specials":
+        values = rng.choice(np.array(SPECIALS + (1.0, -1.0)), n)
+    else:
+        values = np.full(n, draw(st.sampled_from(SPECIALS)))
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):  # +-1e200 becomes +-inf
+            values = values.astype(np.float32)
+    index = np.cumsum(rng.choice(np.array([1, 2, 3, 10]), n))
+    index = index * 1_000_000_000 if draw(st.booleans()) else index.astype(np.float64)
+    return values, index, starts, counts, k
+
+
+#: A probe rule: the sum of its chunks' first values. numpy's row sums never
+#: yield -0.0, so no builtin's fold sees one; this fold sees the data's.
+FIRST_SUM = features._Chunks(lambda members, v: {"x": v[:, 0]},
+                             lambda members, s, sizes, offsets, fold: {"x": fold(s["x"])},
+                             lambda members, s, n: [s["x"]])
+
+
+@settings(max_examples=200)
+@given(batch=mixed_batches(), block_bytes=st.sampled_from([8, 40, features.BLOCK_BYTES]),
+       moments=st.lists(st.sampled_from(MOMENTS), min_size=1, unique=True))
+def test_padded_buckets_merge_as_the_per_count_fold(batch, block_bytes, moments):
+    values, index, starts, counts, k = batch
+    families = [[builtin(name).func for name in moments]]
+    families += [[features.BlockKernel("first_sum", FIRST_SUM)]]
+    families += [[builtin(name).func] for name in ("min", "max", "slope", "zero_cross")]
+    with warnings.catch_warnings(), features._quiet(), \
+            mock.patch.object(features, "BLOCK_BYTES", block_bytes):
+        warnings.simplefilter("error")
+        for kernels in families:
+            sources = [values, index] if kernels[0].name == "slope" else [values]
+            got = features._chunked_outputs(kernels, sources, starts, counts, k)
+            want = per_count_fold(kernels, sources, starts, counts, k)
+            for kernel, a, b in zip(kernels, got, want):
+                assert a.tobytes() == b.tobytes(), kernel.name
+        # zero_cross, seams included, counts as the unchunked kernel
+        for s, c, z in zip(starts.tolist(), counts.tolist(), got[0].tolist()):
+            assert same_bits(z, today_zero_cross(values[None, s:s + c].astype(np.float64))[0])
+
+
 @settings(max_examples=60)
 @given(case=lattice_series(), window_samples=st.integers(1, 300),
        stride_samples=st.integers(1, 300))
