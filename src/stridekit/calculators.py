@@ -121,7 +121,7 @@ def _moment_sums(members, v):
     return out
 
 
-def _merge_moments(members, s, sizes, offsets, fold):
+def _merge_moments(members, s, sizes, offsets, fold, pad):
     """Chunk sums to window sums: S and E add up, and the central sums shift
     to the window mean (Chan, Golub & LeVeque 1979; Pebay 2008). With
     d = chunk mean - window mean and n_j the chunk's count:
@@ -224,7 +224,7 @@ def _slope_sums(members, y, index):
             "Cty": np.add.reduce(tc * (y - (sy / n)[:, None]), axis=1)}
 
 
-def _merge_slope(members, s, sizes, offsets, fold):
+def _merge_slope(members, s, sizes, offsets, fold, pad):
     """Chunk sums to window sums, as a co-moment: a chunk's times move by its
     offset from the window start, and its centred sums shift to the window
     means by dt = chunk mean t - window mean t and dy likewise."""
@@ -246,7 +246,7 @@ def _slope_value(members, s, n):
 def _extreme(ufunc) -> _Chunks:
     """min or max: the extremum of each chunk, then of the chunks."""
     return _Chunks(lambda members, v: {"x": ufunc.reduce(v, axis=1)},
-                   lambda members, s, sizes, offsets, fold: {"x": fold(s["x"], ufunc)},
+                   lambda members, s, sizes, offsets, fold, pad: {"x": fold(s["x"], ufunc)},
                    lambda members, s, n: [s["x"]] * len(members))
 
 
@@ -266,12 +266,13 @@ def _crossing_stats(members, v):
             "first": v[:, 0].copy(), "last": v[:, -1].copy()}
 
 
-def _merge_crossings(members, s, sizes, offsets, fold):
+def _merge_crossings(members, s, sizes, offsets, fold, pad):
     """The chunks' crossings, plus one at each seam where the last value of
-    a chunk times the first of the next is negative. Counts are integers, so
-    the sum is exact in any order."""
-    seams = np.zeros_like(s["Z"])
-    seams[1:] = s["last"][:-1] * s["first"][1:] < 0.0
+    a chunk times the first of the next is negative, a pad row taking no
+    product. Counts are integers, so the sum is exact in any order."""
+    last, first, seams = s["last"][:-1], s["first"][1:], np.zeros_like(s["Z"])
+    seams[1:] = (last * first if pad is None else
+                 np.multiply(last, first, out=np.zeros_like(last), where=~pad[1:])) < 0.0
     return {"Z": fold(s["Z"] + seams)}
 
 
@@ -289,7 +290,7 @@ def _make_quantile(params: dict) -> FuncWrapper:
     q = float(q)
     label = f"quantile_{render_number(q)}"
     return FuncWrapper(BlockKernel("quantile", order_stats, q, raw=True), base_name=label,
-                       output_names=label, recipe=("builtin", "quantile", {"q": q}))
+                       output_names=label)
 
 
 def _f64(name: str, family, member=None, raw=False) -> tuple:
@@ -350,7 +351,9 @@ def builtin(name: str, params: dict | None = None) -> FuncWrapper:
             ) from None
         _no_params(params, name)
         wrapper = FuncWrapper(func, base_name=name, output_names=name, input_mode=mode,
-                              output_tags=(tag,), recipe=("builtin", name, {}))
+                              output_tags=(tag,))
+    wrapper.entry = ({"name": name, "params": {"q": wrapper.func.member}} if name == "quantile"
+                     else {"name": name})  # the config entry that rebuilds it
     wrapper.min_samples = 1  # every empty window
     wrapper.fills = (_EMPTY[name],) if name in _EMPTY else None
     return wrapper

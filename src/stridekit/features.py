@@ -75,13 +75,14 @@ PRESERVE = "preserve"
 class _Chunks(NamedTuple):
     """How a builtin computes a window from chunks of it. ``stats(members,
     values[, index])`` maps a (rows, k) block to a dict of per-row chunk
-    statistics. ``merge(members, stats, sizes, offsets, fold)`` turns the
-    (m, b) statistics of the chunks of b windows into those of the windows:
-    ``sizes`` holds the chunks' sample counts, ``offsets`` (index kernels
-    only) each chunk's first index minus the window's, in index units, and
-    ``fold(x, ufunc=np.add)`` reduces an (m, b) array over each window's
-    chunks pairwise, adjacent chunks first, for ufunc np.add, np.minimum or
-    np.maximum. ``finish(members, stats, n)`` turns the statistics of
+    statistics. ``merge(members, stats, sizes, offsets, fold, pad)`` turns
+    the (m, b) statistics of the chunks of b windows into those of the
+    windows: ``sizes`` holds the chunks' sample counts, ``offsets`` (index
+    kernels only) each chunk's first index minus the window's, in index
+    units, ``fold(x, ufunc=np.add)`` reduces an (m, b) array over each
+    window's chunks pairwise, adjacent chunks first, for ufunc np.add,
+    np.minimum or np.maximum, and ``pad`` masks the pad rows (below), or is
+    None. ``finish(members, stats, n)`` turns the statistics of
     windows of n samples into one value per window and member. Called, the
     rule is its own unchunked family: ``finish`` of ``stats`` over whole
     windows.
@@ -91,7 +92,8 @@ class _Chunks(NamedTuple):
     its own, which repeat its last chunk in ``stats``, ``sizes`` and
     ``offsets``. So ``merge`` must be elementwise across windows and reduce
     rows only through ``fold``, which replaces the pad rows by the ufunc's
-    identity (-0.0, +inf, -inf) first."""
+    identity (-0.0, +inf, -inf) first; one that combines a row with the row
+    before it (zero_cross's seam) skips the pad rows by ``pad``."""
 
     stats: Callable
     merge: Callable
@@ -166,11 +168,12 @@ class FuncWrapper:
     The short-window rule: a window with fewer than ``min_samples`` samples
     in any input yields ``fills`` (one per output) without a call, or raises
     when that is None. Only ``builtin`` (from 1, with the builtin's
-    empty-window value) and ``make_robust`` set it.
+    empty-window value) and ``make_robust`` set it, and ``entry``: the config
+    entry that rebuilds the wrapper (None for a user function).
     """
 
     __slots__ = ("func", "base_name", "output_names", "input_mode", "bound_kwargs",
-                 "output_tags", "recipe", "min_samples", "fills")
+                 "output_tags", "entry", "min_samples", "fills")
 
     def __init__(
         self,
@@ -180,7 +183,6 @@ class FuncWrapper:
         input_mode: InputMode = InputMode.VALUES_ONLY,
         bound_kwargs: dict | None = None,
         output_tags: Sequence | None = None,
-        recipe: tuple | None = None,
     ):
         self.func = func
         self.base_name = check_component_name(base_name or getattr(func, "__name__", "func"))
@@ -205,9 +207,14 @@ class FuncWrapper:
             if t is not PRESERVE and not isinstance(t, ValueTag):
                 raise InvalidDescriptor(f"bad output tag {t!r}")
         self.output_tags = tags
-        self.recipe = recipe
+        self.entry: dict | None = None
         self.min_samples = 0
         self.fills: tuple | None = None
+
+    @property
+    def recipe(self) -> tuple | None:  # what perfbench/layers.py counts robust fills by
+        robust = self.entry is not None and "robust" in self.entry
+        return ("robust", self.entry, self.min_samples) if robust else None
 
     @property
     def n_outputs(self) -> int:
@@ -250,23 +257,27 @@ def make_robust(
     be an integer that int64 holds (InvalidDescriptor); otherwise the fill
     must fit each output's tag like any function output, which extract
     checks. A builtin's fill is a number that a float holds, not a bool,
-    since its recipe stores it as a float.
+    since its entry's ``"robust"`` becomes this rule as a float (omitted
+    when NaN), unless ``min_samples`` is 0.
     """
     if isinstance(min_samples, bool) or not isinstance(min_samples, int) or min_samples < 0:
         raise InvalidDescriptor(f"min_samples must be an integer >= 0, got {min_samples!r}")
     if 0 < min_samples < wrapper.min_samples:
         raise InvalidDescriptor(f"{wrapper.base_name!r}: min_samples {min_samples} is below "
                                 f"the wrapped function's own min_samples {wrapper.min_samples}")
-    recipe = None
-    if wrapper.recipe is not None:
+    entry = wrapper.entry
+    if entry is not None:
         if isinstance(fill_value, bool) or not isinstance(fill_value, numbers.Real):
             raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value must be a number, "
                                     f"got {fill_value!r}")
         try:
-            recipe = ("robust", wrapper.recipe, min_samples, float(fill_value))
+            fill = float(fill_value)
         except OverflowError:
             raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value is too large "
                                     f"for a float") from None
+        if min_samples:
+            fill_entry = {} if math.isnan(fill) else {"fill_value": fill}
+            entry = {**entry, "robust": {"min_samples": min_samples, **fill_entry}}
     if isinstance(fill_value, float) and math.isnan(fill_value):
         for tag in wrapper.output_tags:
             if tag is PRESERVE or tag not in FLOAT_TAGS:
@@ -285,7 +296,7 @@ def make_robust(
                 raise InvalidDescriptor(f"{wrapper.base_name!r}: an I64 output cannot hold "
                                         f"the fill_value {fill_value!r}") from None
     robust = copy.copy(wrapper)
-    robust.recipe = recipe
+    robust.entry = entry
     if min_samples:
         robust.min_samples = min_samples
         robust.fills = fills
@@ -846,7 +857,7 @@ def _chunked_outputs(kernels: list[BlockKernel], sources: list, starts: np.ndarr
                 x = np.concatenate([top, x[-1:]]) if len(x) % 2 else top
             return x[0]
 
-        merged = rule.merge(members, stats, sizes, offsets, fold)
+        merged = rule.merge(members, stats, sizes, offsets, fold, pad)
         for out, value in zip(outs, rule.finish(members, merged, counts[at])):
             out[at] = value
     for out in outs:  # where two NaNs meet, numpy's loop for the shape picks the payload
@@ -869,9 +880,6 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple],
     (rows reduce independently; a chunk table holds only chunks of the
     windows being run; a merge's pad rows repeat the window's own last
     chunk), so a set of windows raises exactly when one of them does alone.
-    One exception: at a pad row zero_cross's seam multiplies the last
-    chunk's first and last values, which a caller's raising np.errstate can
-    trip; _search then computes the windows apart, to the same values.
     Exceptions propagate unnamed (see _search)."""
     kernels = [wrapper.func for wrapper, _, _ in unit]
     family, raw, members = kernels[0].family, kernels[0].raw, [k.member for k in kernels]

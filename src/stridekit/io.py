@@ -42,6 +42,7 @@ a column on the per-cell parsers, which name the row of a bad cell.
 from __future__ import annotations
 
 import codecs
+import copy
 import csv
 import datetime as _dt
 import json
@@ -62,6 +63,7 @@ from .errors import (
     LengthMismatch,
     NonMonotonicIndex,
     ParseError,
+    StridekitError,
 )
 from .features import (
     ExtractOptions,
@@ -72,7 +74,7 @@ from .features import (
     make_robust,
 )
 from .calculators import builtin
-from .processing import PROCESSOR_NAMES, Pipeline, _normalize_selector, builtin_processor
+from .processing import Pipeline, _normalize_selector, builtin_processor
 from .series import (_DEAD, _EMPTY, _FALSE, _FRAC, _INT, _INT_DOT, _IS_FLOAT, _NUMERIC_NEXT,
                      _TRUE, _number_state, _same_index)
 from .series import (
@@ -722,35 +724,18 @@ def parse_feature_config(doc) -> tuple[FeatureCollection, ExtractOptions]:
         raise ConfigError(f"options: {exc}") from None
 
 
-def _recipe_to_json(wrapper: FuncWrapper) -> dict:
-    recipe = wrapper.recipe
-    robust = None
-    if recipe is not None and recipe[0] == "robust":
-        _, recipe, min_samples, fill = recipe
-        robust = {"min_samples": min_samples}
-        if not math.isnan(fill):
-            robust["fill_value"] = fill
-    if recipe is None or recipe[0] != "builtin":
-        raise ConfigError(
-            f"function {wrapper.base_name!r} has no builtin recipe and cannot be serialized"
-        )
-    _, name, params = recipe
-    out: dict = {"name": name}
-    if params:
-        out["params"] = dict(params)
-    if robust is not None:
-        out["robust"] = robust
-    return out
-
-
 def serialize_feature_config(collection: FeatureCollection,
                              options: ExtractOptions | None = None) -> dict:
     features = []
     for (series_names, w, s), wrappers in collection.groups():
+        for wrapper in wrappers:
+            if wrapper.entry is None:
+                raise ConfigError(f"function {wrapper.base_name!r} is not a builtin and "
+                                  f"cannot be serialized")
         series = series_names[0] if len(series_names) == 1 else [list(series_names)]
         features.append({
             "series": series,
-            "functions": [_recipe_to_json(wr) for wr in wrappers],
+            "functions": [copy.deepcopy(wrapper.entry) for wrapper in wrappers],
             "windows": [w.render()],
             "strides": [s.render()],
         })
@@ -782,18 +767,23 @@ def parse_pipeline_config(doc) -> Pipeline:
 
 
 def serialize_pipeline_config(pipeline: Pipeline) -> dict:
+    """The document of a pipeline whose steps builtin_processor rebuilds from
+    their label, selector and params; any other step is a ConfigError."""
     steps = []
     for step in pipeline.steps:
-        if step.label not in PROCESSOR_NAMES:
-            raise ConfigError(
-                f"step {step.label!r} is not a registered processor and cannot be serialized"
-            )
+        params = {k: v.render() if isinstance(v, Delta) else v
+                  for k, v in step.bound_kwargs.items() if v is not None}
+        try:
+            rebuilt = builtin_processor(step.label, step.series_selector, params).function
+        except StridekitError as exc:
+            raise ConfigError(f"step {step.label!r} cannot be serialized: {exc}") from None
+        if rebuilt is not step.function:
+            raise ConfigError(f"step {step.label!r} is not a registered processor and cannot "
+                              f"be serialized")
         series = [
             entry if isinstance(entry, str) else list(entry)
             for entry in step.series_selector
         ]
-        params = {k: v.render() if isinstance(v, Delta) else v
-                  for k, v in step.bound_kwargs.items() if v is not None}
         steps.append({"function": step.label, "series": series, "params": params})
     return {"steps": steps}
 

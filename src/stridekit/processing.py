@@ -285,11 +285,9 @@ def _smv(*views: SeriesView, output: str):
     return Series(output, ref.index, np.sqrt(acc), kind=ref.kind)
 
 
-def _require_number(params: dict, key: str, optional: bool = False):
+def _optional_number(params: dict, key: str):
     if key not in params:
-        if optional:
-            return None
-        raise BadParam(f"missing parameter {key!r}")
+        return None
     v = params[key]
     if (isinstance(v, bool) or not isinstance(v, (int, float))
             or isinstance(v, int) and abs(v) > sys.float_info.max):
@@ -322,16 +320,16 @@ def builtin_processor(name: str, series_selector, params: dict | None = None) ->
 
     if name == "clip":
         reject_unknown({"lo", "hi"})
-        lo = _require_number(params, "lo", optional=True)
-        hi = _require_number(params, "hi", optional=True)
+        lo = _optional_number(params, "lo")
+        hi = _optional_number(params, "hi")
         if lo is None and hi is None:
             raise BadParam("clip requires lo, hi, or both")
         return ProcessorStep(_clip, series_selector, {"lo": lo, "hi": hi},
                              declared_outputs=SELECTOR_OUTPUTS, label="clip")
     if name == "scale":
         reject_unknown({"factor", "offset"})
-        factor = _require_number(params, "factor", optional=True)
-        offset = _require_number(params, "offset", optional=True)
+        factor = _optional_number(params, "factor")
+        offset = _optional_number(params, "offset")
         kwargs = {"factor": 1.0 if factor is None else float(factor),
                   "offset": 0.0 if offset is None else float(offset)}
         return ProcessorStep(_scale, series_selector, kwargs,

@@ -698,7 +698,7 @@ def per_count_fold(kernels, sources, starts, counts, k):
             for name, x in rule.stats(members, *blocks).items():
                 stats.setdefault(name, np.empty(sizes.shape))[pick] = x
         offsets = sources[1][lo] - sources[1][starts[at]] if len(sources) > 1 else None
-        merged = rule.merge(members, stats, sizes.astype(np.float64), offsets, fold)
+        merged = rule.merge(members, stats, sizes.astype(np.float64), offsets, fold, None)
         for out, value in zip(outs, rule.finish(members, merged, counts[at])):
             out[at] = value
     for out in outs:
@@ -742,7 +742,7 @@ def mixed_batches(draw):
 #: A probe rule: the sum of its chunks' first values. numpy's row sums never
 #: yield -0.0, so no builtin's fold sees one; this fold sees the data's.
 FIRST_SUM = features._Chunks(lambda members, v: {"x": v[:, 0]},
-                             lambda members, s, sizes, offsets, fold: {"x": fold(s["x"])},
+                             lambda members, s, sizes, offsets, fold, pad: {"x": fold(s["x"])},
                              lambda members, s, n: [s["x"]])
 
 
@@ -967,6 +967,24 @@ def test_windows_of_other_counts_merge_without_raising_under_a_caller_s_errstate
     assert set(paths) == {"fused"}
     assert set(matrix["S__mean__w=256_s=64"].data.tolist()) == {2.0**664}
     assert set(matrix["S__std__w=256_s=64"].data.tolist()) == {0.0}
+
+
+def test_a_zero_cross_seam_takes_no_product_at_a_pad_row():
+    # Windows of 3 and 4 chunks (K = 64) merge in one bucket, where the
+    # 3-chunk window has a pad row copying its last chunk. That chunk starts
+    # and ends with 1e200, whose square overflows under over="raise"; no
+    # seam of either window multiplies the two.
+    values = np.where(np.random.default_rng(11).random(448) < 0.5, -1.0, 1.0)
+    values[[128, 191]] = 1e200
+    kernels = [builtin("zero_cross").func]
+    starts, counts = np.array([0, 192]), np.array([192, 256])
+    with np.errstate(over="raise"):
+        together = features._chunked_outputs(kernels, [values], starts, counts, 64)[0]
+        alone = [features._chunked_outputs(kernels, [values], starts[i:i + 1], counts[i:i + 1],
+                                           64)[0][0] for i in range(2)]
+    assert together.tobytes() == np.array(alone).tobytes()
+    assert together.tolist() == [today_zero_cross(values[None, s:s + c])[0]
+                                 for s, c in zip(starts, counts)]
 
 
 # ---------------------------------------------------------------------------

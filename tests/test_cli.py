@@ -651,6 +651,19 @@ def test_chunk_bad_spec_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["chunk", "process"])
+def test_a_series_name_that_is_no_file_name_exits_2_with_one_line(tmp_path, capsys, command):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("index,a/b\n0,1\n1,2\n")
+    pipeline_path = tmp_path / "pipeline.json"
+    write_json({"steps": []}, str(pipeline_path))
+    extra = (["--gap-factor", "3.0"] if command == "chunk"
+             else ["--pipeline", str(pipeline_path)])
+    rc = main([command, "--data", str(data_path), *extra, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: series name 'a/b' is not usable as a file name\n"
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------

@@ -653,6 +653,25 @@ def test_an_i64_output_outside_int64_names_group_and_segment(wrapper, reason, n_
     assert str(err.value) == reason
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("wrapper, reason", [
+    pytest.param(FuncWrapper(lambda x: (1.0, 2.0), base_name="two"),
+                 "function 'two' failed on group 'S' segment 0: 'two' returned 2 outputs, "
+                 "expected 1", id="tuple"),
+    pytest.param(FuncWrapper(lambda x: 1.0, base_name="pair", output_names=["a", "b"]),
+                 "function 'pair' failed on group 'S' segment 0: 'pair' returned a scalar "
+                 "but declares 2 outputs", id="scalar"),
+])
+def test_a_user_function_with_the_wrong_output_count_names_group_and_segment(wrapper, reason,
+                                                                              n_workers):
+    s = numeric_series("S", np.arange(0.0, 9.0))
+    c = collection_of(("S", wrapper, 2.0, 2.0),
+                      ("S", builtin("mean"), 2.0, 2.0))  # a second unit for the pool
+    with pytest.raises(FunctionFailure) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
+    assert str(err.value) == reason
+
+
 def test_an_i64_output_at_the_int64_bounds_is_stored():
     s = numeric_series("S", np.arange(0.0, 9.0))
     c = collection_of(

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from stridekit import (
     ExtractOptions,
@@ -46,6 +46,7 @@ from stridekit import (
 from stridekit.errors import (
     ConfigError,
     DuplicateHeader,
+    InvalidDescriptor,
     IoError,
     KindMismatch,
     LengthMismatch,
@@ -57,6 +58,7 @@ from stridekit.errors import (
 )
 
 from stridekit import io as stridekit_io
+from stridekit.calculators import BUILTIN_NAMES
 from stridekit.series import render_number
 
 from conftest import NS, numeric_series, time_series
@@ -977,6 +979,7 @@ def test_write_series_requires_alignment(tmp_path):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e12, max_value=1e12),
                 min_size=1, max_size=30, unique=True))
+@example(xs=[-0.0, 2.5])  # written as "-0.0", read back with its sign
 def test_numeric_index_round_trip(tmp_path_factory, xs):
     tmp = tmp_path_factory.mktemp("idx")
     idx = np.array(sorted(xs))
@@ -1472,6 +1475,48 @@ def test_serialize_rejects_custom_functions():
         serialize_feature_config(c)
 
 
+@st.composite
+def robust_builtins(draw):
+    """A builtin wrapped 1 to 3 times by make_robust, with min_samples from
+    0 and fills that may be NaN, -0.0, +-inf or integers a float holds; a
+    layering make_robust rejects is drawn again."""
+    name = draw(st.sampled_from(BUILTIN_NAMES))
+    wrapper = builtin(name, {"q": draw(st.floats(0, 1))} if name == "quantile" else None)
+    fills = st.one_of(st.just(math.nan), st.floats(width=64, allow_nan=False),
+                      st.integers(-2**53, 2**53))
+    for _ in range(draw(st.integers(1, 3))):
+        try:
+            wrapper = make_robust(wrapper, draw(st.integers(0, 5)), draw(fills))
+        except (InvalidDescriptor, NonFloatOutput):
+            reject()
+    return wrapper
+
+
+@settings(max_examples=300)
+@given(wrapper=robust_builtins())
+def test_a_robust_builtin_serializes_as_its_effective_rule(wrapper):
+    collection = FeatureCollection([FeatureDescriptor("S", wrapper, 5.0, 1.0)])
+    doc = serialize_feature_config(collection)
+    parsed, _ = parse_feature_config(doc)
+    [(_, [again])] = parsed.groups()
+    assert again.min_samples == wrapper.min_samples
+    assert (again.fills is None) == (wrapper.fills is None)
+    for a, b in zip(again.fills or (), wrapper.fills or ()):
+        assert a == b or math.isnan(a) and math.isnan(b)
+    assert parsed.column_names() == collection.column_names()
+    assert serialize_feature_config(parsed) == doc
+
+
+def test_a_nested_robust_builtin_serializes_its_outer_rule():
+    inner = make_robust(builtin("mean"), 2, 0.0)
+    for outer, entry in [(make_robust(inner, 3, 1.0),
+                          {"name": "mean", "robust": {"min_samples": 3, "fill_value": 1.0}}),
+                         (make_robust(inner, 0, 1.0),
+                          {"name": "mean", "robust": {"min_samples": 2, "fill_value": 0.0}})]:
+        c = FeatureCollection([FeatureDescriptor("S", outer, 5.0, 1.0)])
+        assert serialize_feature_config(c)["features"][0]["functions"] == [entry]
+
+
 # ---------------------------------------------------------------------------
 # pipeline config documents
 # ---------------------------------------------------------------------------
@@ -1535,6 +1580,22 @@ def test_serialize_rejects_unregistered_steps():
 
     p = Pipeline([ProcessorStep(lambda v: v.values, ["A"], label="custom")])
     with pytest.raises(ConfigError):
+        serialize_pipeline_config(p)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({}, "step 'clip' cannot be serialized: clip requires lo, hi, or both"),
+    ({"lo": 0.0}, "step 'clip' is not a registered processor and cannot be serialized"),
+])
+def test_serialize_rejects_a_user_step_named_like_a_processor(kwargs, message):
+    from stridekit import Pipeline, ProcessorStep
+
+    def clip(view, lo=None):
+        return view.values
+
+    p = Pipeline([ProcessorStep(clip, ["A"], kwargs)])
+    assert p.steps[0].label == "clip"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         serialize_pipeline_config(p)
 
 
