@@ -8,11 +8,12 @@ function) pair, or the builtins of one family in a group, which share each
 block (see BlockKernel). With several workers the units run on forked
 processes, at most one per CPU, which inherit the resolved groups; this
 process runs no unit, only hands each worker its next unit position, in
-registration order, reads the outcomes they pipe back and reaps the workers
-(see _fork_units). The collector merges results in registration order, which
-makes the output bit-identical for any worker count. A builtin unit runs over
-blocks of windows; a builtin that raises there is searched over halves of its
-windows down to the first window that raises alone, which the failure names.
+registration order, on the worker's own connection, reads the outcomes sent
+back on it and reaps the workers (see _fork_units). The collector merges
+results in registration order, which makes the output bit-identical for any
+worker count. A builtin unit runs over blocks of windows; a builtin that
+raises there is searched over halves of its windows down to the first window
+that raises alone, which the failure names.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import os
 import pickle
 import select
 import signal
-import struct
 import sys
 import time
 import traceback
@@ -257,8 +257,9 @@ def make_robust(
     be an integer that int64 holds (InvalidDescriptor); otherwise the fill
     must fit each output's tag like any function output, which extract
     checks. A builtin's fill is a number that a float holds, not a bool,
-    since its entry's ``"robust"`` becomes this rule as a float (omitted
-    when NaN), unless ``min_samples`` is 0.
+    since its entry's ``"robust"`` becomes this rule, unless ``min_samples``
+    is 0: the fill as an int when it is an integer, else as a float
+    (omitted when NaN).
     """
     if isinstance(min_samples, bool) or not isinstance(min_samples, int) or min_samples < 0:
         raise InvalidDescriptor(f"min_samples must be an integer >= 0, got {min_samples!r}")
@@ -275,6 +276,8 @@ def make_robust(
         except OverflowError:
             raise InvalidDescriptor(f"{wrapper.base_name!r}: fill_value is too large "
                                     f"for a float") from None
+        if isinstance(fill_value, numbers.Integral):  # exact, and an int for I64 outputs
+            fill = int(fill_value)
         if min_samples:
             fill_entry = {} if math.isnan(fill) else {"fill_value": fill}
             entry = {**entry, "robust": {"min_samples": min_samples, **fill_entry}}
@@ -994,13 +997,17 @@ def _collect(units: list[tuple], outcomes: Iterator) -> dict[tuple, tuple]:
     """(columns, duration_s, path) per (group, function), a unit's wall time
     split evenly over its functions. Raises the FunctionFailure of the first
     failing (group, function) in registration order, without taking the
-    outcome of a unit that starts after it."""
+    outcome of a unit that starts after it; an outcome that is an exception
+    is raised in its unit's place."""
     results: dict[tuple, tuple] = {}
     first = None  # ((gi, fi), FunctionFailure)
     for gi, fis in units:
         if first is not None and (gi, fis[0]) > first[0]:
             break
-        columns, duration, path, failure = next(outcomes)
+        outcome = next(outcomes)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        columns, duration, path, failure = outcome
         if failure is not None and (first is None or (gi, failure[0]) < first[0]):
             first = (gi, failure[0]), failure[1]
         for fi, cols in zip(fis, columns):
@@ -1008,12 +1015,6 @@ def _collect(units: list[tuple], outcomes: Iterator) -> dict[tuple, tuple]:
     if first is not None:
         raise first[1]
     return results
-
-
-#: A result frame's header: the unit's position and the pickle's length.
-_FRAME = struct.Struct("=qq")
-#: A task: the position of the unit a worker runs next, or -1 for none.
-_TASK = struct.Struct("=q")
 
 
 def _flush_std() -> None:
@@ -1026,40 +1027,27 @@ def _flush_std() -> None:
             pass
 
 
-def _send(out: int, position: int, outcome) -> None:
-    """One frame: the header, then the pickled outcome."""
-    payload = pickle.dumps(outcome)
-    for part in (_FRAME.pack(position, len(payload)), payload):
-        view = memoryview(part)
-        while view:
-            view = view[os.write(out, view):]
+def _send(conn, outcome) -> None:
+    """One message: the pickled outcome."""
+    conn.send_bytes(pickle.dumps(outcome))
 
 
-def _read(fd: int, size: int) -> bytearray | None:
-    """``size`` bytes from ``fd``, or None if it ends first."""
-    buf = bytearray(size)
-    view, got = memoryview(buf), 0
-    while got < size:
-        k = os.readv(fd, [view[got:]])
-        if k == 0:
-            return None
-        got += k
-    return buf
-
-
-def _work(groups: list[_ResolvedGroup], units: list[tuple], tasks: int, out: int) -> None:
-    """A forked worker: runs the unit at each position read from ``tasks``
-    and sends its outcome, until it reads -1 (or the pipe ends). A
-    BaseException (SystemExit, KeyboardInterrupt) is sent like an outcome,
-    raised by the parent at this unit, and ends the worker."""
-    while (p := _TASK.unpack(_read(tasks, _TASK.size) or _TASK.pack(-1))[0]) >= 0:
-        gi, fis = units[p]
-        try:
-            outcome = _compute_unit(groups[gi], fis)
-        except BaseException as exc:  # raised again by the parent
-            _send(out, p, exc)
-            return
-        _send(out, p, outcome)
+def _work(groups: list[_ResolvedGroup], units: list[tuple], conn) -> None:
+    """A forked worker: runs the unit at each position it receives on
+    ``conn`` and sends its outcome, until it receives -1 or the caller's end
+    closes. A BaseException (SystemExit, KeyboardInterrupt) is sent like an
+    outcome, raised by the caller at this unit, and ends the worker."""
+    try:
+        while (p := int.from_bytes(conn.recv_bytes(), "little", signed=True)) >= 0:
+            gi, fis = units[p]
+            try:
+                outcome = _compute_unit(groups[gi], fis)
+            except BaseException as exc:  # raised again by the caller
+                _send(conn, exc)
+                return
+            _send(conn, outcome)
+    except EOFError:  # the caller is gone
+        pass
 
 
 def _lost(group: _ResolvedGroup, fis: tuple[int, ...], status: int) -> tuple:
@@ -1084,17 +1072,20 @@ def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int
     units, CPUs) forked workers: a ``_compute_unit`` tuple, a BaseException
     to raise in its place, or None for a unit that a failure left unrun.
 
-    This process runs no unit and alone hands them out, in registration
-    order, through each worker's task pipe: a position when it forks the
-    worker and the next as soon as that worker's outcome frame arrives, or
-    -1, at which the worker exits, when none is left or the next unit's
-    first function comes after one known to fail (or to raise). It reads
-    the workers' result pipes as data arrives, a frame at a time, and reaps
-    each worker at its end of file. A worker that dies (a signal,
-    ``os._exit``) fails the unit it was last handed, with its exit status."""
+    Each worker has its own duplex connection. This process runs no unit
+    and alone hands them out on it, in registration order: a position when
+    it forks the worker and the next as soon as that worker's outcome
+    arrives, or -1, at which the worker exits, when none is left or the next
+    unit's first function comes after one known to fail (or to raise). It
+    polls the connections, takes each outcome as the unit that worker
+    holds, and reaps a worker once its connection ends. A worker that dies
+    (a signal, ``os._exit``) fails the unit it was last handed, with its
+    exit status."""
+    from multiprocessing.connection import Pipe  # not imported with stridekit
+
     n = len(units)
     outcomes: list = [None] * n
-    workers: dict[int, list] = {}  # result read end -> [pid, task write end, unit held]
+    workers: dict[int, list] = {}  # connection's fd -> [pid, connection, unit held]
     poller = select.poll()
     handed, stop = 0, (math.inf,)  # units handed out; (group, function) of the first failure
 
@@ -1106,56 +1097,53 @@ def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int
         if failed is not None:
             stop = min(stop, (gi, failed[0]))
 
-    def hand(r: int) -> None:
+    def hand(fd: int) -> None:
         nonlocal handed
         held = -1
         if handed < n and (units[handed][0], units[handed][1][0]) < stop:
             held, handed = handed, handed + 1
-        workers[r][2] = held
+        workers[fd][2] = held
         try:
-            os.write(workers[r][1], _TASK.pack(held))
-        except BrokenPipeError:  # the worker is gone; its end of file follows
+            workers[fd][1].send_bytes(held.to_bytes(8, "little", signed=True))
+        except ConnectionError:  # the worker is gone; its connection's end follows
             pass
 
     _flush_std()
     try:
         for _ in range(min(n_workers, n, os.cpu_count() or 1)):
-            r, out = os.pipe()
-            tasks, w = os.pipe()
+            ours, theirs = Pipe()
             try:
                 pid = os.fork()
             except BaseException:
-                for fd in (r, out, tasks, w):
-                    os.close(fd)
+                ours.close()
+                theirs.close()
                 raise
             if pid == 0:  # the worker; never returns
                 status = 1
-                try:
-                    for inherited in (r, w, *workers, *(v[1] for v in workers.values())):
-                        os.close(inherited)
-                    _work(groups, units, tasks, out)
+                try:  # close this process's ends, which must end when it dies
+                    for conn in (ours, *(v[1] for v in workers.values())):
+                        conn.close()
+                    _work(groups, units, theirs)
                     status = 0
                 except BaseException:
                     traceback.print_exc()
                 finally:
                     _flush_std()
                     os._exit(status)
-            os.close(out)
-            os.close(tasks)
-            workers[r] = [pid, w, -1]
-            poller.register(r, select.POLLIN)
-            hand(r)
+            theirs.close()
+            workers[ours.fileno()] = [pid, ours, -1]
+            poller.register(ours.fileno(), select.POLLIN)
+            hand(ours.fileno())
 
         while workers:
-            for r, _ in poller.poll():
-                # a worker writes a frame whole once it starts one
-                header = _read(r, _FRAME.size)
-                payload = header and _read(r, _FRAME.unpack(header)[1])
-                if payload is None:  # the worker is gone: reap it
-                    pid, w, held = workers.pop(r)
-                    poller.unregister(r)
-                    os.close(r)
-                    os.close(w)
+            for fd, _ in poller.poll():
+                pid, conn, held = workers[fd]
+                try:  # a worker sends an outcome whole once it starts one
+                    payload = conn.recv_bytes()
+                except (EOFError, OSError):  # gone (a reset if it left a position unread)
+                    del workers[fd]
+                    poller.unregister(fd)
+                    conn.close()
                     status = os.waitpid(pid, 0)[1]
                     if held >= 0:
                         settle(held, _lost(groups[units[held][0]], units[held][1], status))
@@ -1164,22 +1152,14 @@ def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int
                     outcome = pickle.loads(payload)
                 except Exception as exc:
                     outcome = exc
-                settle(_FRAME.unpack(header)[0], outcome)
-                hand(r)
+                settle(held, outcome)
+                hand(fd)
     finally:
-        for r, (pid, w, _) in workers.items():  # only when this process raised
+        for pid, conn, _ in workers.values():  # only when this process raised
             os.kill(pid, signal.SIGKILL)
-            os.close(r)
-            os.close(w)
+            conn.close()
             os.waitpid(pid, 0)
     return outcomes
-
-
-def _raised(outcome):
-    """The outcome, unless it is an exception to raise in its place."""
-    if isinstance(outcome, BaseException):
-        raise outcome
-    return outcome
 
 
 def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tuple]:
@@ -1189,7 +1169,7 @@ def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tupl
     units = _units(groups)
     if n_workers == 1 or len(units) < 2 or not hasattr(os, "fork"):
         return _collect(units, (_compute_unit(groups[gi], fis) for gi, fis in units))
-    return _collect(units, map(_raised, _fork_units(groups, units, n_workers)))
+    return _collect(units, iter(_fork_units(groups, units, n_workers)))
 
 
 def _union(stamps: list[np.ndarray], dtype) -> np.ndarray:

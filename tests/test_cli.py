@@ -90,6 +90,18 @@ def test_module_entry_point_help():
     assert "extract" in proc.stdout
 
 
+def test_importing_stridekit_loads_no_multiprocessing():
+    # multiprocessing costs about 10 ms of start-up; only the fork pool needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stridekit; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------

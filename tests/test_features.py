@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -414,15 +415,17 @@ def _kill_in_a_worker(how):
 
     def run(x):
         if os.getpid() != parent:
-            if how == "signal":
-                os.kill(os.getpid(), signal.SIGKILL)
+            if how != "exit":
+                os.kill(os.getpid(), signal.SIGKILL if how == "signal" else signal.SIGRTMIN + 1)
             os._exit(3)
         return 0.0
     return run
 
 
 @pytest.mark.parametrize("how, status", [("signal", "was killed by SIGKILL"),
-                                         ("exit", "exited with status 3")])
+                                         ("exit", "exited with status 3"),
+                                         ("unnamed-signal",
+                                          f"was killed by signal {signal.SIGRTMIN + 1}")])
 def test_a_worker_that_dies_fails_the_function_it_held(how, status):
     s = numeric_series("S", np.arange(0.0, 9.0))
     c = collection_of(("S", builtin("mean"), 2.0, 2.0),
@@ -546,6 +549,22 @@ def test_the_pool_runs_more_units_than_a_pipe_holds_positions():
                           for i in range(16_500))
     pooled = extract(SeriesSet([s]), c, ExtractOptions(n_workers=2)).matrix
     assert pooled.equals(extract(SeriesSet([s]), c).matrix)
+    _no_child_left()
+
+
+def _pooled_and_serial_matrices():
+    data = SeriesSet([tmp_4hz()])
+    c = FeatureCollection(expand_multiple([builtin("mean"), builtin("min"), builtin("max")],
+                                          ["TMP"], ["30s"], ["10s"]))
+    return extract(data, c, ExtractOptions(n_workers=2)).matrix, extract(data, c).matrix
+
+
+def test_the_pool_runs_inside_a_daemonic_multiprocessing_worker():
+    # a multiprocessing.Process may not start there; os.fork may
+    with multiprocessing.get_context("fork").Pool(1) as outer:
+        pooled, serial = outer.apply_async(_pooled_and_serial_matrices).get(timeout=60)
+    assert pooled.equals(serial)
+    assert pooled.n_rows > 0
     _no_child_left()
 
 

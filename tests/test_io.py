@@ -1478,12 +1478,12 @@ def test_serialize_rejects_custom_functions():
 @st.composite
 def robust_builtins(draw):
     """A builtin wrapped 1 to 3 times by make_robust, with min_samples from
-    0 and fills that may be NaN, -0.0, +-inf or integers a float holds; a
+    0 and fills that may be NaN, -0.0, +-inf or integers int64 holds; a
     layering make_robust rejects is drawn again."""
     name = draw(st.sampled_from(BUILTIN_NAMES))
     wrapper = builtin(name, {"q": draw(st.floats(0, 1))} if name == "quantile" else None)
     fills = st.one_of(st.just(math.nan), st.floats(width=64, allow_nan=False),
-                      st.integers(-2**53, 2**53))
+                      st.integers(INT64_MIN, INT64_MAX))
     for _ in range(draw(st.integers(1, 3))):
         try:
             wrapper = make_robust(wrapper, draw(st.integers(0, 5)), draw(fills))
@@ -1494,6 +1494,8 @@ def robust_builtins(draw):
 
 @settings(max_examples=300)
 @given(wrapper=robust_builtins())
+@example(wrapper=make_robust(builtin("count"), 3, 2**53 + 1))  # not a float
+@example(wrapper=make_robust(builtin("first"), 3, 5))  # an int fill for an I64 series
 def test_a_robust_builtin_serializes_as_its_effective_rule(wrapper):
     collection = FeatureCollection([FeatureDescriptor("S", wrapper, 5.0, 1.0)])
     doc = serialize_feature_config(collection)
@@ -1502,6 +1504,7 @@ def test_a_robust_builtin_serializes_as_its_effective_rule(wrapper):
     assert again.min_samples == wrapper.min_samples
     assert (again.fills is None) == (wrapper.fills is None)
     for a, b in zip(again.fills or (), wrapper.fills or ()):
+        assert type(a) is type(b)
         assert a == b or math.isnan(a) and math.isnan(b)
     assert parsed.column_names() == collection.column_names()
     assert serialize_feature_config(parsed) == doc
