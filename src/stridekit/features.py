@@ -5,15 +5,15 @@ Descriptors are grouped by (series names, window, stride) so each group's
 window grid and sample positions are computed once and shared by every
 function registered under it. The unit of parallel work is one (group,
 function) pair, or the builtins of one family in a group, which share each
-block (see BlockKernel). With several workers the units run on forked
-processes, at most one per CPU, which inherit the resolved groups; this
-process runs no unit, only hands each worker its next unit position, in
-registration order, on the worker's own connection, reads the outcomes sent
-back on it and reaps the workers (see _fork_units). The collector merges
-results in registration order, which makes the output bit-identical for any
-worker count. A builtin unit runs over blocks of windows; a builtin that
-raises there is searched over halves of its windows down to the first window
-that raises alone, which the failure names.
+block (see BlockKernel). One hand-out rule serves every worker count (see
+_run_units). With several workers the units run on forked processes, at
+most one per CPU, which inherit the resolved groups; this process runs no
+unit, only hands each worker its next unit position on the worker's own
+connection, reads the outcomes sent back on it and reaps the workers (see
+_fork_units). Results are kept by unit position, which makes the output
+bit-identical for any worker count. A builtin unit runs over blocks of
+windows; a builtin that raises there is searched over halves of its windows
+down to the first window that raises alone, which the failure names.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
     EmptyAxis,
     FunctionFailure,
     InvalidDescriptor,
+    IoError,
     KindMismatch,
     NonFloatOutput,
     UnknownColumn,
@@ -552,7 +553,7 @@ class SparsityWarning:
 class ExtractOptions:
     approve_sparsity: bool = False
     n_workers: int = 1
-    log_path: str | None = None
+    log_path: str | os.PathLike | None = None
     output_position: OutputPosition = OutputPosition.END
 
     def __post_init__(self):
@@ -562,6 +563,8 @@ class ExtractOptions:
         n = self.n_workers
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadParam(f"n_workers must be a positive integer, got {n!r}")
+        if self.log_path is not None and not isinstance(self.log_path, (str, os.PathLike)):
+            raise BadParam(f"log_path must be a path, got {self.log_path!r}")
         object.__setattr__(self, "output_position", _output_position(self.output_position))
 
 
@@ -993,30 +996,6 @@ def _units(groups: list[_ResolvedGroup]) -> list[tuple[int, tuple[int, ...]]]:
     return [(gi, tuple(fis)) for gi, fis in units]
 
 
-def _collect(units: list[tuple], outcomes: Iterator) -> dict[tuple, tuple]:
-    """(columns, duration_s, path) per (group, function), a unit's wall time
-    split evenly over its functions. Raises the FunctionFailure of the first
-    failing (group, function) in registration order, without taking the
-    outcome of a unit that starts after it; an outcome that is an exception
-    is raised in its unit's place."""
-    results: dict[tuple, tuple] = {}
-    first = None  # ((gi, fi), FunctionFailure)
-    for gi, fis in units:
-        if first is not None and (gi, fis[0]) > first[0]:
-            break
-        outcome = next(outcomes)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        columns, duration, path, failure = outcome
-        if failure is not None and (first is None or (gi, failure[0]) < first[0]):
-            first = (gi, failure[0]), failure[1]
-        for fi, cols in zip(fis, columns):
-            results[gi, fi] = cols, duration / len(fis), path
-    if first is not None:
-        raise first[1]
-    return results
-
-
 def _flush_std() -> None:
     """Flush Python's standard streams, so that what the parent buffered is
     not written again by a worker and what a worker buffered is not lost."""
@@ -1050,9 +1029,9 @@ def _work(groups: list[_ResolvedGroup], units: list[tuple], conn) -> None:
         pass
 
 
-def _lost(group: _ResolvedGroup, fis: tuple[int, ...], status: int) -> tuple:
+def _lost(group: _ResolvedGroup, fis: tuple[int, ...], status: int) -> FunctionFailure:
     """The outcome of a unit whose worker ended, with wait ``status``,
-    without sending it: a FunctionFailure of its first function."""
+    without sending it: a FunctionFailure of the unit's functions."""
     code = os.waitstatus_to_exitcode(status)
     if code >= 0:
         how = f"exited with status {code}"
@@ -1062,47 +1041,30 @@ def _lost(group: _ResolvedGroup, fis: tuple[int, ...], status: int) -> tuple:
         except ValueError:  # a signal without a name
             how = f"was killed by signal {-code}"
     names = " + ".join(repr(group.wrappers[fi].base_name) for fi in fis)
-    return [], 0.0, "window", (fis[0], FunctionFailure(
-        f"function {names} on group {'|'.join(group.key[0])!r}: its worker {how} "
-        f"before reporting it"))
+    return FunctionFailure(f"function {names} on group {'|'.join(group.key[0])!r}: "
+                           f"its worker {how} before reporting it")
 
 
-def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int) -> list:
-    """The outcome of each unit by position, computed on min(n_workers,
-    units, CPUs) forked workers: a ``_compute_unit`` tuple, a BaseException
-    to raise in its place, or None for a unit that a failure left unrun.
+def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int,
+                next_unit: Callable[[], int], settle: Callable[[int, object], None]) -> None:
+    """Run units on min(n_workers, units, CPUs) forked workers: the
+    transport for _run_units, whose ``next_unit`` picks each position to
+    hand out (-1: none) and whose ``settle`` takes each outcome.
 
     Each worker has its own duplex connection. This process runs no unit
-    and alone hands them out on it, in registration order: a position when
-    it forks the worker and the next as soon as that worker's outcome
-    arrives, or -1, at which the worker exits, when none is left or the next
-    unit's first function comes after one known to fail (or to raise). It
-    polls the connections, takes each outcome as the unit that worker
-    holds, and reaps a worker once its connection ends. A worker that dies
-    (a signal, ``os._exit``) fails the unit it was last handed, with its
-    exit status."""
+    and alone hands them out on it: a position when it forks the worker and
+    the next as soon as that worker's outcome arrives, or -1, at which the
+    worker exits. It polls the connections, settles each outcome at the unit
+    that worker holds, and reaps a worker once its connection ends. A worker
+    that dies (a signal, ``os._exit``) fails the unit it was last handed,
+    with its exit status."""
     from multiprocessing.connection import Pipe  # not imported with stridekit
 
-    n = len(units)
-    outcomes: list = [None] * n
     workers: dict[int, list] = {}  # connection's fd -> [pid, connection, unit held]
     poller = select.poll()
-    handed, stop = 0, (math.inf,)  # units handed out; (group, function) of the first failure
-
-    def settle(p: int, outcome) -> None:
-        nonlocal stop
-        outcomes[p] = outcome
-        gi, fis = units[p]
-        failed = (fis[0],) if isinstance(outcome, BaseException) else outcome[3]
-        if failed is not None:
-            stop = min(stop, (gi, failed[0]))
 
     def hand(fd: int) -> None:
-        nonlocal handed
-        held = -1
-        if handed < n and (units[handed][0], units[handed][1][0]) < stop:
-            held, handed = handed, handed + 1
-        workers[fd][2] = held
+        workers[fd][2] = held = next_unit()
         try:
             workers[fd][1].send_bytes(held.to_bytes(8, "little", signed=True))
         except ConnectionError:  # the worker is gone; its connection's end follows
@@ -1110,7 +1072,7 @@ def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int
 
     _flush_std()
     try:
-        for _ in range(min(n_workers, n, os.cpu_count() or 1)):
+        for _ in range(min(n_workers, len(units), os.cpu_count() or 1)):
             ours, theirs = Pipe()
             try:
                 pid = os.fork()
@@ -1159,17 +1121,46 @@ def _fork_units(groups: list[_ResolvedGroup], units: list[tuple], n_workers: int
             os.kill(pid, signal.SIGKILL)
             conn.close()
             os.waitpid(pid, 0)
-    return outcomes
 
 
 def _run_units(groups: list[_ResolvedGroup], n_workers: int) -> dict[tuple, tuple]:
-    """Run every unit and collect the results (see _collect): in this
-    process, one unit after another, when there is one worker, one unit or
-    no ``os.fork``; else on forked workers (see _fork_units)."""
+    """(columns, duration_s, path) per (group, function), a unit's wall time
+    split evenly over its functions. The one hand-out rule for every worker
+    count: units go out in registration order, none whose first function
+    comes after one known to fail (an outcome that is an exception fails its
+    unit's first), and the error of the first failing (group, function) is
+    raised. The units run in this process, one after another, when there is
+    one worker, one unit or no ``os.fork``; else on forked workers (see
+    _fork_units)."""
     units = _units(groups)
+    outcomes: list = [None] * len(units)
+    handed, first = 0, ((math.inf,), None)  # ((group, function), error) of the first failure
+
+    def next_unit() -> int:
+        nonlocal handed
+        if handed == len(units) or (units[handed][0], units[handed][1][0]) >= first[0]:
+            return -1
+        handed += 1
+        return handed - 1
+
+    def settle(p: int, outcome) -> None:
+        nonlocal first
+        outcomes[p] = outcome
+        gi, fis = units[p]
+        failed = (fis[0], outcome) if isinstance(outcome, BaseException) else outcome[3]
+        if failed is not None and (gi, failed[0]) < first[0]:
+            first = (gi, failed[0]), failed[1]
+
     if n_workers == 1 or len(units) < 2 or not hasattr(os, "fork"):
-        return _collect(units, (_compute_unit(groups[gi], fis) for gi, fis in units))
-    return _collect(units, iter(_fork_units(groups, units, n_workers)))
+        while (p := next_unit()) >= 0:
+            settle(p, _compute_unit(groups[units[p][0]], units[p][1]))
+    else:
+        _fork_units(groups, units, n_workers, next_unit, settle)
+    if first[1] is not None:
+        raise first[1]
+    return {(gi, fi): (cols, duration / len(fis), path)
+            for (gi, fis), (columns, duration, path, _) in zip(units, outcomes)
+            for fi, cols in zip(fis, columns)}
 
 
 def _union(stamps: list[np.ndarray], dtype) -> np.ndarray:
@@ -1262,7 +1253,10 @@ def extract(
                 )
             )
     if options.log_path:
-        with open(options.log_path, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(json.dumps(r.to_json_obj()) + "\n")
+        try:
+            with open(options.log_path, "w", encoding="utf-8") as fh:
+                for r in records:
+                    fh.write(json.dumps(r.to_json_obj()) + "\n")
+        except OSError as exc:
+            raise IoError(f"cannot write {options.log_path}: {exc}") from exc
     return ExtractResult(matrix, records, warnings)

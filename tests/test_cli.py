@@ -487,6 +487,25 @@ def test_extract_writes_a_duration_log(tmp_path):
         assert record["duration_s"] >= 0.0
 
 
+def test_extract_with_an_unwritable_log_exits_2_with_one_line(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    write_wearable_csv(data_path)
+    config_path = tmp_path / "config.json"
+    write_json(wearable_doc(), str(config_path))
+    log_path = tmp_path / "missing" / "log.jsonl"
+    rc = main([
+        "extract",
+        "--data", str(data_path),
+        "--config", str(config_path),
+        "--out", str(tmp_path / "out.csv"),
+        "--log", str(log_path),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {log_path}: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # process
 # ---------------------------------------------------------------------------

@@ -364,6 +364,7 @@ def test_a_failure_on_the_pool_drops_the_queued_units(tmp_path):
     ("n_workers", 0), ("n_workers", -3), ("n_workers", True), ("n_workers", 1.5),
     ("approve_sparsity", "no"), ("approve_sparsity", 1), ("approve_sparsity", None),
     ("output_position", "middle"), ("output_position", None), ("output_position", 7),
+    ("log_path", True), ("log_path", 3),
 ])
 def test_extract_options_reject_bad_values(field, value):
     with pytest.raises(BadParam, match=field):
@@ -478,6 +479,35 @@ def test_a_base_exception_surfaces_alike_for_every_worker_count(exc, n_workers):
     with pytest.raises(type(exc)) as err:
         extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
     assert err.value.args == exc.args
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("between, raised", [
+    ("exit", (SystemExit, "5")),
+    ("fail", (FunctionFailure, "function 'between' failed on group 'S' segment 0: "
+                               "between fails")),
+    ("pass", (FunctionFailure, "function 'mean' failed on group 'S' segment 1: "
+                               "mean of an empty window is undefined")),
+])
+def test_the_first_failure_in_registration_order_wins_over_a_fused_unit(between, raised,
+                                                                        n_workers):
+    # sum and mean fuse into one unit, whose mean fails on the empty second
+    # window; a function registered between them runs as a unit of its own
+    def run(x):
+        if between == "exit":
+            raise SystemExit(5)
+        if between == "fail":
+            raise RuntimeError("between fails")
+        return 0.0
+
+    s = numeric_series("S", [0.0, 1.0, 4.0, 5.0, 6.0, 7.0])
+    c = collection_of(("S", builtin("sum"), 2.0, 2.0),
+                      ("S", FuncWrapper(run, base_name="between"), 2.0, 2.0),
+                      ("S", builtin("mean"), 2.0, 2.0))
+    with pytest.raises((SystemExit, FunctionFailure)) as err:
+        extract(SeriesSet([s]), c, ExtractOptions(n_workers=n_workers))
+    assert (type(err.value), str(err.value)) == raised
     _no_child_left()
 
 
