@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -73,7 +74,19 @@ def _safe_filename(name: str) -> str:
     return name
 
 
+def _check_parent(path: str) -> None:
+    """IoError, in the words open() would use, unless the parent of ``path``
+    is an existing directory; creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise IoError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def _cmd_extract(args) -> int:
+    for path in (args.out, args.log):  # before any input is read
+        if path:
+            _check_parent(path)
     data = _load_data(args)
     collection, options = parse_feature_config(read_json(args.config))
     if args.workers is not None:

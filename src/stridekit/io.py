@@ -48,6 +48,7 @@ import datetime as _dt
 import json
 import math
 import re
+from io import StringIO
 from typing import Callable
 
 import numpy as np
@@ -83,7 +84,6 @@ from .series import (
     IndexKind,
     Series,
     ValueTag,
-    render_number,
 )
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,11 @@ def format_rfc3339(ns: int) -> str:
 def _format_stamps(ns) -> list[str]:
     """RFC 3339 UTC text of int64 nanosecond stamps, ending in ``Z``, each
     fraction trimmed to 0, 3, 6 or 9 digits."""
+    return np.char.add(_stamp_text(ns), "Z").tolist()
+
+
+def _stamp_text(ns) -> np.ndarray:
+    """``_format_stamps`` without the ``Z``, as a U29 array."""
     stamps = np.asarray(ns, dtype=np.int64).view("M8[ns]")
     frac = stamps.view(np.int64) % 1_000_000_000
     digits = (frac != 0).astype(np.int8) + (frac % 1_000_000 != 0) + (frac % 1_000 != 0)
@@ -140,7 +145,7 @@ def _format_stamps(ns) -> list[str]:
     for k, unit in enumerate(("s", "ms", "us", "ns")):
         text[digits == k] = np.datetime_as_string(stamps[digits == k], unit=unit)
     text[np.isnat(stamps)] = _NAT_TEXT
-    return np.char.add(text, "Z").tolist()
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -577,51 +582,342 @@ def load_csv(path, index_column: str = "index", kind_hint: IndexKind | None = No
 #: Cells, index included, per written block of rows: bounds the writers' memory.
 WRITE_BLOCK_CELLS = 8192
 
+# The float formatter runs on uint64 only: an explicit np.uint64 operand keeps
+# numpy 1.24's value-based casting (uint64 with int64 is float64) and NEP 50
+# (a negative Python int raises) out of it; products wrap around modulo 2**64.
+_U = np.uint64
+_M32, _M63, _T52 = _U(2**32 - 1), _U(2**63 - 1), _U(2**52 - 1)
+_POW10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
+_ASCII_ZEROS = _U(0x3030303030303030)
+#: A slot's last two bytes: the separator after its cell.
+_COMMA_SEP, _EOL_SEP = _U(ord(",") << 48), _U(0x0A0D << 48)
 
-def _format_index_cells(kind: IndexKind, index: np.ndarray) -> list[str]:
-    if kind is IndexKind.TIME_NS:
-        return _format_stamps(index)
-    return [render_number(float(v)) for v in index]
+
+def _flog10pow2(e):
+    """floor(e log10 2) of an int or int64 array, exact for |e| < 5456721."""
+    return (e * 661971961083) >> 41
 
 
-def _format_value_cells(tag: ValueTag, data: np.ndarray, categories=None) -> list[str]:
-    """CSV cells of one value column: floats as repr, integers in decimal,
-    booleans as true/false, labels verbatim, NaN and None as empty cells.
-    ``categories`` decodes dictionary codes; columns that already hold labels
-    pass none."""
-    values = data.tolist()
-    if tag in FLOAT_TAGS:
-        cells = list(map(repr, values))
-        for i in np.flatnonzero(np.isnan(data)).tolist():
-            cells[i] = ""
-        return cells
-    if tag is ValueTag.BOOL:
-        return ["" if v is None else "true" if v else "false" for v in values]
-    if categories is not None:
-        values = [categories[code] for code in values]
-    return ["" if v is None else str(v) for v in values]
+def _flog2pow10(e):
+    """floor(e log2 10), exact for |e| < 1233 (ints, int64 arrays)."""
+    return (e * 913124641741) >> 38
+
+
+def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
+    """Schubfach's constants per entry ``bq + 2048 * irregular``: rows g1 >> 32,
+    g1 & M32, g0 >> 32, g0 & M32 and h, and k apart. ``bq`` is the biased
+    exponent; a power of two above the smallest normal is irregular, its
+    neighbour below half as far as the one above. g1 2**63 + g0 is
+    floor(10**-k 2**(125 - flog2pow10(-k))) + 1, computed with Python ints."""
+    bq = np.tile(np.arange(2048, dtype=np.int64), 2)
+    q = np.maximum(bq, 1) - 1075
+    k = np.where((np.arange(4096) >= 2048) & (bq > 1),
+                 (q * 661971961083 - 274743187321) >> 41, _flog10pow2(q))  # log10(3/4 2**q)
+    g = []
+    for e in range(-int(k.max()), 1 - int(k.min())):
+        shift = 125 - _flog2pow10(e)
+        if e < 0:
+            g.append((1 << shift) // 10 ** -e + 1)
+        else:
+            g.append((10 ** e << shift if shift >= 0 else 10 ** e >> -shift) + 1)
+    limbs = np.array([[v >> 95, v >> 63 & 2**32 - 1, v >> 32 & 2**31 - 1, v & 2**32 - 1]
+                      for v in g], dtype=np.uint64).T[:, k.max() - k]
+    return np.vstack([limbs, (q + _flog2pow10(-k) + 2).astype(np.uint64)]), k
+
+
+_SCHUBFACH, _SCHUBFACH_K = _schubfach_table()
+
+
+def _mul_hi(a1, a0, b1, b0, low=False):
+    """High word (and with ``low`` the low word) of (a1 2**32 + a0)(b1 2**32
+    + b0), for a0, b0 < 2**32, a1 < 2**31 and b1 < 2**28: the middle sum then
+    fits 64 bits with no carry to keep."""
+    ll = a0 * b0
+    mid = (ll >> _U(32)) + a0 * b1 + a1 * b0
+    hi = a1 * b1 + (mid >> _U(32))
+    return (hi, (mid << _U(32)) | (ll & _M32)) if low else hi
+
+
+def _rop(g, cp):
+    """floor(g cp / 2**127), its last bit set when that drops a nonzero
+    fraction (Giulietti's truncated rop): round to odd keeps every comparison
+    with an even integer exact. cp < 2**60."""
+    c1, c0 = cp >> _U(32), cp & _M32
+    y1, y0 = _mul_hi(g[0], g[1], c1, c0, low=True)
+    z = (y0 >> _U(1)) + _mul_hi(g[2], g[3], c1, c0)
+    return (y1 + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, k)``: of the decimals d 10**k that read back as the double of
+    each raw ``bits`` (finite, positive), the shortest, the nearest among as
+    short, the even on a tie; d < 10**17. This is Schubfach (R. Giulietti,
+    "The Schubfach way to render doubles", 2020) without Java's two-digit
+    minimum, as Python's repr rounds."""
+    bq, t = bits >> _U(52), bits & _T52
+    c = t | ((bq != 0).astype(np.uint64) << _U(52))
+    irregular = (t == 0) & (bq > _U(1))
+    i = bq.astype(np.intp) + 2048 * irregular
+    g = np.take(_SCHUBFACH, i, axis=1)
+    cp = c << (g[4] + _U(2))  # 4c, aligned to g
+    vb = _rop(g, cp)  # 4 v 10**-k, and the interval's ends:
+    vbl = _rop(g, cp - ((_U(2) - irregular) << g[4])) + (c & _U(1))  # an odd c excludes them
+    vbr = _rop(g, cp + (_U(2) << g[4])) - (c & _U(1))
+    s = vb >> _U(2)
+    sp = s // _U(10) * _U(10)  # one digit shorter: sp or sp + 10, when only one is inside
+    up, wp = vbl <= sp << _U(2), (sp << _U(2)) + _U(40) <= vbr
+    u, w = vbl <= s << _U(2), (s << _U(2)) + _U(4) <= vbr
+    mid = (s << _U(2)) + _U(2)
+    d = s + ~np.where(u != w, u, (vb < mid) | ((vb == mid) & ((s & _U(1)) == _U(0))))
+    return np.where(up != wp, sp + _U(10) * ~up, d), np.take(_SCHUBFACH_K, i)
+
+
+def _ascii8(x):
+    """Each x < 10**8 as eight ASCII digits, zero-padded, first digit in the
+    lowest byte of the word: two 4-digit lanes, then four 2-digit lanes, each
+    divided by a multiply and a shift (exact below 10**4 and 100)."""
+    hi = x // _U(10000)
+    v = hi | ((x - hi * _U(10000)) << _U(32))
+    q = ((v * _U(10486)) >> _U(20)) & _U(0x0000007F0000007F)
+    v = q | ((v - q * _U(100)) << _U(16))
+    q = ((v * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    return q | ((v - q * _U(10)) << _U(8)) | _ASCII_ZEROS
+
+
+def _float_layouts() -> np.ndarray:
+    """Per layout key, the words that lay a float's digits out in its slot:
+    rows MU0-2 (digits kept in place), MS1-3 (digits kept one byte on, after
+    the point) and C0-3 (fixed characters). Slot bytes: 1 sign, 2-6 ``0.000``
+    before a number below 1, from 7 the digits (17 in place, 18 with the
+    point), 25-26 ``e`` and its sign, 27-29 the exponent's digits, 30-31 the
+    separator. Keys: 0 NaN (nothing), 1 inf, 2 ``0.0``, 3 ``0``, then 17 per
+    decimal exponent E from -4 to 15 (positional), 17 per exponent sign and
+    2 or 3 exponent digits (exponent form), by digit count; +412 under
+    ``render_number``'s rule (an integral value without ``.0``); +824
+    negative."""
+    key = np.arange(1648)
+    base, index_rule, neg = key % 412, key // 412 % 2 == 1, key >= 824
+    pos, expo = (base >= 4) & (base < 344), base >= 344
+    e = np.where(pos, (base - 4) // 17 - 4, -1)
+    n = (base - 4) % 17 + 1
+    integral = pos & (n <= e + 1)
+    shown = np.where(integral, e + 2 - index_rule, n)  # digits shown, zeros past n included
+    point = np.where(expo & (n > 1), 8, np.where(pos & (e >= 0) & ~(integral & index_rule),
+                                                 8 + e, -1))
+    keep_hi = np.where(pos & (e >= 0), 8 + e, np.where(pos, 7 + n, np.where(expo, 8, 0)))
+    shift_lo = np.where(expo, 9, 9 + e)
+    shift_hi = np.where(pos & (e >= 0), 8 + shown, np.where(expo, 8 + n, 0))
+    b = np.arange(32)[None, :]
+    col = lambda a: a[:, None]
+    fixed = np.zeros((1648, 32), dtype=np.uint8)
+    fixed[:, 1] = np.where(neg, ord("-"), 0)
+    small = col(pos & (e < 0))
+    fixed[small & (b == 2)] = ord("0")
+    fixed[small & (b == 3)] = ord(".")
+    fixed[small & (b >= 4) & (b < col(3 - e))] = ord("0")
+    fixed[b == col(point)] = ord(".")
+    fixed[:, 25] = np.where(expo, ord("e"), 0)
+    fixed[:, 26] = np.where(expo, np.where((base - 344) // 17 % 2 == 1, ord("-"), ord("+")), 0)
+    for k, text in ((1, b"inf"), (2, b"0.0"), (3, b"0")):
+        fixed[base == k, 7:7 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+    keep = np.where((b >= 7) & (b < col(keep_hi)), 255, 0).astype(np.uint8)
+    shifted = np.where((b >= col(shift_lo)) & (b < col(shift_hi)), 255, 0).astype(np.uint8)
+    words = [m.view("<u8").T for m in (keep, shifted, fixed)]
+    return np.vstack([words[0][:3], words[1][1:], words[2]])
+
+
+_FLOAT_LAYOUTS = _float_layouts()
+#: The layout key of a one-digit number by its decimal exponent + 340.
+_EXPONENT_KEYS = np.array([4 + 17 * (e + 4) if -4 <= e < 16 else 344 + 17 * (e < 0) + 34 * (abs(e) >= 100)
+                           for e in range(-340, 340)])
+
+
+def _float_words(x: np.ndarray, index_rule) -> np.ndarray:
+    """The text of each float64 of ``x`` as repr writes it (as
+    ``render_number`` does where ``index_rule``, which broadcasts against x;
+    NaN as nothing) in a slot of four little-endian words, NUL bytes padding:
+    shape ``x.shape + (4,)``. See ``_float_layouts`` for the slot."""
+    bits = x.view(np.uint64)
+    neg = bits >> _U(63) == _U(1)
+    plain = np.isfinite(x) & (x != 0)
+    every = plain.all()
+    d, k = _shortest(bits & _M63 if every else np.where(plain, bits & _M63, _U(0x3FF0000000000000)))
+    size = np.searchsorted(_POW10, d, side="right")
+    d *= np.take(_POW10, 17 - size)  # 17 digits, the first nonzero
+    lead = d // _POW10[16]
+    d -= lead * _POW10[16]
+    hi = d // _POW10[8]
+    hi_w, lo_w = _ascii8(hi), _ascii8(d - hi * _POW10[8])
+    # the last nonzero digit is in the highest nonzero byte of a word of digit
+    # values (below 10), whose bit length a double's exponent holds exactly
+    top_hi = np.frexp((hi_w ^ _ASCII_ZEROS).astype(np.float64))[1]
+    top_lo = np.frexp((lo_w ^ _ASCII_ZEROS).astype(np.float64))[1]
+    n = np.where(top_lo > 0, 9 + (top_lo + 7) // 8, 1 + (top_hi + 7) // 8)  # digits shown
+    e = k + size - 1  # the first digit's power of ten
+    key = np.take(_EXPONENT_KEYS, e + 340) + n - 1
+    expo = key >= 344
+    if not every:
+        key = np.where(plain, key, np.where(np.isnan(x), 0, np.where(np.isinf(x), 1,
+                                                                    2 + (index_rule & ~neg))))
+        neg &= ~np.isnan(x)
+    lay = np.take(_FLOAT_LAYOUTS, key + 412 * index_rule + 824 * neg, axis=1)
+    lead |= _U(ord("0"))
+    out = np.empty(x.shape + (4,), dtype="<u8")
+    out[..., 0] = ((lead << _U(56)) & lay[0]) | lay[6]
+    out[..., 1] = (hi_w & lay[1]) | (((hi_w << _U(8)) | lead) & lay[3]) | lay[7]
+    out[..., 2] = (lo_w & lay[2]) | (((lo_w << _U(8)) | (hi_w >> _U(56))) & lay[4]) | lay[8]
+    out[..., 3] = ((lo_w >> _U(56)) & lay[5]) | lay[9]
+    if expo.any():
+        a = abs(e)
+        digits = (a // 100 + 48) | (a // 10 % 10 + 48) << 8 | (a % 10 + 48) << 16
+        digits = np.where(a >= 100, digits, digits >> 8)
+        out[..., 3] |= (np.where(expo, digits, 0) << 24).astype(np.uint64)
+    return out
+
+
+def _int_words(v: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """int64 cells in decimal, ``missing`` ones as nothing, each in a slot of
+    as many words as the longest needs: the sign in its first byte, the
+    digits last before the separator's two; shape ``v.shape + (words,)``."""
+    neg = v < 0
+    mag = np.where(neg, ~v.view(np.uint64) + _U(1), v.view(np.uint64))
+    size = max(1, int(np.searchsorted(_POW10, mag.max(initial=_U(0)), side="right")))
+    out = np.zeros(v.shape + ((size + 10) // 8 * 8,), dtype=np.uint8)
+    out[..., 0] = np.where(neg, ord("-"), 0)
+    for j in range(size):  # digit j from the right; a leading zero stays padding
+        q = mag // _U(10)
+        digit = (mag - q * _U(10)).astype(np.uint8) | ord("0")
+        out[..., -3 - j] = digit if j == 0 else np.where(mag != _U(0), digit, 0)
+        mag = q
+    out[missing] = 0
+    return out.view("<u8")
+
+
+#: A BOOL slot by code: 0 missing, 1 false, 2 true.
+_BOOL_WORDS = np.frombuffer(b"\0" * 8 + b"false\0\0\0" + b"true\0\0\0\0", dtype="<u8")
+
+
+def _stamp_words(ns: np.ndarray) -> np.ndarray:
+    """``_format_stamps``'s text of each stamp in a slot of four words: the
+    text NUL-padded to 29 bytes, then ``Z``."""
+    out = np.zeros((len(ns), 32), dtype=np.uint8)
+    out[:, :29] = _stamp_text(ns).view(np.uint32).reshape(-1, 29)  # ASCII code points
+    out[:, 29] = ord("Z")
+    return out.view("<u8")
+
+
+def _missing(data: np.ndarray) -> np.ndarray:
+    """Where an object column holds None."""
+    return np.equal(data, None) if data.dtype == object else np.zeros(data.shape, dtype=bool)
+
+
+def _row_bytes(kind: IndexKind, index: np.ndarray, columns, eol: bool) -> bytes:
+    """One block of rows in the bytes csv.writer writes (``eol``), or each
+    cell followed by a comma. Every cell is formatted in numpy into a slot of
+    whole little-endian words whose NUL bytes are padding, its separator in
+    the slot's last two bytes; one pass then drops the NULs. The float
+    columns of the block, and a numeric index, are formatted in one call, as
+    are its I64 columns. ``columns``: (tag, data, categories), no labels."""
+    floats = [data for tag, data, _ in columns if tag in FLOAT_TAGS]
+    numeric = kind is IndexKind.NUMERIC
+    if numeric:
+        floats.insert(0, index)
+    if floats:
+        x = np.stack(floats, axis=1).astype(np.float64, copy=False)
+        float_slots = iter(np.moveaxis(_float_words(x, np.arange(len(floats)) < numeric), 1, 0))
+    ints = [data for tag, data, _ in columns if tag is ValueTag.I64]
+    if ints:
+        v = np.stack(ints, axis=1)
+        missing = _missing(v)
+        v = np.where(missing, 0, v).astype(np.int64) if v.dtype == object else v
+        int_slots = iter(np.moveaxis(_int_words(v, missing), 1, 0))
+    slots = [next(float_slots) if numeric else _stamp_words(index)]
+    for tag, data, _ in columns:
+        if tag in FLOAT_TAGS:
+            slots.append(next(float_slots))
+        elif tag is ValueTag.I64:
+            slots.append(next(int_slots))
+        else:
+            code = np.where(_missing(data), 0, 1 + data.astype(bool))
+            slots.append(np.take(_BOOL_WORDS, code)[:, None])
+    table = np.concatenate(slots, axis=1)
+    sep = np.zeros(table.shape[1], dtype=np.uint64)
+    sep[np.cumsum([s.shape[1] for s in slots]) - 1] = _COMMA_SEP
+    if eol:
+        sep[-1] = _EOL_SEP
+    table |= sep
+    return table.tobytes().translate(None, b"\0")
+
+
+def _label_rows(kind: IndexKind, index: np.ndarray, columns) -> list[tuple]:
+    """The cells of a block with a label column, as str rows for csv.writer:
+    the other cells cut from ``_row_bytes``."""
+    plain = [c for c in columns if c[0] is not ValueTag.CATEGORICAL]
+    cells = _row_bytes(kind, index, plain, eol=False).decode().split(",")[:-1]
+    k = len(plain) + 1
+    out, j = [cells[0::k]], 1
+    for tag, data, cats in columns:
+        if tag is ValueTag.CATEGORICAL:
+            values = data.tolist() if cats is None else [cats[code] for code in data.tolist()]
+            out.append(["" if v is None else str(v) for v in values])
+        else:
+            out.append(cells[j::k])
+            j += 1
+    return list(zip(*out))
+
+
+def _check_encodable(path, header: list[str], columns) -> None:
+    """IoError naming the first header name or label that UTF-8 cannot
+    encode (a lone surrogate), before the file is opened."""
+    def check(name, row, text):
+        try:
+            text.encode()
+        except UnicodeEncodeError as exc:
+            raise IoError(f"cannot write {path}: column {name!r} row {row}: {exc}") from None
+    for name in header:
+        check(name, 1, name)
+    for name, (tag, data, cats) in zip(header[1:], columns):
+        if tag is not ValueTag.CATEGORICAL:
+            continue
+        if cats is None:
+            for row, label in enumerate(data.tolist(), 2):
+                if label is not None:
+                    check(name, row, str(label))
+            continue
+        first = len(data)
+        for code, label in enumerate(cats):
+            try:
+                str(label).encode()
+            except UnicodeEncodeError:
+                rows = np.flatnonzero(data == code)
+                first = min(first, int(rows[0]) if len(rows) else first)
+        if first < len(data):
+            check(name, first + 2, str(cats[data[first]]))
 
 
 def _write_csv(path, header: list[str], kind: IndexKind, index: np.ndarray, columns) -> None:
     """The header through csv.writer, then the rows in blocks of
-    WRITE_BLOCK_CELLS cells, joined by hand unless a cell of the block holds
-    a comma, quote, CR, LF or NUL. ``columns``: (tag, data, categories)."""
+    WRITE_BLOCK_CELLS cells, each block one byte table (``_row_bytes``), or
+    through csv.writer when the file has a label column. ``columns``: (tag,
+    data, categories). Text UTF-8 cannot encode is refused before opening."""
+    _check_encodable(path, header, columns)
     step = max(1, WRITE_BLOCK_CELLS // (len(columns) + 1))
+    labels = any(tag is ValueTag.CATEGORICAL for tag, _, _ in columns)
+    text = StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+        with open(path, "wb") as fh:
+            fh.write(text.getvalue().encode())
             for lo in range(0, len(index), step):
-                rows = list(zip(_format_index_cells(kind, index[lo:lo + step]),
-                                *(_format_value_cells(tag, data[lo:lo + step], cats)
-                                  for tag, data, cats in columns)))
-                text = "\r\n".join(map(",".join, rows))
-                # no cell needs quoting when the joins put in every comma, CR and LF
-                seps = text.count(",") + text.count("\r") + text.count("\n")
-                if seps == len(rows) * (len(columns) + 2) - 2 and not ('"' in text or "\0" in text):
-                    fh.writelines((text, "\r\n"))
-                else:
-                    writer.writerows(rows)
+                block = [(tag, data[lo:lo + step], cats) for tag, data, cats in columns]
+                if not labels:
+                    fh.write(_row_bytes(kind, index[lo:lo + step], block, eol=True))
+                    continue
+                text.seek(0)
+                text.truncate()
+                writer.writerows(_label_rows(kind, index[lo:lo + step], block))
+                fh.write(text.getvalue().encode())
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -24,6 +24,7 @@ from stridekit import (
     write_matrix,
     write_series_csv,
 )
+from stridekit import cli
 from stridekit.cli import main
 
 
@@ -504,6 +505,29 @@ def test_extract_with_an_unwritable_log_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {log_path}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_extract_refuses_a_missing_output_directory_before_reading_input(tmp_path, capsys,
+                                                                         monkeypatch, flag,
+                                                                         parent):
+    def never(*args, **kwargs):
+        raise AssertionError("extract ran")
+    monkeypatch.setattr(cli, "extract", never)
+    monkeypatch.setattr(cli, "load_csv", never)
+    (tmp_path / "file").write_text("")
+    bad = str(tmp_path / parent / "x")
+    paths = {"--out": str(tmp_path / "out.csv"), "--log": str(tmp_path / "log.jsonl"), flag: bad}
+    rc = main(["extract", "--data", str(tmp_path / "data.csv"), "--config",
+               str(tmp_path / "config.json"), "--out", paths["--out"], "--log", paths["--log"]])
+    assert rc == 2
+    try:
+        open(bad, "w")
+    except OSError as exc:
+        expected = f"error: cannot write {bad}: {exc}\n"
+    assert capsys.readouterr().err == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 # ---------------------------------------------------------------------------

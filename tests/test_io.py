@@ -1071,6 +1071,84 @@ def test_write_empty_matrix_header_only(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the writers' float formatter against repr and render_number
+# ---------------------------------------------------------------------------
+
+def float_cells(x, index_rule=False):
+    """The writers' cells of the float64 array ``x``: as a value column, or
+    as a numeric index (render_number's rule)."""
+    columns = [] if index_rule else [(ValueTag.F64, x, None)]
+    index = x if index_rule else np.zeros(len(x))
+    text = stridekit_io._row_bytes(IndexKind.NUMERIC, index, columns, eol=False).decode()
+    cells = text.split(",")[:-1]
+    return cells if index_rule else cells[1::2]
+
+
+def bits_of(*values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+EDGE_FLOATS = bits_of(
+    5e-324, -5e-324, 1e-323, 3 * 5e-324, 2.225073858507201e-308, 2.0 ** -1022,
+    2.0 ** -1021, 1e-4, 9.999999999999999e-05, 1e-05, 1e16, 9999999999999998.0,
+    1e15, 1.0000000000000002e16, 2.0 ** 53, 0.1, 0.3, 100.0, 123.0, 1e22, 1e23,
+    2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, 1e100, 1.7976931348623157e308, -0.0, 0.0,
+    math.inf, -math.inf, math.nan, -math.nan)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1),
+                          st.floats(width=64).map(lambda v: bits_of(v)[0])),
+                min_size=1, max_size=64))
+@example(EDGE_FLOATS)
+@example(bits_of(*(2.0 ** np.arange(-1074, 1024))))  # the interval below is half the one above
+@example(bits_of(*np.nextafter(2.0 ** np.arange(-1074, 1024), 0)))
+@example(bits_of(*(-(2.0 ** np.arange(-1074, 1024)))))
+@example(list(range(1, 4096)))  # subnormals
+def test_float_cells_are_repr_and_render_number_bitwise(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert float_cells(x) == ["" if v != v else repr(v) for v in x.tolist()]
+    numbers = x[~np.isnan(x)]  # an index holds no NaN
+    assert float_cells(numbers, index_rule=True) == [render_number(v) for v in numbers.tolist()]
+
+
+def test_float32_cells_are_the_repr_of_the_widened_value(tmp_path):
+    vals = np.array([0.1, 1 / 3, 3.4028235e38, 1e-45, -0.0, np.inf, np.nan, 16777217.0],
+                    dtype=np.float32)
+    path = tmp_path / "f32.csv"
+    write_series_csv([numeric_series("S", np.arange(8.0), values=vals)], path)
+    cells = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+    assert cells == ["" if v != v else repr(v) for v in vals.tolist()]
+
+
+@pytest.mark.parametrize("write", ["matrix", "series"])
+@pytest.mark.parametrize("bad, row", [("name", 1), ("label", 4)])
+def test_unencodable_text_is_refused_before_the_file_is_opened(tmp_path, write, bad, row):
+    odd = "a\ud800"
+    labels = ["x", "y", odd if bad == "label" else "z"]
+    name = odd if bad == "name" else "L"
+    path = tmp_path / "never.csv"
+    with pytest.raises(IoError) as err:
+        if write == "matrix":
+            column = FeatureColumn(ValueTag.CATEGORICAL, np.array(labels, dtype=object))
+            write_matrix(FeatureMatrix(IndexKind.NUMERIC, np.arange(3.0), {name: column}), path)
+        else:
+            values = ValueColumn(ValueTag.CATEGORICAL, np.array([0, 1, 2], dtype=np.int32),
+                                 tuple(labels))
+            write_series_csv([Series(name, np.arange(3.0), values)], path)
+    assert str(err.value).startswith(f"cannot write {path}: column {name!r} row {row}: "
+                                     "'utf-8' codec can't encode character")
+    assert not path.exists()
+
+
+def test_an_unwritten_category_may_be_unencodable(tmp_path):
+    values = ValueColumn(ValueTag.CATEGORICAL, np.array([0, 0], dtype=np.int32), ("a", "\ud800"))
+    path = tmp_path / "ok.csv"
+    write_series_csv([Series("L", np.arange(2.0), values)], path)
+    assert path.read_bytes() == b"index,L\r\n0,a\r\n1,a\r\n"
+
+
+# ---------------------------------------------------------------------------
 # block writer against the csv.writer oracle
 # ---------------------------------------------------------------------------
 
