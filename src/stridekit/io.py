@@ -8,8 +8,8 @@ Formats, bit-exactly:
   as decimal text, booleans as ``true``/``false``, categorical labels
   verbatim. Timestamps written by this module always end in ``Z`` with the
   fraction trimmed to 0, 3, 6, or 9 digits.
-- The writers stream rows in blocks of WRITE_BLOCK_CELLS cells, joined by
-  hand unless a cell needs CSV quoting, in the bytes ``csv.writer`` writes.
+- The writers stream rows in blocks of WRITE_BLOCK_CELLS cells, in the
+  bytes ``csv.writer`` writes.
 - Feature config JSON: {"features": [{"series", "functions", "windows",
   "strides"}], "options": {...}} where a series entry is a name (single), a
   list of names (fan-out, one group per name), or a nested list (joint
@@ -37,6 +37,17 @@ digit pairs with calendar arithmetic. Only other numbers (exponents, more
 digits, inf, nan) go through numpy's cast, those cells alone. Cells with an
 inner quote are unquoted by ``csv.reader``; they, NULs and long cells keep
 a column on the per-cell parsers, which name the row of a bad cell.
+
+The writers format numbers from their bits with numpy, a block of rows at a
+time: each cell goes into a slot of whole 64-bit words in one ``uint8``
+table, NUL bytes as padding, and one pass drops the NULs. A float (F32
+widened exactly) is its shortest round-trip decimal, found by Schubfach in
+``uint64`` arithmetic with 32-bit limbs and laid out as ``repr`` does; a
+numeric index takes ``render_number``'s rule, integers are their digits,
+and stamps are ``np.datetime_as_string``'s text. A file with a label column
+writes its rows through ``csv.writer``, with the same text for its other
+cells. Header names and labels that UTF-8 cannot encode are refused before
+the file is opened.
 """
 
 from __future__ import annotations
@@ -137,15 +148,20 @@ def _format_stamps(ns) -> list[str]:
 
 
 def _stamp_text(ns) -> np.ndarray:
-    """``_format_stamps`` without the ``Z``, as a U29 array."""
-    stamps = np.asarray(ns, dtype=np.int64).view("M8[ns]")
-    frac = stamps.view(np.int64) % 1_000_000_000
+    """``_format_stamps`` without the ``Z``: each stamp's text to the
+    nanosecond, its fraction digits past the 0, 3, 6 or 9 kept set to NUL,
+    which a U array drops as trailing."""
+    stamps = np.asarray(ns, dtype=np.int64)
+    frac = stamps % 1_000_000_000
     digits = (frac != 0).astype(np.int8) + (frac % 1_000_000 != 0) + (frac % 1_000 != 0)
-    text = np.empty(len(stamps), dtype="U29")
-    for k, unit in enumerate(("s", "ms", "us", "ns")):
-        text[digits == k] = np.datetime_as_string(stamps[digits == k], unit=unit)
-    text[np.isnat(stamps)] = _NAT_TEXT
+    text = np.datetime_as_string(stamps.view("M8[ns]"), unit="ns")
+    text.view(np.uint32).reshape(len(text), text.itemsize // 4)[:, 19:29] *= _FRACTION_KEPT[digits]
+    text[np.isnat(stamps.view("M8[ns]"))] = _NAT_TEXT
     return text
+
+
+#: Of the ten characters after the seconds, those kept by fraction digits / 3.
+_FRACTION_KEPT = (np.arange(10) < np.array([[0], [4], [7], [10]])).astype(np.uint32)
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +620,18 @@ def _flog2pow10(e):
 
 
 def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
-    """Schubfach's constants per entry ``bq + 2048 * irregular``: rows g1 >> 32,
-    g1 & M32, g0 >> 32, g0 & M32 and h, and k apart. ``bq`` is the biased
-    exponent; a power of two above the smallest normal is irregular, its
-    neighbour below half as far as the one above. g1 2**63 + g0 is
-    floor(10**-k 2**(125 - flog2pow10(-k))) + 1, computed with Python ints."""
+    """Schubfach's constants per entry ``bq + 2048 * irregular``, and k apart.
+    ``bq`` is the biased exponent; a power of two above the smallest normal
+    is irregular, its neighbour below half as far as the one above. Rows:
+    g1 >> 32, g1 & M32, g0 >> 32, g0 & M32, where g1 2**63 + g0 =
+    floor(10**-k 2**(125 - flog2pow10(-k))) + 1 (computed with Python ints);
+    h + 2, the shift that aligns c with g; the offsets of the interval's
+    lower and upper ends from 4c << h; the hidden bit of a normal."""
     bq = np.tile(np.arange(2048, dtype=np.int64), 2)
     q = np.maximum(bq, 1) - 1075
-    k = np.where((np.arange(4096) >= 2048) & (bq > 1),
-                 (q * 661971961083 - 274743187321) >> 41, _flog10pow2(q))  # log10(3/4 2**q)
+    irregular = (np.arange(4096) >= 2048) & (bq > 1)
+    k = np.where(irregular, (q * 661971961083 - 274743187321) >> 41,  # log10(3/4 2**q)
+                 _flog10pow2(q))
     g = []
     for e in range(-int(k.max()), 1 - int(k.min())):
         shift = 125 - _flog2pow10(e)
@@ -622,7 +641,9 @@ def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
             g.append((10 ** e << shift if shift >= 0 else 10 ** e >> -shift) + 1)
     limbs = np.array([[v >> 95, v >> 63 & 2**32 - 1, v >> 32 & 2**31 - 1, v & 2**32 - 1]
                       for v in g], dtype=np.uint64).T[:, k.max() - k]
-    return np.vstack([limbs, (q + _flog2pow10(-k) + 2).astype(np.uint64)]), k
+    h = q + _flog2pow10(-k) + 2
+    rows = [h + 2, (2 - irregular) << h, 2 << h, np.where(bq > 0, 1 << 52, 0)]
+    return np.vstack([limbs, np.array(rows).astype(np.uint64)]), k
 
 
 _SCHUBFACH, _SCHUBFACH_K = _schubfach_table()
@@ -655,21 +676,22 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     "The Schubfach way to render doubles", 2020) without Java's two-digit
     minimum, as Python's repr rounds."""
     bq, t = bits >> _U(52), bits & _T52
-    c = t | ((bq != 0).astype(np.uint64) << _U(52))
-    irregular = (t == 0) & (bq > _U(1))
-    i = bq.astype(np.intp) + 2048 * irregular
+    i = bq.astype(np.intp) + 2048 * ((t == 0) & (bq > _U(1)))
     g = np.take(_SCHUBFACH, i, axis=1)
-    cp = c << (g[4] + _U(2))  # 4c, aligned to g
-    vb = _rop(g, cp)  # 4 v 10**-k, and the interval's ends:
-    vbl = _rop(g, cp - ((_U(2) - irregular) << g[4])) + (c & _U(1))  # an odd c excludes them
-    vbr = _rop(g, cp + (_U(2) << g[4])) - (c & _U(1))
+    c = t | g[7]
+    cp = c << g[4]  # 4c, aligned to g
+    odd = c & _U(1)  # an odd c excludes the interval's ends
+    vb = _rop(g, cp)  # 4 v 10**-k, and the ends:
+    vbl = _rop(g, cp - g[5]) + odd
+    vbr = _rop(g, cp + g[6]) - odd
     s = vb >> _U(2)
-    sp = s // _U(10) * _U(10)  # one digit shorter: sp or sp + 10, when only one is inside
-    up, wp = vbl <= sp << _U(2), (sp << _U(2)) + _U(40) <= vbr
-    u, w = vbl <= s << _U(2), (s << _U(2)) + _U(4) <= vbr
-    mid = (s << _U(2)) + _U(2)
-    d = s + ~np.where(u != w, u, (vb < mid) | ((vb == mid) & ((s & _U(1)) == _U(0))))
-    return np.where(up != wp, sp + _U(10) * ~up, d), np.take(_SCHUBFACH_K, i)
+    s4 = vb & ~_U(3)
+    sp4 = (s // _U(10) * _U(10)) << _U(2)  # one digit shorter: sp or sp + 10 if only one is inside
+    up, wp = vbl <= sp4, sp4 + _U(40) <= vbr
+    u, w = vbl <= s4, s4 + _U(4) <= vbr
+    nearer_s = (vb < s4 + _U(2)) | ((vb == s4 + _U(2)) & ((s & _U(1)) == _U(0)))
+    d = s + ~np.where(u != w, u, nearer_s)
+    return np.where(up != wp, (sp4 >> _U(2)) + _U(10) * ~up, d), np.take(_SCHUBFACH_K, i)
 
 
 def _ascii8(x):
@@ -728,8 +750,8 @@ def _float_layouts() -> np.ndarray:
 
 _FLOAT_LAYOUTS = _float_layouts()
 #: The layout key of a one-digit number by its decimal exponent + 340.
-_EXPONENT_KEYS = np.array([4 + 17 * (e + 4) if -4 <= e < 16 else 344 + 17 * (e < 0) + 34 * (abs(e) >= 100)
-                           for e in range(-340, 340)])
+_EXPONENT_KEYS = np.array([4 + 17 * (e + 4) if -4 <= e < 16
+                           else 344 + 17 * (e < 0) + 34 * (abs(e) >= 100) for e in range(-340, 340)])
 
 
 def _float_words(x: np.ndarray, index_rule) -> np.ndarray:
@@ -737,11 +759,20 @@ def _float_words(x: np.ndarray, index_rule) -> np.ndarray:
     ``render_number`` does where ``index_rule``, which broadcasts against x;
     NaN as nothing) in a slot of four little-endian words, NUL bytes padding:
     shape ``x.shape + (4,)``. See ``_float_layouts`` for the slot."""
-    bits = x.view(np.uint64)
-    neg = bits >> _U(63) == _U(1)
-    plain = np.isfinite(x) & (x != 0)
-    every = plain.all()
-    d, k = _shortest(bits & _M63 if every else np.where(plain, bits & _M63, _U(0x3FF0000000000000)))
+    neg, plain = np.signbit(x), np.isfinite(x) & (x != 0)
+    rule = np.broadcast_to(index_rule, x.shape)
+    if plain.all():
+        return _number_words(x, neg, rule)
+    nan = np.isnan(x)  # the others are inf and zeros, "0" under the index rule unless -0.0
+    key = np.where(nan, 0, np.where(np.isinf(x), 1, 2 + (rule & ~neg)))
+    out = np.take(_FLOAT_LAYOUTS[6:].T, key + 412 * rule + 824 * (neg & ~nan), axis=0)
+    out[plain] = _number_words(x[plain], neg[plain], rule[plain])
+    return out
+
+
+def _number_words(x: np.ndarray, neg: np.ndarray, rule: np.ndarray) -> np.ndarray:
+    """``_float_words`` of finite nonzero ``x``."""
+    d, k = _shortest(x.view(np.uint64) & _M63)
     size = np.searchsorted(_POW10, d, side="right")
     d *= np.take(_POW10, 17 - size)  # 17 digits, the first nonzero
     lead = d // _POW10[16]
@@ -755,18 +786,14 @@ def _float_words(x: np.ndarray, index_rule) -> np.ndarray:
     n = np.where(top_lo > 0, 9 + (top_lo + 7) // 8, 1 + (top_hi + 7) // 8)  # digits shown
     e = k + size - 1  # the first digit's power of ten
     key = np.take(_EXPONENT_KEYS, e + 340) + n - 1
-    expo = key >= 344
-    if not every:
-        key = np.where(plain, key, np.where(np.isnan(x), 0, np.where(np.isinf(x), 1,
-                                                                    2 + (index_rule & ~neg))))
-        neg &= ~np.isnan(x)
-    lay = np.take(_FLOAT_LAYOUTS, key + 412 * index_rule + 824 * neg, axis=1)
+    lay = np.take(_FLOAT_LAYOUTS, key + 412 * rule + 824 * neg, axis=1)
     lead |= _U(ord("0"))
     out = np.empty(x.shape + (4,), dtype="<u8")
     out[..., 0] = ((lead << _U(56)) & lay[0]) | lay[6]
     out[..., 1] = (hi_w & lay[1]) | (((hi_w << _U(8)) | lead) & lay[3]) | lay[7]
     out[..., 2] = (lo_w & lay[2]) | (((lo_w << _U(8)) | (hi_w >> _U(56))) & lay[4]) | lay[8]
     out[..., 3] = ((lo_w >> _U(56)) & lay[5]) | lay[9]
+    expo = key >= 344
     if expo.any():
         a = abs(e)
         digits = (a // 100 + 48) | (a // 10 % 10 + 48) << 8 | (a % 10 + 48) << 16
@@ -801,7 +828,8 @@ def _stamp_words(ns: np.ndarray) -> np.ndarray:
     """``_format_stamps``'s text of each stamp in a slot of four words: the
     text NUL-padded to 29 bytes, then ``Z``."""
     out = np.zeros((len(ns), 32), dtype=np.uint8)
-    out[:, :29] = _stamp_text(ns).view(np.uint32).reshape(-1, 29)  # ASCII code points
+    text = _stamp_text(ns)
+    out[:, :29] = text.view(np.uint32).reshape(len(ns), text.itemsize // 4)[:, :29]  # code points
     out[:, 29] = ord("Z")
     return out.view("<u8")
 
@@ -867,32 +895,33 @@ def _label_rows(kind: IndexKind, index: np.ndarray, columns) -> list[tuple]:
 
 
 def _check_encodable(path, header: list[str], columns) -> None:
-    """IoError naming the first header name or label that UTF-8 cannot
-    encode (a lone surrogate), before the file is opened."""
-    def check(name, row, text):
+    """IoError naming the first header name, or else the first label cell in
+    column order, that UTF-8 cannot encode (a lone surrogate), before the
+    file is opened. A dictionary is checked by entry, and its rows searched
+    only for an entry that fails."""
+    def error(text: str):
         try:
             text.encode()
         except UnicodeEncodeError as exc:
-            raise IoError(f"cannot write {path}: column {name!r} row {row}: {exc}") from None
+            return exc
+        return None
+
+    def fail(name, row, exc):
+        raise IoError(f"cannot write {path}: column {name!r} row {row}: {exc}") from None
+
     for name in header:
-        check(name, 1, name)
+        if exc := error(name):
+            fail(name, 1, exc)
     for name, (tag, data, cats) in zip(header[1:], columns):
-        if tag is not ValueTag.CATEGORICAL:
-            continue
-        if cats is None:
-            for row, label in enumerate(data.tolist(), 2):
-                if label is not None:
-                    check(name, row, str(label))
-            continue
-        first = len(data)
-        for code, label in enumerate(cats):
-            try:
-                str(label).encode()
-            except UnicodeEncodeError:
-                rows = np.flatnonzero(data == code)
-                first = min(first, int(rows[0]) if len(rows) else first)
-        if first < len(data):
-            check(name, first + 2, str(cats[data[first]]))
+        if tag is ValueTag.CATEGORICAL and cats is None:
+            for row, label in enumerate(data, 2):
+                if label is not None and (exc := error(str(label))):
+                    fail(name, row, exc)
+        elif tag is ValueTag.CATEGORICAL:
+            bad = [code for code, label in enumerate(cats) if error(str(label))]
+            rows = np.flatnonzero(np.isin(data, bad)) if bad else []
+            if len(rows):
+                fail(name, int(rows[0]) + 2, error(str(cats[data[rows[0]]])))
 
 
 def _write_csv(path, header: list[str], kind: IndexKind, index: np.ndarray, columns) -> None:
