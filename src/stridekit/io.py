@@ -56,6 +56,7 @@ import codecs
 import copy
 import csv
 import datetime as _dt
+import functools
 import json
 import math
 import re
@@ -619,10 +620,12 @@ def _flog2pow10(e):
     return (e * 913124641741) >> 38
 
 
+@functools.cache
 def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
-    """Schubfach's constants per entry ``bq + 2048 * irregular``, and k apart.
-    ``bq`` is the biased exponent; a power of two above the smallest normal
-    is irregular, its neighbour below half as far as the one above. Rows:
+    """Schubfach's constants, built on the first write, per entry ``bq +
+    2048 * irregular``, and k apart. ``bq`` is the biased exponent; a power
+    of two above the smallest normal is irregular, its neighbour below half
+    as far as the one above. Rows:
     g1 >> 32, g1 & M32, g0 >> 32, g0 & M32, where g1 2**63 + g0 =
     floor(10**-k 2**(125 - flog2pow10(-k))) + 1 (computed with Python ints);
     h + 2, the shift that aligns c with g; the offsets of the interval's
@@ -644,9 +647,6 @@ def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
     h = q + _flog2pow10(-k) + 2
     rows = [h + 2, (2 - irregular) << h, 2 << h, np.where(bq > 0, 1 << 52, 0)]
     return np.vstack([limbs, np.array(rows).astype(np.uint64)]), k
-
-
-_SCHUBFACH, _SCHUBFACH_K = _schubfach_table()
 
 
 def _mul_hi(a1, a0, b1, b0, low=False):
@@ -677,7 +677,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minimum, as Python's repr rounds."""
     bq, t = bits >> _U(52), bits & _T52
     i = bq.astype(np.intp) + 2048 * ((t == 0) & (bq > _U(1)))
-    g = np.take(_SCHUBFACH, i, axis=1)
+    table, ks = _schubfach_table()
+    g = np.take(table, i, axis=1)
     c = t | g[7]
     cp = c << g[4]  # 4c, aligned to g
     odd = c & _U(1)  # an odd c excludes the interval's ends
@@ -691,7 +692,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, w = vbl <= s4, s4 + _U(4) <= vbr
     nearer_s = (vb < s4 + _U(2)) | ((vb == s4 + _U(2)) & ((s & _U(1)) == _U(0)))
     d = s + ~np.where(u != w, u, nearer_s)
-    return np.where(up != wp, (sp4 >> _U(2)) + _U(10) * ~up, d), np.take(_SCHUBFACH_K, i)
+    return np.where(up != wp, (sp4 >> _U(2)) + _U(10) * ~up, d), np.take(ks, i)
 
 
 def _ascii8(x):
@@ -706,10 +707,13 @@ def _ascii8(x):
     return q | ((v - q * _U(10)) << _U(8)) | _ASCII_ZEROS
 
 
-def _float_layouts() -> np.ndarray:
-    """Per layout key, the words that lay a float's digits out in its slot:
-    rows MU0-2 (digits kept in place), MS1-3 (digits kept one byte on, after
-    the point) and C0-3 (fixed characters). Slot bytes: 1 sign, 2-6 ``0.000``
+@functools.cache
+def _float_layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Built on the first write: per layout key, the words that lay a
+    float's digits out in its slot: rows MU0-2 (digits kept in place), MS1-3
+    (digits kept one byte on, after the point) and C0-3 (fixed characters),
+    and the key of a one-digit number by its exponent + 340. Slot bytes: 1
+    sign, 2-6 ``0.000``
     before a number below 1, from 7 the digits (17 in place, 18 with the
     point), 25-26 ``e`` and its sign, 27-29 the exponent's digits, 30-31 the
     separator. Keys: 0 NaN (nothing), 1 inf, 2 ``0.0``, 3 ``0``, then 17 per
@@ -745,13 +749,10 @@ def _float_layouts() -> np.ndarray:
     keep = np.where((b >= 7) & (b < col(keep_hi)), 255, 0).astype(np.uint8)
     shifted = np.where((b >= col(shift_lo)) & (b < col(shift_hi)), 255, 0).astype(np.uint8)
     words = [m.view("<u8").T for m in (keep, shifted, fixed)]
-    return np.vstack([words[0][:3], words[1][1:], words[2]])
-
-
-_FLOAT_LAYOUTS = _float_layouts()
-#: The layout key of a one-digit number by its decimal exponent + 340.
-_EXPONENT_KEYS = np.array([4 + 17 * (e + 4) if -4 <= e < 16
-                           else 344 + 17 * (e < 0) + 34 * (abs(e) >= 100) for e in range(-340, 340)])
+    e = np.arange(-340, 340)
+    first = np.where((e >= -4) & (e < 16), 4 + 17 * (e + 4),
+                     344 + 17 * (e < 0) + 34 * (abs(e) >= 100))
+    return np.vstack([words[0][:3], words[1][1:], words[2]]), first
 
 
 def _float_words(x: np.ndarray, index_rule) -> np.ndarray:
@@ -765,7 +766,7 @@ def _float_words(x: np.ndarray, index_rule) -> np.ndarray:
         return _number_words(x, neg, rule)
     nan = np.isnan(x)  # the others are inf and zeros, "0" under the index rule unless -0.0
     key = np.where(nan, 0, np.where(np.isinf(x), 1, 2 + (rule & ~neg)))
-    out = np.take(_FLOAT_LAYOUTS[6:].T, key + 412 * rule + 824 * (neg & ~nan), axis=0)
+    out = np.take(_float_layouts()[0][6:].T, key + 412 * rule + 824 * (neg & ~nan), axis=0)
     out[plain] = _number_words(x[plain], neg[plain], rule[plain])
     return out
 
@@ -785,8 +786,9 @@ def _number_words(x: np.ndarray, neg: np.ndarray, rule: np.ndarray) -> np.ndarra
     top_lo = np.frexp((lo_w ^ _ASCII_ZEROS).astype(np.float64))[1]
     n = np.where(top_lo > 0, 9 + (top_lo + 7) // 8, 1 + (top_hi + 7) // 8)  # digits shown
     e = k + size - 1  # the first digit's power of ten
-    key = np.take(_EXPONENT_KEYS, e + 340) + n - 1
-    lay = np.take(_FLOAT_LAYOUTS, key + 412 * rule + 824 * neg, axis=1)
+    layouts, first = _float_layouts()
+    key = np.take(first, e + 340) + n - 1
+    lay = np.take(layouts, key + 412 * rule + 824 * neg, axis=1)
     lead |= _U(ord("0"))
     out = np.empty(x.shape + (4,), dtype="<u8")
     out[..., 0] = ((lead << _U(56)) & lay[0]) | lay[6]

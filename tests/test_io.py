@@ -1112,15 +1112,6 @@ def test_float_cells_are_repr_and_render_number_bitwise(bits):
     assert float_cells(numbers, index_rule=True) == [render_number(v) for v in numbers.tolist()]
 
 
-def test_float32_cells_are_the_repr_of_the_widened_value(tmp_path):
-    vals = np.array([0.1, 1 / 3, 3.4028235e38, 1e-45, -0.0, np.inf, np.nan, 16777217.0],
-                    dtype=np.float32)
-    path = tmp_path / "f32.csv"
-    write_series_csv([numeric_series("S", np.arange(8.0), values=vals)], path)
-    cells = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
-    assert cells == ["" if v != v else repr(v) for v in vals.tolist()]
-
-
 @pytest.mark.parametrize("write", ["matrix", "series"])
 @pytest.mark.parametrize("bad, row", [("name", 1), ("label", 4)])
 def test_unencodable_text_is_refused_before_the_file_is_opened(tmp_path, write, bad, row):
