@@ -513,7 +513,7 @@ def test_extract_refuses_a_missing_output_directory_before_reading_input(tmp_pat
                                                                          monkeypatch, flag,
                                                                          parent):
     def never(*args, **kwargs):
-        raise AssertionError("extract ran")
+        raise AssertionError("input read before the output directories were checked")
     monkeypatch.setattr(cli, "extract", never)
     monkeypatch.setattr(cli, "load_csv", never)
     (tmp_path / "file").write_text("")
