@@ -38,16 +38,15 @@ digits, inf, nan) go through numpy's cast, those cells alone. Cells with an
 inner quote are unquoted by ``csv.reader``; they, NULs and long cells keep
 a column on the per-cell parsers, which name the row of a bad cell.
 
-The writers format numbers from their bits with numpy, a block of rows at a
-time: each cell goes into a slot of whole 64-bit words in one ``uint8``
-table, NUL bytes as padding, and one pass drops the NULs. A float (F32
-widened exactly) is its shortest round-trip decimal, found by Schubfach in
-``uint64`` arithmetic with 32-bit limbs and laid out as ``repr`` does; a
-numeric index takes ``render_number``'s rule, integers are their digits,
-and stamps are ``np.datetime_as_string``'s text. A file with a label column
-writes its rows through ``csv.writer``, with the same text for its other
-cells. Header names and labels that UTF-8 cannot encode are refused before
-the file is opened.
+The writers format cells with numpy, a block of rows at a time: each cell
+goes into a slot of whole 64-bit words in one ``uint8`` table, NUL bytes as
+padding, and one pass drops the NULs. A float (F32 widened exactly) is its
+shortest round-trip decimal, found by Schubfach in ``uint64`` arithmetic
+with 32-bit limbs and laid out as ``repr`` does (a numeric index by
+``render_number``'s rule); integers are their digits, and a stamp's date
+comes from calendar arithmetic. A file with a label column writes its rows
+through ``csv.writer``, with the same text for its other cells. Every cell
+is checked before the file is opened.
 """
 
 from __future__ import annotations
@@ -110,8 +109,6 @@ _RFC_RE = re.compile(
 )
 
 _EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()
-#: numpy reads int64's minimum as NaT, so its text is built from its seconds.
-_NAT_TEXT = f"{np.datetime64(-2**63 // 10**9, 's')}.{-2**63 % 10**9:09d}"
 
 
 def parse_rfc3339_ns(text: str) -> int:
@@ -143,26 +140,8 @@ def format_rfc3339(ns: int) -> str:
 
 
 def _format_stamps(ns) -> list[str]:
-    """RFC 3339 UTC text of int64 nanosecond stamps, ending in ``Z``, each
-    fraction trimmed to 0, 3, 6 or 9 digits."""
-    return np.char.add(_stamp_text(ns), "Z").tolist()
-
-
-def _stamp_text(ns) -> np.ndarray:
-    """``_format_stamps`` without the ``Z``: each stamp's text to the
-    nanosecond, its fraction digits past the 0, 3, 6 or 9 kept set to NUL,
-    which a U array drops as trailing."""
-    stamps = np.asarray(ns, dtype=np.int64)
-    frac = stamps % 1_000_000_000
-    digits = (frac != 0).astype(np.int8) + (frac % 1_000_000 != 0) + (frac % 1_000 != 0)
-    text = np.datetime_as_string(stamps.view("M8[ns]"), unit="ns")
-    text.view(np.uint32).reshape(len(text), text.itemsize // 4)[:, 19:29] *= _FRACTION_KEPT[digits]
-    text[np.isnat(stamps.view("M8[ns]"))] = _NAT_TEXT
-    return text
-
-
-#: Of the ten characters after the seconds, those kept by fraction digits / 3.
-_FRACTION_KEPT = (np.arange(10) < np.array([[0], [4], [7], [10]])).astype(np.uint32)
+    """``_stamp_words`` as str."""
+    return _stamp_words(ns).view("S32")[:, 0].astype(str).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +692,13 @@ def _float_layouts() -> tuple[np.ndarray, np.ndarray]:
     float's digits out in its slot: rows MU0-2 (digits kept in place), MS1-3
     (digits kept one byte on, after the point) and C0-3 (fixed characters),
     and the key of a one-digit number by its exponent + 340. Slot bytes: 1
-    sign, 2-6 ``0.000``
-    before a number below 1, from 7 the digits (17 in place, 18 with the
-    point), 25-26 ``e`` and its sign, 27-29 the exponent's digits, 30-31 the
-    separator. Keys: 0 NaN (nothing), 1 inf, 2 ``0.0``, 3 ``0``, then 17 per
-    decimal exponent E from -4 to 15 (positional), 17 per exponent sign and
-    2 or 3 exponent digits (exponent form), by digit count; +412 under
-    ``render_number``'s rule (an integral value without ``.0``); +824
-    negative."""
+    sign, 2-6 ``0.000`` before a number below 1, from 7 the digits (17 in
+    place, 18 with the point), 25-26 ``e`` and its sign, 27-29 the
+    exponent's digits, 30-31 the separator. Keys: 0 NaN (nothing), 1 inf, 2
+    ``0.0``, 3 ``0``, then 17 per decimal exponent E from -4 to 15
+    (positional), 17 per exponent sign and 2 or 3 exponent digits (exponent
+    form), by digit count; +412 under ``render_number``'s rule (an integral
+    value without ``.0``); +824 negative."""
     key = np.arange(1648)
     base, index_rule, neg = key % 412, key // 412 % 2 == 1, key >= 824
     pos, expo = (base >= 4) & (base < 344), base >= 344
@@ -804,10 +782,12 @@ def _number_words(x: np.ndarray, neg: np.ndarray, rule: np.ndarray) -> np.ndarra
     return out
 
 
-def _int_words(v: np.ndarray, missing: np.ndarray) -> np.ndarray:
-    """int64 cells in decimal, ``missing`` ones as nothing, each in a slot of
-    as many words as the longest needs: the sign in its first byte, the
-    digits last before the separator's two; shape ``v.shape + (words,)``."""
+def _int_words(v: np.ndarray) -> np.ndarray:
+    """int64 or object cells in decimal, None as nothing, each in a slot of as
+    many words as the longest needs: the sign in its first byte, the digits
+    last before the separator's two; shape ``v.shape + (words,)``."""
+    missing = _missing(v)
+    v = np.where(missing, 0, v).astype(np.int64) if v.dtype == object else v
     neg = v < 0
     mag = np.where(neg, ~v.view(np.uint64) + _U(1), v.view(np.uint64))
     size = max(1, int(np.searchsorted(_POW10, mag.max(initial=_U(0)), side="right")))
@@ -826,14 +806,32 @@ def _int_words(v: np.ndarray, missing: np.ndarray) -> np.ndarray:
 _BOOL_WORDS = np.frombuffer(b"\0" * 8 + b"false\0\0\0" + b"true\0\0\0\0", dtype="<u8")
 
 
-def _stamp_words(ns: np.ndarray) -> np.ndarray:
-    """``_format_stamps``'s text of each stamp in a slot of four words: the
-    text NUL-padded to 29 bytes, then ``Z``."""
-    out = np.zeros((len(ns), 32), dtype=np.uint8)
-    text = _stamp_text(ns)
-    out[:, :29] = text.view(np.uint32).reshape(len(ns), text.itemsize // 4)[:, :29]  # code points
-    out[:, 29] = ord("Z")
-    return out.view("<u8")
+#: By fraction digits / 3: a stamp's text, digits as "0", then its digit bytes
+#: and its other bytes as words. Slot byte j with a digit is byte _STAMP_FROM[j]
+#: of the ``_ascii8`` words of (YYYYMMDD, hhmmss, fraction // 10, its last digit).
+_STAMP_TEXT = np.array([b"0000-00-00T00:00:00" + b".000000000"[:k and 3 * k + 1] + b"Z"
+                        for k in range(4)], dtype="S32").view(np.uint8).reshape(4, 32)
+_STAMP_TRIM = np.stack([255 * (_STAMP_TEXT == 48), _STAMP_TEXT * (_STAMP_TEXT != 48)]
+                       ).astype(np.uint8).view("<u8")
+_STAMP_FROM = np.r_[0:4, 0, 4:6, 0, 6:8, 0, 10:12, 0, 12:14, 0, 14:16, 0, 16:24, 31, 0, 0, 0]
+
+
+def _stamp_words(ns) -> np.ndarray:
+    """RFC 3339 UTC text of int64 nanosecond stamps, the fraction trimmed to 0,
+    3, 6 or 9 digits, then ``Z``, in slots of four words. Dates: civil_from_days
+    (H. Hinnant, "chrono-Compatible Low-Level Date Algorithms") in int32."""
+    days, ns = np.divmod(np.asarray(ns, dtype=np.int64), 86_400 * 10**9)
+    era, doe = np.divmod(days.astype(np.int32) + 719_468, 146_097)  # days from 0000-03-01
+    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # the day of the year from March 1
+    mp = (5 * doy + 2) // 153  # the month from March
+    month = (mp + 2) % 12 + 1
+    date = (era * 400 + yoe + (month <= 2)) * 10_000 + month * 100 + doy - (153 * mp + 2) // 5 + 1
+    second, frac = np.divmod(ns, 10**9)
+    clock = second + 40 * (second // 60) + 4_000 * (second // 3_600)  # hhmmss
+    keep, fixed = _STAMP_TRIM[:, np.count_nonzero([frac, frac % 10**6, frac % 1000], axis=0)]
+    words = _ascii8(np.stack([date, clock, frac // 10, frac % 10], axis=1).view(np.uint64))
+    return (words.view(np.uint8).take(_STAMP_FROM, axis=1).view("<u8") & keep) | fixed
 
 
 def _missing(data: np.ndarray) -> np.ndarray:
@@ -857,10 +855,7 @@ def _row_bytes(kind: IndexKind, index: np.ndarray, columns, eol: bool) -> bytes:
         float_slots = iter(np.moveaxis(_float_words(x, np.arange(len(floats)) < numeric), 1, 0))
     ints = [data for tag, data, _ in columns if tag is ValueTag.I64]
     if ints:
-        v = np.stack(ints, axis=1)
-        missing = _missing(v)
-        v = np.where(missing, 0, v).astype(np.int64) if v.dtype == object else v
-        int_slots = iter(np.moveaxis(_int_words(v, missing), 1, 0))
+        int_slots = iter(np.moveaxis(_int_words(np.stack(ints, axis=1)), 1, 0))
     slots = [next(float_slots) if numeric else _stamp_words(index)]
     for tag, data, _ in columns:
         if tag in FLOAT_TAGS:
@@ -896,11 +891,12 @@ def _label_rows(kind: IndexKind, index: np.ndarray, columns) -> list[tuple]:
     return list(zip(*out))
 
 
-def _check_encodable(path, header: list[str], columns) -> None:
-    """IoError naming the first header name, or else the first label cell in
-    column order, that UTF-8 cannot encode (a lone surrogate), before the
-    file is opened. A dictionary is checked by entry, and its rows searched
-    only for an entry that fails."""
+def _check_cells(path, header: list[str], columns) -> None:
+    """The writers' one check, before the file is opened: IoError naming the
+    first header name, or else the first cell in column order, that UTF-8
+    cannot encode (a lone surrogate) or an I64 object cell int64 cannot hold;
+    LengthMismatch for a code outside its dictionary. A dictionary is checked
+    by entry, an I64 column by its cast per block, rows only where one fails."""
     def error(text: str):
         try:
             text.encode()
@@ -915,11 +911,21 @@ def _check_encodable(path, header: list[str], columns) -> None:
         if exc := error(name):
             fail(name, 1, exc)
     for name, (tag, data, cats) in zip(header[1:], columns):
-        if tag is ValueTag.CATEGORICAL and cats is None:
+        if tag is ValueTag.I64 and data.dtype == object:
+            for lo in range(0, len(data), WRITE_BLOCK_CELLS):
+                block = data[lo:lo + WRITE_BLOCK_CELLS]
+                try:
+                    np.where(_missing(block), 0, block).astype(np.int64)
+                except OverflowError:
+                    fail(name, *next((row, f"{v} is outside the I64 range") for row, v in
+                                     enumerate(data, 2) if not -2**63 <= (v or 0) < 2**63))
+        elif tag is ValueTag.CATEGORICAL and cats is None:
             for row, label in enumerate(data, 2):
                 if label is not None and (exc := error(str(label))):
                     fail(name, row, exc)
         elif tag is ValueTag.CATEGORICAL:
+            if len(data) and not 0 <= data.min() <= data.max() < len(cats):
+                raise LengthMismatch(f"{name!r} has codes outside its {len(cats)} categories")
             bad = [code for code, label in enumerate(cats) if error(str(label))]
             rows = np.flatnonzero(np.isin(data, bad)) if bad else []
             if len(rows):
@@ -930,13 +936,12 @@ def _write_csv(path, header: list[str], kind: IndexKind, index: np.ndarray, colu
     """The header through csv.writer, then the rows in blocks of
     WRITE_BLOCK_CELLS cells, each block one byte table (``_row_bytes``), or
     through csv.writer when the file has a label column. ``columns``: (tag,
-    data, categories). Text UTF-8 cannot encode is refused before opening."""
-    _check_encodable(path, header, columns)
+    data, categories). ``_check_cells`` runs before the file is opened."""
+    _check_cells(path, header, columns)
     step = max(1, WRITE_BLOCK_CELLS // (len(columns) + 1))
     labels = any(tag is ValueTag.CATEGORICAL for tag, _, _ in columns)
     text = StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
+    csv.writer(text).writerow(header)
     try:
         with open(path, "wb") as fh:
             fh.write(text.getvalue().encode())
@@ -945,9 +950,8 @@ def _write_csv(path, header: list[str], kind: IndexKind, index: np.ndarray, colu
                 if not labels:
                     fh.write(_row_bytes(kind, index[lo:lo + step], block, eol=True))
                     continue
-                text.seek(0)
-                text.truncate()
-                writer.writerows(_label_rows(kind, index[lo:lo + step], block))
+                text = StringIO()
+                csv.writer(text).writerows(_label_rows(kind, index[lo:lo + step], block))
                 fh.write(text.getvalue().encode())
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -969,14 +973,10 @@ def write_series_csv(series_list: list[Series], path, index_column: str = "index
         raise LengthMismatch("write_series_csv needs at least one series")
     ref = series_list[0]
     for s in series_list:
-        cats, codes = s.values.categories, s.values.data
         if s.kind is not ref.kind:
             raise KindMismatch(f"{s.name!r} and {ref.name!r} have different index kinds")
         if not _same_index(s.index, ref.index):
             raise LengthMismatch(f"{s.name!r} is not index-aligned with {ref.name!r}")
-        # so that no cell can fail once the file is open
-        if cats is not None and len(codes) and not 0 <= codes.min() <= codes.max() < len(cats):
-            raise LengthMismatch(f"{s.name!r} has codes outside its {len(cats)} categories")
     columns = [(s.values.tag, s.values.data, s.values.categories) for s in series_list]
     header = [index_column, *(s.name for s in series_list)]
     _write_csv(path, header, ref.kind, ref.index, columns)

@@ -153,9 +153,16 @@ stamps = st.one_of(
 )
 
 
+# The last instant of February and March 1 in century years, leap (2000) or not.
+CENTURY_EDGES = [parse_rfc3339_ns(f"{year}-{day}Z") for year in (1700, 1800, 1900, 2100, 2200)
+                 for day in ("02-28T23:59:59.999999999", "03-01T00:00:00")]
+
+
 @settings(max_examples=300)
 @given(st.lists(stamps, max_size=40))
 @example([0, -1, 999_999_999, INT64_MIN, INT64_MAX])
+@example(CENTURY_EDGES)
+@example([parse_rfc3339_ns("2000-02-29T12:00:00.5Z"), -1_000_000, INT64_MIN + 1])
 def test_block_stamp_formatter_equals_scalar_oracle(ns):
     cells = stridekit_io._format_stamps(np.array(ns, dtype=np.int64))
     assert cells == [format_rfc3339_reference(v) for v in ns]
@@ -1324,6 +1331,25 @@ def test_write_series_csv_extra_peak_does_not_grow_with_rows(tmp_path):
         series = [Series(f"V{j}", index, v, kind=IndexKind.TIME_NS) for j, v in enumerate(values)]
         return write_peak(write_series_csv, series, tmp_path / f"s{rows}.csv")
     assert_peak_bounded(peak)
+
+
+@pytest.mark.parametrize("big", [2**63, -2**63 - 1, 2**70])
+@pytest.mark.parametrize("rows", [3, stridekit_io.WRITE_BLOCK_CELLS + 5])
+def test_an_i64_cell_outside_int64_is_refused_before_the_file_is_opened(tmp_path, big, rows):
+    cells = np.array([7] * (rows - 2) + [big, None], dtype=object)
+    matrix = FeatureMatrix(IndexKind.NUMERIC, np.arange(float(rows)),
+                           {"n": FeatureColumn(ValueTag.I64, cells)})
+    path = tmp_path / "never.csv"
+    with pytest.raises(IoError) as err:
+        write_matrix(matrix, path)
+    assert str(err.value) == (f"cannot write {path}: column 'n' row {rows}: "
+                              f"{big} is outside the I64 range")
+    assert not path.exists()
+    edges = np.array([INT64_MIN, None, INT64_MAX], dtype=object)
+    ok = tmp_path / "edges.csv"
+    write_matrix(FeatureMatrix(IndexKind.NUMERIC, np.arange(3.0),
+                               {"n": FeatureColumn(ValueTag.I64, edges)}), ok)
+    assert ok.read_bytes() == f"index,n\r\n0,{INT64_MIN}\r\n1,\r\n2,{INT64_MAX}\r\n".encode()
 
 
 def test_write_series_rejects_codes_outside_the_dictionary_before_opening(tmp_path):
