@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import json
 import os
 import re
@@ -17,7 +16,7 @@ import sys
 from .bench import run_bench
 from .chunking import ChunkSpec, chunk_set
 from .errors import IoError, StridekitError
-from .features import extract
+from .features import _check_parent, extract
 from .io import (
     format_rfc3339,
     load_csv,
@@ -74,19 +73,9 @@ def _safe_filename(name: str) -> str:
     return name
 
 
-def _check_parent(path: str) -> None:
-    """IoError, in the words open() would use, unless the parent of ``path``
-    is an existing directory; creates nothing."""
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        raise IoError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
-
-
 def _cmd_extract(args) -> int:
-    for path in (args.out, args.log):  # before any input is read
-        if path:
-            _check_parent(path)
+    for path in filter(None, (args.out, args.log)):  # before any input is read
+        _check_parent(path)
     data = _load_data(args)
     collection, options = parse_feature_config(read_json(args.config))
     if args.workers is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import errno
 import itertools
 import json
 import math
@@ -1217,6 +1218,15 @@ def _sparsity_warnings(groups: list[_ResolvedGroup]) -> list[SparsityWarning]:
     return warnings
 
 
+def _check_parent(path: str) -> None:
+    """IoError, in the words open() would use, unless the parent of ``path``
+    is an existing directory; creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise IoError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def extract(
     series_set: SeriesSet,
     collection: FeatureCollection,
@@ -1225,13 +1235,15 @@ def extract(
     """Run every registered feature over its strided windows and outer-join
     the per-group results on the output index.
 
-    Raises UnknownSeries, KindMismatch, DisjointSpans, or InvalidDescriptor
-    (a builtin on a multi-series group) before any function runs;
-    FunctionFailure (naming the group and segment) aborts the whole
-    extraction.
+    Raises UnknownSeries, KindMismatch, DisjointSpans, InvalidDescriptor (a
+    builtin on a multi-series group) or IoError (no directory for log_path)
+    before any function runs; FunctionFailure (naming the group and segment)
+    aborts the whole extraction.
     """
     options = options or ExtractOptions()
     groups = _resolve_groups(series_set, collection, options.output_position)
+    if options.log_path:
+        _check_parent(options.log_path)
     warnings = [] if options.approve_sparsity else _sparsity_warnings(groups)
     results = _run_units(groups, options.n_workers)
     matrix = _merge(groups, results)

@@ -9,7 +9,7 @@ Formats, bit-exactly:
   verbatim. Timestamps written by this module always end in ``Z`` with the
   fraction trimmed to 0, 3, 6, or 9 digits.
 - The writers stream rows in blocks of WRITE_BLOCK_CELLS cells, in the
-  bytes ``csv.writer`` writes.
+  bytes ``csv.writer`` writes (with NUL only from Python 3.11).
 - Feature config JSON: {"features": [{"series", "functions", "windows",
   "strides"}], "options": {...}} where a series entry is a name (single), a
   list of names (fan-out, one group per name), or a nested list (joint
@@ -44,9 +44,9 @@ padding, and one pass drops the NULs. A float (F32 widened exactly) is its
 shortest round-trip decimal, found by Schubfach in ``uint64`` arithmetic
 with 32-bit limbs and laid out as ``repr`` does (a numeric index by
 ``render_number``'s rule); integers are their digits, and a stamp's date
-comes from calendar arithmetic. A file with a label column writes its rows
-through ``csv.writer``, with the same text for its other cells. Every cell
-is checked before the file is opened.
+comes from calendar arithmetic. A label, quoted as csv.writer quotes it (so
+is a header name), is inserted in front of its separator after that pass.
+Every cell is checked before the file is opened.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import functools
 import json
 import math
 import re
-from io import StringIO
+import sys
 from typing import Callable
 
 import numpy as np
@@ -373,7 +373,7 @@ def _value_column(name: str, raw: np.ndarray | None, cells: Callable) -> np.ndar
     if empty.any():
         raise ParseError(f"empty cell in non-numeric column {name!r}",
                          row=2 + int(empty.argmax()))
-    return np.asarray(cells())
+    return np.array(cells(), dtype=object)  # a U array would drop trailing NULs
 
 
 def _cut_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
@@ -802,6 +802,9 @@ def _int_words(v: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # csv.writer quotes a field holding one
+_CSV_NUL = sys.version_info >= (3, 11)  # csv reads NUL from 3.11; before, writers refuse it
+
 #: A BOOL slot by code: 0 missing, 1 false, 2 true.
 _BOOL_WORDS = np.frombuffer(b"\0" * 8 + b"false\0\0\0" + b"true\0\0\0\0", dtype="<u8")
 
@@ -839,13 +842,22 @@ def _missing(data: np.ndarray) -> np.ndarray:
     return np.equal(data, None) if data.dtype == object else np.zeros(data.shape, dtype=bool)
 
 
+def _quoted(text: str) -> bytes:
+    """A header name or label as csv.writer writes it in a row of two or more fields."""
+    if _NEEDS_QUOTES.search(text):
+        text = '"' + text.replace('"', '""') + '"'
+    return text.encode()
+
+
 def _row_bytes(kind: IndexKind, index: np.ndarray, columns, eol: bool) -> bytes:
     """One block of rows in the bytes csv.writer writes (``eol``), or each
     cell followed by a comma. Every cell is formatted in numpy into a slot of
     whole little-endian words whose NUL bytes are padding, its separator in
     the slot's last two bytes; one pass then drops the NULs. The float
     columns of the block, and a numeric index, are formatted in one call, as
-    are its I64 columns. ``columns``: (tag, data, categories), no labels."""
+    are its I64 columns. A label's slot holds its separator alone, and after
+    that pass the label (``_quoted``, NULs kept) is inserted in front of it.
+    ``columns``: (tag, data, categories)."""
     floats = [data for tag, data, _ in columns if tag in FLOAT_TAGS]
     numeric = kind is IndexKind.NUMERIC
     if numeric:
@@ -857,52 +869,48 @@ def _row_bytes(kind: IndexKind, index: np.ndarray, columns, eol: bool) -> bytes:
     if ints:
         int_slots = iter(np.moveaxis(_int_words(np.stack(ints, axis=1)), 1, 0))
     slots = [next(float_slots) if numeric else _stamp_words(index)]
-    for tag, data, _ in columns:
+    labels = {}  # slot: the quoted cells of a label column
+    for tag, data, cats in columns:
         if tag in FLOAT_TAGS:
             slots.append(next(float_slots))
         elif tag is ValueTag.I64:
             slots.append(next(int_slots))
-        else:
+        elif tag is ValueTag.BOOL:
             code = np.where(_missing(data), 0, 1 + data.astype(bool))
             slots.append(np.take(_BOOL_WORDS, code)[:, None])
+        else:
+            values = data.tolist() if cats is None else [cats[code] for code in data.tolist()]
+            labels[len(slots)] = [b"" if v is None else _quoted(str(v)) for v in values]
+            slots.append(np.zeros((len(data), 1), dtype=np.uint64))
     table = np.concatenate(slots, axis=1)
     sep = np.zeros(table.shape[1], dtype=np.uint64)
     sep[np.cumsum([s.shape[1] for s in slots]) - 1] = _COMMA_SEP
     if eol:
         sep[-1] = _EOL_SEP
     table |= sep
-    return table.tobytes().translate(None, b"\0")
-
-
-def _label_rows(kind: IndexKind, index: np.ndarray, columns) -> list[tuple]:
-    """The cells of a block with a label column, as str rows for csv.writer:
-    the other cells cut from ``_row_bytes``."""
-    plain = [c for c in columns if c[0] is not ValueTag.CATEGORICAL]
-    cells = _row_bytes(kind, index, plain, eol=False).decode().split(",")[:-1]
-    k = len(plain) + 1
-    out, j = [cells[0::k]], 1
-    for tag, data, cats in columns:
-        if tag is ValueTag.CATEGORICAL:
-            values = data.tolist() if cats is None else [cats[code] for code in data.tolist()]
-            out.append(["" if v is None else str(v) for v in values])
-        else:
-            out.append(cells[j::k])
-            j += 1
-    return list(zip(*out))
+    out = table.tobytes().translate(None, b"\0")
+    if not labels:
+        return out
+    buf = np.frombuffer(out, dtype=np.uint8)  # no other cell holds a comma or CR
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\r"))).reshape(-1, len(slots))
+    cells = [c for row in zip(*labels.values()) for c in row]
+    at = np.repeat(seps[:, list(labels)].ravel(), [len(c) for c in cells])
+    return np.insert(buf, at, np.frombuffer(b"".join(cells), dtype=np.uint8)).tobytes()
 
 
 def _check_cells(path, header: list[str], columns) -> None:
     """The writers' one check, before the file is opened: IoError naming the
     first header name, or else the first cell in column order, that UTF-8
-    cannot encode (a lone surrogate) or an I64 object cell int64 cannot hold;
-    LengthMismatch for a code outside its dictionary. A dictionary is checked
-    by entry, an I64 column by its cast per block, rows only where one fails."""
+    cannot encode or csv cannot read (a NUL, ``_CSV_NUL``), or an I64 object
+    cell int64 cannot hold; LengthMismatch for a code outside its dictionary.
+    A dictionary is checked by entry, an I64 column by its cast per block."""
     def error(text: str):
+        if "\0" in text and not _CSV_NUL:
+            return "NUL is unreadable by csv before Python 3.11"
         try:
             text.encode()
         except UnicodeEncodeError as exc:
             return exc
-        return None
 
     def fail(name, row, exc):
         raise IoError(f"cannot write {path}: column {name!r} row {row}: {exc}") from None
@@ -933,26 +941,17 @@ def _check_cells(path, header: list[str], columns) -> None:
 
 
 def _write_csv(path, header: list[str], kind: IndexKind, index: np.ndarray, columns) -> None:
-    """The header through csv.writer, then the rows in blocks of
-    WRITE_BLOCK_CELLS cells, each block one byte table (``_row_bytes``), or
-    through csv.writer when the file has a label column. ``columns``: (tag,
+    """The header (``_quoted``), then the rows in blocks of WRITE_BLOCK_CELLS
+    cells, each block one byte table (``_row_bytes``). ``columns``: (tag,
     data, categories). ``_check_cells`` runs before the file is opened."""
     _check_cells(path, header, columns)
     step = max(1, WRITE_BLOCK_CELLS // (len(columns) + 1))
-    labels = any(tag is ValueTag.CATEGORICAL for tag, _, _ in columns)
-    text = StringIO()
-    csv.writer(text).writerow(header)
     try:
         with open(path, "wb") as fh:
-            fh.write(text.getvalue().encode())
+            fh.write(b",".join(map(_quoted, header)) + b"\r\n")
             for lo in range(0, len(index), step):
                 block = [(tag, data[lo:lo + step], cats) for tag, data, cats in columns]
-                if not labels:
-                    fh.write(_row_bytes(kind, index[lo:lo + step], block, eol=True))
-                    continue
-                text = StringIO()
-                csv.writer(text).writerows(_label_rows(kind, index[lo:lo + step], block))
-                fh.write(text.getvalue().encode())
+                fh.write(_row_bytes(kind, index[lo:lo + step], block, eol=True))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -967,8 +966,8 @@ def write_matrix(matrix: FeatureMatrix, path) -> None:
 
 
 def write_series_csv(series_list: list[Series], path, index_column: str = "index") -> None:
-    """Series sharing one index to CSV, reloadable by load_csv. All series
-    must be index-aligned bitwise."""
+    """Series sharing one index to CSV; load_csv reloads their values but for
+    the README's exceptions. All series must be index-aligned bitwise."""
     if not series_list:
         raise LengthMismatch("write_series_csv needs at least one series")
     ref = series_list[0]

@@ -260,7 +260,7 @@ def _column_from_values(values) -> ValueColumn:
     if arr.dtype.kind in "iu":
         return ValueColumn(ValueTag.I64, arr.astype(np.int64, copy=False))
     if arr.dtype.kind in "UOS":
-        labels = [str(v) for v in arr.tolist()]
+        labels = np.array([str(v) for v in arr.tolist()], dtype=object)  # keeps trailing NULs
         cats, codes = np.unique(labels, return_inverse=True)
         return ValueColumn(
             ValueTag.CATEGORICAL,

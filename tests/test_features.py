@@ -42,6 +42,7 @@ from stridekit.errors import (
     EmptyAxis,
     FunctionFailure,
     InvalidDescriptor,
+    IoError,
     KindMismatch,
     MalformedName,
     UnknownColumn,
@@ -951,6 +952,26 @@ def test_log_path_writes_json_lines(tmp_path):
     assert set(obj) == {"func", "series", "window", "stride", "n_segments", "duration_s", "path"}
     assert obj["func"] == "mean" and obj["window"] == "30s" and obj["n_segments"] == 8
     assert obj["path"] == "block"
+
+
+def test_a_log_path_outside_a_directory_is_refused_before_any_unit_runs(tmp_path):
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return 0.0
+    data = SeriesSet([tmp_4hz()])
+    c = collection_of(("TMP", FuncWrapper(spy, base_name="spy"), "30s", "10s"))
+    log_file = tmp_path / "missing" / "extract.log"
+    with pytest.raises(IoError) as err:
+        extract(data, c, ExtractOptions(log_path=str(log_file)))
+    try:
+        open(log_file, "w")
+    except OSError as exc:
+        expected = f"cannot write {log_file}: {exc}"
+    assert str(err.value) == expected
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from stridekit import (
     ExtractOptions,
@@ -468,7 +468,7 @@ def reference_value_column(name, cells):
     for i, c in enumerate(cells):
         if c == "":
             raise ParseError(f"empty cell in non-numeric column {name!r}", row=2 + i)
-    return np.asarray(cells)
+    return np.array(cells, dtype=object)
 
 
 def reference_load(path, index_column="index", kind_hint=None, sort=False):
@@ -970,6 +970,25 @@ def test_float32_reloads_as_float64_with_exact_values(tmp_path):
     assert np.array_equal(back.values.data, vals.astype(np.float64))
 
 
+def test_labels_keep_trailing_nuls_and_stay_distinct():
+    s = numeric_series("L", np.arange(3.0), values=np.array(["a\0", "a", "b\0c"], dtype=object))
+    assert s.values.categories == ("a", "a\0", "b\0c")
+    assert s.values.data.tolist() == [1, 0, 2]
+
+
+@pytest.mark.skipif(not stridekit_io._CSV_NUL, reason="csv reads NUL from Python 3.11")
+def test_labels_ending_in_nul_reload(tmp_path):
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"index,L\n0,a\0\n1,\0\n2,a\n")
+    (back,) = load_csv(str(path))
+    assert [back.values.decode(c) for c in back.values.data] == ["a\0", "\0", "a"]
+    labels = np.array(["\0", "a\0", "a", "\0\0"], dtype=object)
+    write_series_csv([numeric_series("L", np.arange(4.0), values=labels)], path)
+    (back,) = load_csv(str(path))
+    assert back.values.tag is ValueTag.CATEGORICAL
+    assert [back.values.decode(c) for c in back.values.data] == labels.tolist()
+
+
 def test_write_series_requires_alignment(tmp_path):
     a = numeric_series("A", np.arange(3.0))
     b = numeric_series("B", np.arange(3.0) + 0.5)
@@ -1177,12 +1196,13 @@ def reference_write(path, header, kind, index, columns):
 
 
 def written(write, path, *args):
-    """The bytes ``write`` leaves at ``path``, or the csv.Error it raises
-    (csv.writer refuses a NUL cell before Python 3.11)."""
+    """The bytes ``write`` leaves at ``path``, or "refused" where it raises
+    csv.Error or IoError: before Python 3.11, csv.writer refuses a NUL cell
+    and the writers refuse it before the file is opened."""
     try:
         write(*args)
-    except csv.Error as exc:
-        return type(exc)
+    except (csv.Error, IoError):
+        return "refused"
     return path.read_bytes()
 
 
@@ -1281,6 +1301,102 @@ def test_write_series_csv_equals_csv_writer_oracle(tmp_path_factory, data, kind,
     assert got == expected
 
 
+@pytest.mark.parametrize("block_cells", [1, 2, stridekit_io.WRITE_BLOCK_CELLS])
+def test_label_edge_cases_equal_csv_writer_oracle(tmp_path, block_cells):
+    big = "x" * 50_000 + '",\r\n\0' + "y" * 50_000  # a 100 KB label that needs quotes
+    a = np.array(["\r\n", '"', big, None, 'a"b', "\0", "", "z\0"], dtype=object)
+    b = np.array([None, "z\0", ",", '\r\n"', "", "q", big, "\0\0"], dtype=object)
+    index = np.arange(8.0)
+    matrix = FeatureMatrix(IndexKind.NUMERIC, index, {  # every value column a label
+        "a": FeatureColumn(ValueTag.CATEGORICAL, a), 'b"': FeatureColumn(ValueTag.CATEGORICAL, b)})
+    cats = ("\r\n", '"', big, "\0", "q,")
+    codes = np.array([2, 0, 1, 3, 4, 2, 3, 0], dtype=np.int32)
+    series = [Series("L", index, ValueColumn(ValueTag.CATEGORICAL, codes, cats)),
+              Series("F", index, np.array([0.5, -0.0, math.nan, 1e300, 2.0, 3.0, 4.0, 5.0]))]
+    ref_matrix = written(reference_write, tmp_path / "rm.csv", tmp_path / "rm.csv",
+                         ["index", "a", 'b"'], IndexKind.NUMERIC, index,
+                         [(ValueTag.CATEGORICAL, a, None), (ValueTag.CATEGORICAL, b, None)])
+    ref_series = written(reference_write, tmp_path / "rs.csv", tmp_path / "rs.csv",
+                         ["index", "L", "F"], IndexKind.NUMERIC, index,
+                         [(s.values.tag, s.values.data, s.values.categories) for s in series])
+    with mock.patch.object(stridekit_io, "WRITE_BLOCK_CELLS", block_cells):
+        assert written(write_matrix, tmp_path / "m.csv", matrix, tmp_path / "m.csv") == ref_matrix
+        got = written(write_series_csv, tmp_path / "s.csv", series, tmp_path / "s.csv")
+        assert got == ref_series
+
+
+def test_nul_is_refused_before_the_file_is_opened_where_csv_cannot_read_it(tmp_path):
+    path = tmp_path / "never.csv"
+    index = np.arange(3.0)
+    used = ValueColumn(ValueTag.CATEGORICAL, np.array([0, 1, 1], dtype=np.int32), ("a", "b\0"))
+    labels = FeatureColumn(ValueTag.CATEGORICAL, np.array(["a", None, "\0"], dtype=object))
+    cases = [
+        (lambda: write_series_csv([numeric_series("S", index)], path, "i\0"), "'i\\x00' row 1"),
+        (lambda: write_matrix(FeatureMatrix(IndexKind.NUMERIC, index, {"L": labels}), path),
+         "'L' row 4"),
+        (lambda: write_series_csv([Series("L", index, used)], path), "'L' row 3"),
+    ]
+    unused = ValueColumn(ValueTag.CATEGORICAL, np.array([0, 0], dtype=np.int32), ("a", "b\0"))
+    with mock.patch.object(stridekit_io, "_CSV_NUL", False):
+        for write, where in cases:
+            with pytest.raises(IoError) as err:
+                write()
+            assert str(err.value) == (f"cannot write {path}: column {where}: "
+                                      "NUL is unreadable by csv before Python 3.11")
+            assert not path.exists()
+        write_series_csv([Series("L", np.arange(2.0), unused)], path)
+    assert path.read_bytes() == b"index,L\r\n0,a\r\n1,a\r\n"
+
+
+@st.composite
+def reloadable_values(draw, tag, n):
+    """Values of ``Series`` of ``tag`` that load_csv types back as ``tag``:
+    labels non-empty (an empty one is a ParseError on load), as text or as a
+    dictionary with unused entries, the empty one among them."""
+    if tag is not ValueTag.CATEGORICAL:
+        return draw(series_column(tag, n))
+    cells = draw(st.lists(labels.filter(bool), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return np.array(cells, dtype=object)
+    cats = tuple(dict.fromkeys(draw(st.lists(labels, max_size=2)) + cells))
+    return ValueColumn(tag, np.array([cats.index(c) for c in cells], dtype=np.int32), cats)
+
+
+@settings(max_examples=400)
+@given(data=st.data(),
+       kind=st.sampled_from([IndexKind.TIME_NS, IndexKind.NUMERIC]),
+       n_rows=st.integers(1, 25),
+       tags=st.lists(st.sampled_from(TAGS), min_size=1, max_size=4))
+def test_written_series_reload_to_their_values(tmp_path_factory, data, kind, n_rows, tags):
+    index = data.draw(sorted_index(kind, n_rows))
+    series = [Series(f"S{j}", index, data.draw(reloadable_values(tag, n_rows)), kind=kind)
+              for j, tag in enumerate(tags)]
+    for s in series:  # the documented exceptions: labels that load as numbers or BOOL
+        if s.values.tag is ValueTag.CATEGORICAL:
+            text = [s.values.decode(c) for c in s.values.data]
+            assume(not all(_FLOAT_RE.fullmatch(t) for t in text))
+            assume(not all(t in ("true", "false") for t in text))
+            assume(stridekit_io._CSV_NUL or not any("\0" in t for t in text))
+    path = tmp_path_factory.mktemp("rt") / "s.csv"
+    write_series_csv(series, path)
+    back = load_csv(str(path), kind_hint=kind)
+    assert [b.name for b in back] == [s.name for s in series]
+    for s, b in zip(series, back):
+        assert b.kind is kind and b.index.tobytes() == s.index.tobytes()
+        if s.values.tag in (ValueTag.F64, ValueTag.F32):  # F32 widened exactly
+            x, nan = s.values.data.astype(np.float64), np.isnan(s.values.data)
+            assert b.values.tag is ValueTag.F64
+            assert np.isnan(b.values.data).tolist() == nan.tolist()
+            assert b.values.data[~nan].tobytes() == x[~nan].tobytes()
+        elif s.values.tag is ValueTag.CATEGORICAL:
+            assert b.values.tag is ValueTag.CATEGORICAL
+            assert ([b.values.decode(c) for c in b.values.data]
+                    == [s.values.decode(c) for c in s.values.data])
+        else:
+            assert b.values.tag is s.values.tag
+            assert b.values.data.tolist() == s.values.data.tolist()
+
+
 def write_peak(write, *args) -> int:
     """tracemalloc's peak over one call of ``write``."""
     tracemalloc.start()
@@ -1315,6 +1431,8 @@ def test_write_matrix_extra_peak_does_not_grow_with_rows(tmp_path):
         cols = {f"F{j}": FeatureColumn(ValueTag.F64, f) for j, f in enumerate(floats)}
         cols["count"] = FeatureColumn(ValueTag.I64, counts)
         cols["flag"] = FeatureColumn(ValueTag.BOOL, flags)
+        cols["label"] = FeatureColumn(ValueTag.CATEGORICAL, np.array(
+            ["walk", None, "run, fast", 'say "hi"'] * (rows // 4), dtype=object))
         index = 1_700_000_000 * NS + np.arange(rows, dtype=np.int64) * 31_250_000
         return write_peak(write_matrix, FeatureMatrix(IndexKind.TIME_NS, index, cols),
                           tmp_path / f"m{rows}.csv")

@@ -1,6 +1,7 @@
-"""The numpy behaviours the CSV loader's decoder and the CSV writers rest on,
-one test each, so that a failure on the oldest numpy pyproject.toml allows
-names the assumption that broke (see the numpy-floor job in CI)."""
+"""The numpy behaviours the order builtins, the padded merges, the CSV loader
+and the CSV writers rest on, one test each, so that a failure on the oldest
+numpy pyproject.toml allows names the assumption that broke (see the
+numpy-floor job in CI)."""
 
 import numpy as np
 
@@ -74,3 +75,62 @@ def test_int32_arithmetic_with_python_ints_stays_int32_and_floors():
     for out in (era, doe, yoe, 365 * yoe + yoe // 4, (5 * doe + 2) // 153 % 12 <= 2):
         assert out.dtype in (np.int32, np.bool_)
     assert (days // 7).tolist() == [v // 7 for v in days.tolist()]
+
+
+def test_single_kth_partition_along_rows_places_the_rank():
+    v = np.random.default_rng(3).normal(size=(4, 9)).astype(np.float32)
+    v[1, 2] = np.nan  # NaN rows are found by the row max; only their place changes
+    for a, r in ((0, 4), (5, 7), (0, 0), (0, 8)):
+        s = v.copy()
+        s[:, a:].partition(r - a, axis=1)  # in place, through a column slice
+        rows = ~np.isnan(v).any(axis=1)
+        want = np.sort(v[:, a:], axis=1)[:, r - a]
+        assert s[rows, r].tobytes() == want[rows].tobytes()
+        assert (s[rows, a:r] <= s[rows, r:r + 1]).all()
+        assert (s[rows, r + 1:] >= s[rows, r:r + 1]).all()
+
+
+def test_float32_to_float64_cast_of_picks_is_exact_and_monotone():
+    x = np.sort(np.array([-np.inf, -3.4e38, -1.5, -1e-45, -0.0, 0.0, 1e-45, 0.1, 3.4e38, np.inf],
+                         dtype=np.float32))
+    y = x.astype(np.float64)
+    assert (np.diff(y) >= 0).all()
+    assert y.astype(np.float32).tobytes() == x.tobytes()
+    assert y.tolist() == [float(v) for v in x.tolist()]
+
+
+def test_searchsorted_counts_the_quotes_before_each_field_end():
+    buf = np.frombuffer(b'a,"b,c",d\n"e\n",f\n', dtype=np.uint8)
+    for dtype in (np.int32, np.int64):
+        quotes = np.flatnonzero(buf == ord('"')).astype(dtype)
+        hits = np.flatnonzero((buf == ord(",")) | (buf == ord("\n"))).astype(dtype)
+        assert hits[np.searchsorted(quotes, hits) % 2 == 0].tolist() == [1, 7, 9, 14, 16]
+        assert np.searchsorted(quotes, np.arange(0, 17, 8, dtype=dtype)).tolist() == [0, 2, 4]
+
+
+def test_padded_merge_identities_return_x_bitwise():
+    for dtype in (np.float64, np.float32):
+        x = np.array([0.0, -0.0, np.nan, -np.nan, 1.5, -np.inf, np.inf, 1e-45], dtype=dtype)
+        for out in (x + dtype(-0.0), np.minimum(x, dtype(np.inf)), np.maximum(x, dtype(-np.inf))):
+            assert out.dtype == dtype and out.tobytes() == x.tobytes()
+        pad = np.array([[False], [True]])
+        filled = np.where(pad, -0.0, np.ones((2, 3), dtype=dtype))
+        assert filled.dtype == dtype
+        assert filled.tobytes() == np.array([[1.0] * 3, [-0.0] * 3], dtype=dtype).tobytes()
+
+
+def test_multiply_where_leaves_pad_zeros_and_raises_nothing():
+    last = np.array([1e300, 2.0, np.nan, 1e300])
+    first = np.array([1e300, -3.0, 1.0, -1.0])
+    pad = np.array([True, False, True, False])
+    with np.errstate(over="raise", invalid="raise"):
+        out = np.multiply(last, first, out=np.zeros_like(last), where=~pad)
+    assert out.tolist() == [0.0, -6.0, 0.0, -1e300]
+
+
+def test_insert_at_repeated_indices_keeps_the_values_in_order():
+    buf = np.frombuffer(b"0,1,\r\n", dtype=np.uint8)
+    for at, text, want in (([4, 4, 1, 2, 2, 2], b"dqeabc", b"0e,abc1,dq\r\n"),
+                           ([3], b"x", b"0,1x,\r\n"), ([], b"", b"0,1,\r\n")):
+        got = np.insert(buf, np.array(at, dtype=np.intp), np.frombuffer(text, dtype=np.uint8))
+        assert got.dtype == np.uint8 and got.tobytes() == want
