@@ -251,8 +251,7 @@ def _extreme(ufunc) -> _Chunks:
 
 
 def _count(members, v):
-    # One shared int per block: I64 cells are Python ints in an object column.
-    return [np.full(len(v), v.shape[1], dtype=object)] * len(members)
+    return [np.full(len(v), v.shape[1], dtype=np.int64)] * len(members)
 
 
 def _crossing_stats(members, v):

@@ -48,6 +48,7 @@ from .errors import (
     InvalidDescriptor,
     IoError,
     KindMismatch,
+    LengthMismatch,
     NonFloatOutput,
     UnknownColumn,
 )
@@ -55,11 +56,13 @@ from .naming import format_output_name, parse_output_name
 from .segment import (OutputPosition, SegmentGrid, _output_position, build_grid,
                       intersect_spans, segment_positions, window_stride)
 from .series import (
+    DTYPES,
     FLOAT_TAGS,
     Delta,
     IndexKind,
     Series,
     SeriesSet,
+    ValueColumn,
     ValueTag,
     check_component_name,
 )
@@ -296,7 +299,7 @@ def make_robust(
     for tag, fill in zip(wrapper.output_tags, fills):
         if tag is ValueTag.I64:
             try:
-                _cell_converter(tag, None)(fill)
+                _cell_converter(tag, None, "")(fill)
             except (TypeError, ValueError):
                 raise InvalidDescriptor(f"{wrapper.base_name!r}: an I64 output cannot hold "
                                         f"the fill_value {fill_value!r}") from None
@@ -432,15 +435,44 @@ class FeatureCollection:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FeatureColumn:
-    tag: ValueTag
-    data: np.ndarray
+class FeatureColumn(ValueColumn):
+    """An output column: a ValueColumn plus ``missing``, None or, for a
+    non-float tag, a bool mask of the missing cells, each holding -1 (True
+    in a BOOL column), so that the data alone tells a missing cell from a 0
+    (a float column's missing cell is NaN). An object array of Python cells,
+    None where missing, is typed when the column is built, each cell as
+    strictly as a function's output (``_cell_converter``)."""
+
+    missing: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.tag not in FLOAT_TAGS and self.missing is None
+                and getattr(self.data, "dtype", None) == np.object_):
+            cells, data = self.data.tolist(), _blank(self.tag, len(self.data))
+            missing = np.array([cell is None for cell in cells], dtype=bool)
+            codes = dict(zip(self.categories or (), itertools.count()))
+            convert = _cell_converter(self.tag, self.categories, "the column", codes)
+            for i in np.flatnonzero(~missing).tolist():
+                try:
+                    data[i] = convert(cells[i])
+                except (TypeError, ValueError) as exc:
+                    raise LengthMismatch(f"{self.tag.value} column cell {i}: {exc}") from None
+            object.__setattr__(self, "data", data)
+            object.__setattr__(self, "missing", missing if missing.any() else None)
+            if self.tag is ValueTag.CATEGORICAL:
+                object.__setattr__(self, "categories", tuple(codes))
+        super().__post_init__()
+        mask = self.missing
+        if mask is not None and (self.tag in FLOAT_TAGS or getattr(mask, "dtype", None) != bool
+                                 or mask.shape != self.data.shape or (~self.data[mask]).any()):
+            raise LengthMismatch(f"missing must be None or, for a non-float tag, a bool mask "
+                                 f"of the column's {len(self.data)} cells, each holding -1")
 
 
 class FeatureMatrix:
-    """Index-preserving output table. Float columns fill missing cells with
-    NaN; integer, boolean, and categorical columns are object arrays with a
-    None sentinel."""
+    """Index-preserving output table of FeatureColumns: typed values plus a
+    missing mask, the layout of pandas' nullable arrays and Arrow's validity
+    bitmaps (a missing float cell is NaN)."""
 
     def __init__(self, kind: IndexKind | None, index: np.ndarray, columns: dict[str, FeatureColumn]):
         self.kind = kind
@@ -470,25 +502,19 @@ class FeatureMatrix:
         return FeatureMatrix(self.kind, self.index, cols)
 
     def equals(self, other: "FeatureMatrix") -> bool:
-        """Bitwise equality: exact index bytes, column order, tags, and cell
-        payloads (NaN == NaN by byte identity)."""
+        """Bitwise equality: exact index bytes, column order, tags, data bytes
+        (NaN == NaN by byte identity), dictionaries and missing cells (a
+        mask with no cell set equals None)."""
         if self.kind is not other.kind:
             return False
         if self.index.dtype != other.index.dtype or self.index.tobytes() != other.index.tobytes():
             return False
         if self.column_names != other.column_names:
             return False
-        for name in self.column_names:
-            a, b = self[name], other[name]
-            if a.tag is not b.tag or a.data.dtype != b.data.dtype:
-                return False
-            if a.data.dtype == object:
-                # Object columns hold ints, bools, labels and None, never NaN.
-                if a.data.tolist() != b.data.tolist():
-                    return False
-            elif a.data.tobytes() != b.data.tobytes():
-                return False
-        return True
+        def key(c):
+            return (c.tag, c.data.dtype, c.data.tobytes(), c.categories,
+                    None if c.missing is None or not c.missing.any() else c.missing.tobytes())
+        return all(key(self[name]) == key(other[name]) for name in self.column_names)
 
 
 @dataclass(frozen=True)
@@ -663,15 +689,16 @@ def _resolve_groups(series_set: SeriesSet, collection: FeatureCollection,
     return groups
 
 
-def _missing_column(tag: ValueTag, n: int) -> np.ndarray:
-    """A column of n missing cells: NaN for float tags, None otherwise."""
-    if tag in FLOAT_TAGS:
-        return np.full(n, np.nan, dtype=np.float64 if tag is ValueTag.F64 else np.float32)
-    return np.full(n, None, dtype=object)
+def _blank(tag: ValueTag, n: int) -> np.ndarray:
+    """n missing cells of the tag's dtype: NaN, or -1 (True for BOOL)."""
+    return np.full(n, np.nan if tag in FLOAT_TAGS else -1, dtype=DTYPES[tag])
 
 
-def _cell_converter(tag: ValueTag, series: Series) -> Callable:
-    """The strict conversion of one function output to a ``tag`` cell."""
+def _cell_converter(tag: ValueTag, categories: tuple | None, owner: str,
+                    codes: dict | None = None) -> Callable:
+    """The strict conversion of one function output to a ``tag`` cell; a
+    label becomes its code in ``codes`` (label -> code), a new one appended,
+    and a code must lie in ``categories``, the dictionary of ``owner``."""
     if tag in FLOAT_TAGS:
         return float
     if tag is ValueTag.I64:
@@ -687,19 +714,18 @@ def _cell_converter(tag: ValueTag, series: Series) -> Callable:
                 raise TypeError(f"a BOOL output must be a bool, got {c!r}")
             return bool(c)
         return boolean
-    categories = series.values.categories
 
-    def label(c):  # a label, or a code into the series' dictionary
+    def label(c):
         if isinstance(c, str):
-            return c
+            return codes.setdefault(str(c), len(codes))
         code = operator.index(c)
         if categories is None:
             raise TypeError(f"a CATEGORICAL code ({code}) needs a label dictionary, "
-                            f"but series {series.name!r} has none")
+                            f"but {owner} has none")
         if not 0 <= code < len(categories):
             raise ValueError(f"CATEGORICAL code {code} is outside the {len(categories)} "
-                             f"labels of series {series.name!r}")
-        return categories[code]
+                             f"labels of {owner}")
+        return code
     return label
 
 
@@ -712,9 +738,13 @@ def _failure(group: _ResolvedGroup, wrapper: FuncWrapper, k: int,
     return failure
 
 
-def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> None:
-    """A user function: one Python call per window, in segment order."""
-    converters = [_cell_converter(tag, group.series[0]) for tag in tags]
+def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, columns) -> None:
+    """A user function: one Python call per window, in segment order. Each
+    new label is appended to its column's dictionary, in window order."""
+    codes = [dict(zip(c.categories or (), itertools.count())) for c in columns]
+    series = group.series[0]
+    converters = [_cell_converter(c.tag, series.values.categories, f"series {series.name!r}", d)
+                  for c, d in zip(columns, codes)]
     want_index = wrapper.input_mode is InputMode.VALUES_AND_INDEX
     for k in range(group.grid.n_segments):
         inputs = []
@@ -727,9 +757,11 @@ def _run_windows(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns) -> 
                 inputs.append(values)
         try:
             for column, convert, out in zip(columns, converters, wrapper.apply(inputs)):
-                column[k] = convert(out)
+                column.data[k] = convert(out)
         except Exception as exc:
             raise _failure(group, wrapper, k, exc)
+    columns[:] = [c if c.categories is None else dataclasses.replace(c, categories=tuple(d))
+                  for c, d in zip(columns, codes)]
 
 
 #: Bytes of samples per block of windows, float64 or as stored for a raw
@@ -898,11 +930,9 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple],
         for wrapper, tag, column in unit:
             if wrapper.fills is None:
                 raise ValueError(f"{wrapper.func.name} of an empty window is undefined")
-            column[short] = _cell_converter(tag, series)(wrapper.fills[0])
+            column[short] = _cell_converter(tag, series.values.categories,
+                                            f"series {series.name!r}")(wrapper.fills[0])
 
-    # a raw kernel's dictionary codes become labels
-    labels = [np.array(series.values.categories, dtype=object)
-              if tag is ValueTag.CATEGORICAL else None for _, tag, _ in unit]
     sources = [series.values.data]
     if unit[0][0].input_mode is InputMode.VALUES_AND_INDEX:
         sources.append(series.index)
@@ -928,11 +958,11 @@ def _run_blocks(group: _ResolvedGroup, unit: list[tuple],
             if not len(run):
                 continue
             for rows, blocks in _blocks(sources, pos[run, 0], int(counts[run[0]]), raw):
-                for (_, _, column), out, label in zip(unit, family(members, *blocks), labels):
-                    column[run[rows]] = out if label is None else label[out]
+                for (_, _, column), out in zip(unit, family(members, *blocks)):
+                    column[run[rows]] = out
 
 
-def _search(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns, lo: int = 0,
+def _search(group: _ResolvedGroup, wrapper: FuncWrapper, columns, lo: int = 0,
             hi: int | None = None) -> None:
     """A builtin alone over the windows [lo, hi) (all by default) on the
     block path. Where that raises, its halves run, the first half first,
@@ -940,29 +970,30 @@ def _search(group: _ResolvedGroup, wrapper: FuncWrapper, tags, columns, lo: int 
     FunctionFailure."""
     hi = group.grid.n_segments if hi is None else hi
     try:
-        return _run_blocks(group, [(wrapper, tags[0], columns[0])], slice(lo, hi))
+        return _run_blocks(group, [(wrapper, columns[0].tag, columns[0].data)], slice(lo, hi))
     except Exception as exc:
         if hi - lo <= 1:
             raise _failure(group, wrapper, lo, exc)
     mid = (lo + hi) // 2
-    _search(group, wrapper, tags, columns, lo, mid)
-    _search(group, wrapper, tags, columns, mid, hi)
+    _search(group, wrapper, columns, lo, mid)
+    _search(group, wrapper, columns, mid, hi)
 
 
 def _compute_unit(group: _ResolvedGroup, fis: tuple[int, ...]) -> tuple:
     """Run one unit: the functions ``fis`` of ``group``. Returns the output
-    columns per function, the unit's wall time, its path, and None or
+    FeatureColumns per function, the unit's wall time, its path, and None or
     (fi, FunctionFailure) of its first failing function. A fused unit whose
     block run raises is rerun builtin by builtin in registration order."""
-    n = group.grid.n_segments
-    columns = [[_missing_column(tag, n) for tag in group.wrapper_tags[fi]] for fi in fis]
+    n, cats = group.grid.n_segments, group.series[0].values.categories or ()
+    columns = [[FeatureColumn(tag, _blank(tag, n), cats if tag is ValueTag.CATEGORICAL else None)
+                for tag in group.wrapper_tags[fi]] for fi in fis]
     t0 = time.perf_counter()
     path, failure = "window", None
     if isinstance(group.wrappers[fis[0]].func, BlockKernel):
         path = "block"
         if len(fis) > 1:
             try:
-                _run_blocks(group, [(group.wrappers[fi], group.wrapper_tags[fi][0], cols[0])
+                _run_blocks(group, [(group.wrappers[fi], cols[0].tag, cols[0].data)
                                     for fi, cols in zip(fis, columns)])
                 path = "fused"
             except Exception:
@@ -971,7 +1002,7 @@ def _compute_unit(group: _ResolvedGroup, fis: tuple[int, ...]) -> tuple:
         run = _run_windows if path == "window" else _search
         try:
             for fi, cols in zip(fis, columns):
-                run(group, group.wrappers[fi], group.wrapper_tags[fi], cols)
+                run(group, group.wrappers[fi], cols)
         except FunctionFailure as exc:
             failure = fi, exc
     return columns, time.perf_counter() - t0, path, failure
@@ -1184,20 +1215,22 @@ def _merge(groups: list[_ResolvedGroup], results: dict[tuple, tuple]) -> Feature
     stamps = {grid: grid.output_index() for grid in dict.fromkeys(g.grid for g in groups)}
     kind = groups[0].grid.kind if groups else None
     index = _union(list(stamps.values()), np.int64 if kind is IndexKind.TIME_NS else np.float64)
-    rows = {grid: slice(None) if x is index else np.searchsorted(index, x)
+    rows = {grid: None if x is index else np.searchsorted(index, x)
             for grid, x in stamps.items()}
 
     columns: dict[str, FeatureColumn] = {}
     for gi, g in enumerate(groups):
         series_names, w, s = g.key
         for fi, wrapper in enumerate(g.wrappers):
-            arrays = results[(gi, fi)][0]
-            tags = g.wrapper_tags[fi]
-            for j, out_name in enumerate(wrapper.output_names):
-                col_name = format_output_name(series_names, out_name, w, s)
-                data = _missing_column(tags[j], len(index))
-                data[rows[g.grid]] = arrays[j]
-                columns[col_name] = FeatureColumn(tags[j], data)
+            for out_name, col in zip(wrapper.output_names, results[(gi, fi)][0]):
+                if rows[g.grid] is not None:  # else the grid's stamps are the index
+                    data, mask = _blank(col.tag, len(index)), None
+                    data[rows[g.grid]] = col.data
+                    if col.tag not in FLOAT_TAGS:  # the rows outside the column's grid
+                        mask = np.ones(len(index), dtype=bool)
+                        mask[rows[g.grid]] = False
+                    col = FeatureColumn(col.tag, data, col.categories, mask)
+                columns[format_output_name(series_names, out_name, w, s)] = col
     return FeatureMatrix(kind, index, columns)
 
 

@@ -783,11 +783,9 @@ def _number_words(x: np.ndarray, neg: np.ndarray, rule: np.ndarray) -> np.ndarra
 
 
 def _int_words(v: np.ndarray) -> np.ndarray:
-    """int64 or object cells in decimal, None as nothing, each in a slot of as
-    many words as the longest needs: the sign in its first byte, the digits
-    last before the separator's two; shape ``v.shape + (words,)``."""
-    missing = _missing(v)
-    v = np.where(missing, 0, v).astype(np.int64) if v.dtype == object else v
+    """int64 cells in decimal, each in a slot of as many words as the longest
+    needs: the sign in its first byte, the digits last before the
+    separator's two; shape ``v.shape + (words,)``."""
     neg = v < 0
     mag = np.where(neg, ~v.view(np.uint64) + _U(1), v.view(np.uint64))
     size = max(1, int(np.searchsorted(_POW10, mag.max(initial=_U(0)), side="right")))
@@ -798,15 +796,14 @@ def _int_words(v: np.ndarray) -> np.ndarray:
         digit = (mag - q * _U(10)).astype(np.uint8) | ord("0")
         out[..., -3 - j] = digit if j == 0 else np.where(mag != _U(0), digit, 0)
         mag = q
-    out[missing] = 0
     return out.view("<u8")
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # csv.writer quotes a field holding one
 _CSV_NUL = sys.version_info >= (3, 11)  # csv reads NUL from 3.11; before, writers refuse it
 
-#: A BOOL slot by code: 0 missing, 1 false, 2 true.
-_BOOL_WORDS = np.frombuffer(b"\0" * 8 + b"false\0\0\0" + b"true\0\0\0\0", dtype="<u8")
+#: A BOOL slot by value.
+_BOOL_WORDS = np.frombuffer(b"false\0\0\0" + b"true\0\0\0\0", dtype="<u8")
 
 
 #: By fraction digits / 3: a stamp's text, digits as "0", then its digit bytes
@@ -837,16 +834,12 @@ def _stamp_words(ns) -> np.ndarray:
     return (words.view(np.uint8).take(_STAMP_FROM, axis=1).view("<u8") & keep) | fixed
 
 
-def _missing(data: np.ndarray) -> np.ndarray:
-    """Where an object column holds None."""
-    return np.equal(data, None) if data.dtype == object else np.zeros(data.shape, dtype=bool)
-
-
 def _quoted(text: str) -> bytes:
-    """A header name or label as csv.writer writes it in a row of two or more fields."""
+    """A header name or label as csv.writer writes it in a row of two or more
+    fields; an unwritten label may hold a lone surrogate (``_check_cells``)."""
     if _NEEDS_QUOTES.search(text):
         text = '"' + text.replace('"', '""') + '"'
-    return text.encode()
+    return text.encode(errors="surrogatepass")
 
 
 def _row_bytes(kind: IndexKind, index: np.ndarray, columns, eol: bool) -> bytes:
@@ -855,33 +848,34 @@ def _row_bytes(kind: IndexKind, index: np.ndarray, columns, eol: bool) -> bytes:
     whole little-endian words whose NUL bytes are padding, its separator in
     the slot's last two bytes; one pass then drops the NULs. The float
     columns of the block, and a numeric index, are formatted in one call, as
-    are its I64 columns. A label's slot holds its separator alone, and after
-    that pass the label (``_quoted``, NULs kept) is inserted in front of it.
-    ``columns``: (tag, data, categories)."""
-    floats = [data for tag, data, _ in columns if tag in FLOAT_TAGS]
+    are its I64 columns. A missing cell's slot holds its separator alone, as
+    does a label's: after that pass the label (NULs kept) is inserted in
+    front of it. ``columns``: (tag, data, quoted dictionary + b"", missing)."""
+    floats = [data for tag, data, _, _ in columns if tag in FLOAT_TAGS]
     numeric = kind is IndexKind.NUMERIC
     if numeric:
         floats.insert(0, index)
     if floats:
         x = np.stack(floats, axis=1).astype(np.float64, copy=False)
         float_slots = iter(np.moveaxis(_float_words(x, np.arange(len(floats)) < numeric), 1, 0))
-    ints = [data for tag, data, _ in columns if tag is ValueTag.I64]
+    ints = [data for tag, data, _, _ in columns if tag is ValueTag.I64]
     if ints:
         int_slots = iter(np.moveaxis(_int_words(np.stack(ints, axis=1)), 1, 0))
     slots = [next(float_slots) if numeric else _stamp_words(index)]
     labels = {}  # slot: the quoted cells of a label column
-    for tag, data, cats in columns:
+    for tag, data, quoted, missing in columns:
         if tag in FLOAT_TAGS:
-            slots.append(next(float_slots))
+            slot = next(float_slots)
         elif tag is ValueTag.I64:
-            slots.append(next(int_slots))
+            slot = next(int_slots)
         elif tag is ValueTag.BOOL:
-            code = np.where(_missing(data), 0, 1 + data.astype(bool))
-            slots.append(np.take(_BOOL_WORDS, code)[:, None])
+            slot = np.take(_BOOL_WORDS, data.view(np.uint8))[:, None]
         else:
-            values = data.tolist() if cats is None else [cats[code] for code in data.tolist()]
-            labels[len(slots)] = [b"" if v is None else _quoted(str(v)) for v in values]
-            slots.append(np.zeros((len(data), 1), dtype=np.uint64))
+            labels[len(slots)] = quoted[data]  # a missing cell's code, -1, picks b""
+            slot = np.zeros((len(data), 1), dtype=np.uint64)
+        if missing is not None:
+            slot[missing] = 0
+        slots.append(slot)
     table = np.concatenate(slots, axis=1)
     sep = np.zeros(table.shape[1], dtype=np.uint64)
     sep[np.cumsum([s.shape[1] for s in slots]) - 1] = _COMMA_SEP
@@ -893,17 +887,17 @@ def _row_bytes(kind: IndexKind, index: np.ndarray, columns, eol: bool) -> bytes:
         return out
     buf = np.frombuffer(out, dtype=np.uint8)  # no other cell holds a comma or CR
     seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\r"))).reshape(-1, len(slots))
-    cells = [c for row in zip(*labels.values()) for c in row]
+    cells = np.stack(list(labels.values()), axis=1).ravel().tolist()
     at = np.repeat(seps[:, list(labels)].ravel(), [len(c) for c in cells])
     return np.insert(buf, at, np.frombuffer(b"".join(cells), dtype=np.uint8)).tobytes()
 
 
 def _check_cells(path, header: list[str], columns) -> None:
     """The writers' one check, before the file is opened: IoError naming the
-    first header name, or else the first cell in column order, that UTF-8
-    cannot encode or csv cannot read (a NUL, ``_CSV_NUL``), or an I64 object
-    cell int64 cannot hold; LengthMismatch for a code outside its dictionary.
-    A dictionary is checked by entry, an I64 column by its cast per block."""
+    first header name, or else the first written label in column order, that
+    UTF-8 cannot encode or csv cannot read (a NUL, ``_CSV_NUL``), checked by
+    dictionary entry; LengthMismatch for a written code outside its
+    dictionary. Every other cell is typed, so any value can be written."""
     def error(text: str):
         if "\0" in text and not _CSV_NUL:
             return "NUL is unreadable by csv before Python 3.11"
@@ -918,24 +912,13 @@ def _check_cells(path, header: list[str], columns) -> None:
     for name in header:
         if exc := error(name):
             fail(name, 1, exc)
-    for name, (tag, data, cats) in zip(header[1:], columns):
-        if tag is ValueTag.I64 and data.dtype == object:
-            for lo in range(0, len(data), WRITE_BLOCK_CELLS):
-                block = data[lo:lo + WRITE_BLOCK_CELLS]
-                try:
-                    np.where(_missing(block), 0, block).astype(np.int64)
-                except OverflowError:
-                    fail(name, *next((row, f"{v} is outside the I64 range") for row, v in
-                                     enumerate(data, 2) if not -2**63 <= (v or 0) < 2**63))
-        elif tag is ValueTag.CATEGORICAL and cats is None:
-            for row, label in enumerate(data, 2):
-                if label is not None and (exc := error(str(label))):
-                    fail(name, row, exc)
-        elif tag is ValueTag.CATEGORICAL:
-            if len(data) and not 0 <= data.min() <= data.max() < len(cats):
+    for name, (tag, data, cats, missing) in zip(header[1:], columns):
+        if tag is ValueTag.CATEGORICAL:
+            codes = data if missing is None else data[~missing]
+            if len(codes) and not 0 <= codes.min() <= codes.max() < len(cats):
                 raise LengthMismatch(f"{name!r} has codes outside its {len(cats)} categories")
             bad = [code for code, label in enumerate(cats) if error(str(label))]
-            rows = np.flatnonzero(np.isin(data, bad)) if bad else []
+            rows = np.flatnonzero(np.isin(data, bad)) if bad else []  # a missing cell's is -1
             if len(rows):
                 fail(name, int(rows[0]) + 2, error(str(cats[data[rows[0]]])))
 
@@ -943,14 +926,19 @@ def _check_cells(path, header: list[str], columns) -> None:
 def _write_csv(path, header: list[str], kind: IndexKind, index: np.ndarray, columns) -> None:
     """The header (``_quoted``), then the rows in blocks of WRITE_BLOCK_CELLS
     cells, each block one byte table (``_row_bytes``). ``columns``: (tag,
-    data, categories). ``_check_cells`` runs before the file is opened."""
+    data, categories, missing) of every value column. ``_check_cells`` runs
+    before the file is opened; each dictionary entry is quoted once."""
     _check_cells(path, header, columns)
+    columns = [(tag, data, None if cats is None else
+                np.array([*(_quoted(str(c)) for c in cats), b""], dtype=object), missing)
+               for tag, data, cats, missing in columns]
     step = max(1, WRITE_BLOCK_CELLS // (len(columns) + 1))
     try:
         with open(path, "wb") as fh:
             fh.write(b",".join(map(_quoted, header)) + b"\r\n")
             for lo in range(0, len(index), step):
-                block = [(tag, data[lo:lo + step], cats) for tag, data, cats in columns]
+                block = [(tag, data[lo:lo + step], quoted, None if missing is None else
+                          missing[lo:lo + step]) for tag, data, quoted, missing in columns]
                 fh.write(_row_bytes(kind, index[lo:lo + step], block, eol=True))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -960,7 +948,7 @@ def write_matrix(matrix: FeatureMatrix, path) -> None:
     """Feature matrix to CSV: index first, NaN/None as empty cells; output is
     byte-stable for identical input."""
     names = matrix.column_names
-    columns = [(matrix[n].tag, matrix[n].data, None) for n in names]
+    columns = [(c.tag, c.data, c.categories, c.missing) for c in map(matrix.__getitem__, names)]
     kind = matrix.kind if matrix.kind is not None else IndexKind.NUMERIC
     _write_csv(path, ["index", *names], kind, matrix.index, columns)
 
@@ -976,7 +964,7 @@ def write_series_csv(series_list: list[Series], path, index_column: str = "index
             raise KindMismatch(f"{s.name!r} and {ref.name!r} have different index kinds")
         if not _same_index(s.index, ref.index):
             raise LengthMismatch(f"{s.name!r} is not index-aligned with {ref.name!r}")
-    columns = [(s.values.tag, s.values.data, s.values.categories) for s in series_list]
+    columns = [(s.values.tag, s.values.data, s.values.categories, None) for s in series_list]
     header = [index_column, *(s.name for s in series_list)]
     _write_csv(path, header, ref.kind, ref.index, columns)
 

@@ -49,6 +49,9 @@ class ValueTag(enum.Enum):
 
 
 FLOAT_TAGS = (ValueTag.F64, ValueTag.F32)
+#: The dtype of a column of each tag: a CATEGORICAL column holds int32 codes.
+DTYPES = {ValueTag.F64: np.float64, ValueTag.F32: np.float32, ValueTag.I64: np.int64,
+          ValueTag.BOOL: np.bool_, ValueTag.CATEGORICAL: np.int32}
 
 # Reserved by the output-name grammar: "__" separates name sections and "|"
 # joins multiple series names. Leading/trailing "_" is rejected as well so
@@ -223,14 +226,18 @@ class Delta:
 
 @dataclass(frozen=True)
 class ValueColumn:
-    """One contiguous, typed column. Categorical data is dictionary-encoded:
-    ``data`` holds int32 codes into ``categories``."""
+    """One contiguous column of the tag's dtype (DTYPES), checked when built.
+    Categorical data is dictionary-encoded: ``data`` holds int32 codes into
+    ``categories``."""
 
     tag: ValueTag
     data: np.ndarray
     categories: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        want = np.dtype(DTYPES[self.tag])
+        if not isinstance(self.data, np.ndarray) or (self.data.dtype, self.data.ndim) != (want, 1):
+            raise LengthMismatch(f"{self.tag.value} column must be a 1-d {want} array")
         if self.tag is ValueTag.CATEGORICAL:
             if self.categories is None:
                 raise LengthMismatch("categorical column requires a dictionary")
@@ -251,22 +258,17 @@ def _column_from_values(values) -> ValueColumn:
     if isinstance(values, ValueColumn):
         return values
     arr = np.asarray(values)
-    if arr.dtype == np.float64:
-        return ValueColumn(ValueTag.F64, arr)
-    if arr.dtype == np.float32:
-        return ValueColumn(ValueTag.F32, arr)
-    if arr.dtype == np.bool_:
-        return ValueColumn(ValueTag.BOOL, arr)
     if arr.dtype.kind in "iu":
-        return ValueColumn(ValueTag.I64, arr.astype(np.int64, copy=False))
+        arr = arr.astype(np.int64, copy=False)
+    for tag in (ValueTag.F64, ValueTag.F32, ValueTag.BOOL, ValueTag.I64):
+        if arr.dtype == DTYPES[tag]:
+            return ValueColumn(tag, arr)
     if arr.dtype.kind in "UOS":
-        labels = np.array([str(v) for v in arr.tolist()], dtype=object)  # keeps trailing NULs
-        cats, codes = np.unique(labels, return_inverse=True)
-        return ValueColumn(
-            ValueTag.CATEGORICAL,
-            codes.astype(np.int32),
-            categories=tuple(cats.tolist()),
-        )
+        labels = [str(v) for v in arr.tolist()]  # keeps trailing NULs
+        cats = sorted(set(labels))
+        code = dict(zip(cats, range(len(cats))))
+        codes = np.fromiter(map(code.__getitem__, labels), dtype=np.int32, count=len(labels))
+        return ValueColumn(ValueTag.CATEGORICAL, codes, categories=tuple(cats))
     raise LengthMismatch(f"unsupported value dtype {arr.dtype}")
 
 

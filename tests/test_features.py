@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import time
 from unittest import mock
@@ -44,6 +45,7 @@ from stridekit.errors import (
     InvalidDescriptor,
     IoError,
     KindMismatch,
+    LengthMismatch,
     MalformedName,
     UnknownColumn,
     UnknownSeries,
@@ -51,6 +53,7 @@ from stridekit.errors import (
 
 from stridekit import features
 from stridekit.segment import SegmentGrid
+from stridekit.series import DTYPES
 
 from conftest import NS, numeric_series, time_series
 
@@ -622,6 +625,36 @@ def test_forked_workers_run_every_unit_exactly_once(tmp_path):
     _no_child_left()
 
 
+def test_the_pool_returns_a_dictionary_grown_in_a_worker_whole():
+    """A user function's label outside the series' dictionary is appended to
+    its column's dictionary in the worker that runs it; its I64 and BOOL
+    outputs come back typed, and the matrix is the one-worker matrix."""
+    s = numeric_series("S", np.arange(12.0), values=np.array(list("aabbbaaabbba"), dtype=object))
+
+    def describe(x):  # codes into ("a", "b"); a window holding both is "mixed"
+        return ("mixed" if len(set(x.tolist())) > 1 else int(x[0])), int(x.sum()), bool(x[0])
+
+    wrapper = FuncWrapper(describe, output_names=["label", "bs", "starts_b"],
+                          output_tags=[ValueTag.CATEGORICAL, ValueTag.I64, ValueTag.BOOL])
+    c = collection_of(("S", wrapper, 2.0, 2.0), ("S", wrapper, 3.0, 3.0))  # two units
+    serial = extract(SeriesSet([s]), c).matrix
+    with mock.patch.object(features.os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(features.os, "cpu_count", return_value=2):
+        pooled = extract(SeriesSet([s]), c, ExtractOptions(n_workers=2)).matrix
+    assert fork.call_count == 2
+    _no_child_left()
+    assert pooled.equals(serial)
+    assert serial.index.tolist() == [2.0, 3.0, 4.0, 6.0, 8.0, 9.0, 10.0]
+    label = pooled["S__label__w=2_s=2"]
+    assert label.categories == ("a", "b", "mixed")
+    assert label.data.tolist() == [0, -1, 1, 2, 0, -1, 1]
+    assert label.missing.tolist() == [False, True, False, False, False, True, False]
+    assert pooled["S__label__w=3_s=3"].categories == ("a", "b", "mixed")
+    for name, dtype in [("S__bs__w=3_s=3", np.int64), ("S__starts_b__w=3_s=3", bool)]:
+        assert pooled[name].data.dtype == dtype
+        assert pooled[name].missing.tolist() == [True, False, True, False, True, False, True]
+
+
 LABELS = np.array(["lo", "hi", "lo"] * 3, dtype=object)
 
 
@@ -671,10 +704,17 @@ def test_output_that_misfits_its_tag_names_group_and_segment(result, tag, values
     ("new", ValueTag.CATEGORICAL, "new"),
 ])
 def test_output_that_fits_its_tag_is_stored_as_a_python_scalar(result, tag, want):
+    """Stored in the tag's dtype, a cell reads back (``tolist``, a label
+    through the column's dictionary) as the Python scalar of its tag."""
     s = numeric_series("S", np.arange(0.0, 9.0), values=LABELS)
     c = collection_of(("S", FuncWrapper(lambda x: result, base_name="odd", output_tags=[tag]),
                        2.0, 2.0))
-    cells = extract(SeriesSet([s]), c).matrix["S__odd__w=2_s=2"].data.tolist()
+    column = extract(SeriesSet([s]), c).matrix["S__odd__w=2_s=2"]
+    assert column.data.dtype == DTYPES[tag] and column.missing is None
+    cells = column.data.tolist()
+    if tag is ValueTag.CATEGORICAL:  # the series' dictionary, a new label appended
+        assert column.categories == ("hi", "lo", *(("new",) if want == "new" else ()))
+        cells = [column.categories[code] for code in cells]
     assert cells == [want] * 4
     assert {type(v) for v in cells} == {type(want)}
 
@@ -841,7 +881,8 @@ def test_last_on_categorical_yields_categorical_labels():
     matrix, _, _ = extract(SeriesSet([s]), collection_of(("PHASE", builtin("last"), 2.0, 2.0)))
     col = matrix["PHASE__last__w=2_s=2"]
     assert col.tag is ValueTag.CATEGORICAL
-    assert list(col.data) == ["hi", "lo", "hi"]
+    assert col.data.dtype == np.int32 and col.categories == s.values.categories
+    assert [col.categories[code] for code in col.data] == ["hi", "lo", "hi"]
 
 
 def test_first_preserves_float32():
@@ -860,8 +901,8 @@ def test_last_on_bool_series_yields_bools():
     matrix, _, _ = extract(SeriesSet([s]), collection_of(("FLAG", builtin("last"), 2.0, 2.0)))
     col = matrix["FLAG__last__w=2_s=2"]
     assert col.tag is ValueTag.BOOL
-    assert list(col.data) == [False, True, False]
-    assert all(isinstance(v, bool) for v in col.data)
+    assert col.data.dtype == bool
+    assert col.data.tolist() == [False, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -1089,13 +1130,80 @@ def test_matrix_equality_checks_kind_tags_and_float_bits():
 
     assert a.equals(changed())
     assert not a.equals(changed(kind=IndexKind.NUMERIC))
-    assert not a.equals(changed(tag=ValueTag.F32))
+    assert not a.equals(changed(tag=ValueTag.F32, data=a[name].data.astype(np.float32)))
     flipped = a[name].data.copy()
     flipped[0] = np.nextafter(flipped[0], np.inf)
     assert not a.equals(changed(data=flipped))
 
 
-def test_matrix_equality_compares_object_cells():
+MASK_REFUSED = ("missing must be None or, for a non-float tag, a bool mask of the column's "
+                "2 cells, each holding -1")
+
+
+@pytest.mark.parametrize("args, reason", [
+    # a dtype that does not fit the tag
+    ((ValueTag.F32, np.zeros(2)), "f32 column must be a 1-d float32 array"),
+    ((ValueTag.BOOL, np.zeros(2, dtype=np.int64)), "bool column must be a 1-d bool array"),
+    ((ValueTag.CATEGORICAL, np.zeros(2, dtype=np.int64), ("a",)),
+     "categorical column must be a 1-d int32 array"),
+    ((ValueTag.I64, np.zeros((2, 1), dtype=np.int64)), "i64 column must be a 1-d int64 array"),
+    ((ValueTag.I64, [1, 2]), "i64 column must be a 1-d int64 array"),
+    # categories on another tag, a missing or a repeating dictionary
+    ((ValueTag.I64, np.zeros(2, dtype=np.int64), ("a",)),
+     "only categorical columns carry a dictionary"),
+    ((ValueTag.CATEGORICAL, np.zeros(2, dtype=np.int32)),
+     "categorical column requires a dictionary"),
+    ((ValueTag.CATEGORICAL, np.zeros(2, dtype=np.int32), ("a", "a")),
+     "categorical dictionary contains duplicate labels"),
+    # Python cells that do not fit the tag
+    ((ValueTag.I64, np.array([1, 2**63], dtype=object)),
+     f"i64 column cell 1: an I64 output must fit int64, got {2**63}"),
+    ((ValueTag.I64, np.array([None, 1.5], dtype=object)),
+     "i64 column cell 1: 'float' object cannot be interpreted as an integer"),
+    ((ValueTag.BOOL, np.array([True, 1], dtype=object)),
+     "bool column cell 1: a BOOL output must be a bool, got 1"),
+    ((ValueTag.CATEGORICAL, np.array(["a", 3], dtype=object), ("a", "b")),
+     "categorical column cell 1: CATEGORICAL code 3 is outside the 2 labels of the column"),
+    ((ValueTag.CATEGORICAL, np.array([0], dtype=object)),
+     "categorical column cell 0: a CATEGORICAL code (0) needs a label dictionary, "
+     "but the column has none"),
+    # a mask on a float column, of the wrong length or dtype, over a cell other than -1
+    ((ValueTag.F64, np.zeros(2), None, np.array([True, False])), MASK_REFUSED),
+    ((ValueTag.I64, np.zeros(2, dtype=np.int64), None, np.array([True])), MASK_REFUSED),
+    ((ValueTag.I64, np.zeros(2, dtype=np.int64), None, np.array([1, 0])), MASK_REFUSED),
+    ((ValueTag.I64, np.zeros(2, dtype=np.int64), None, [True, False]), MASK_REFUSED),
+    ((ValueTag.I64, np.array([-1, 0]), None, np.array([True, True])), MASK_REFUSED),
+    ((ValueTag.BOOL, np.array([False, True]), None, np.array([True, False])), MASK_REFUSED),
+])
+def test_a_feature_column_is_checked_when_it_is_built(args, reason):
+    with pytest.raises(LengthMismatch, match=f"^{re.escape(reason)}$"):
+        FeatureColumn(*args)
+
+
+def test_python_cells_are_typed_when_a_feature_column_is_built():
+    """An object array of Python cells, None where missing, becomes the
+    tag's dtype with -1 (True for BOOL) under the mask; labels become codes,
+    a new one appended to the dictionary in first-seen order."""
+    def built(tag, cells, categories=None):
+        c = FeatureColumn(tag, np.array(cells, dtype=object), categories)
+        return c.data.dtype, c.data.tolist(), c.categories, c.missing
+
+    def mask(c):
+        return None if c is None else c.tolist()
+
+    assert built(ValueTag.I64, [3, None, np.int64(-2), True])[:3] == \
+        (np.int64, [3, -1, -2, 1], None)
+    assert built(ValueTag.BOOL, [None, np.bool_(False), True])[:3] == \
+        (bool, [True, False, True], None)
+    assert built(ValueTag.CATEGORICAL, ["b", None, 0, "c", "b"], ("a",))[:3] == \
+        (np.int32, [1, -1, 0, 2, 1], ("a", "b", "c"))
+    assert built(ValueTag.CATEGORICAL, [None])[:3] == (np.int32, [-1], ())
+    assert mask(built(ValueTag.I64, [3, None, 1])[3]) == [False, True, False]
+    assert mask(built(ValueTag.BOOL, [True, None])[3]) == [False, True]
+    assert mask(built(ValueTag.I64, [1, 2])[3]) is None  # no cell missing: no mask
+
+
+def test_matrix_equality_compares_typed_cells_masks_and_dictionaries():
     s = numeric_series("S", np.arange(8.0))
     c = collection_of(
         ("S", FuncWrapper(lambda x: int(x.sum()), base_name="total",
@@ -1105,19 +1213,29 @@ def test_matrix_equality_compares_object_cells():
     )
     a, _, _ = extract(SeriesSet([s]), c)
     total, label = a.column_names
-    assert a[total].data.dtype == object and a[total].data[1] is None
+    assert a[total].data.dtype == np.int64
+    assert a[total].missing.tolist() == [False, True, False, False]
+    assert a[label].categories == ("lo", "hi")
 
-    def with_cell(name, row, value):
+    def with_cell(name, row, value, categories=None):
         columns = {n: a[n] for n in a.column_names}
-        data = a[name].data.copy()
-        data[row] = value
-        columns[name] = FeatureColumn(a[name].tag, data)
+        data, missing = a[name].data.copy(), a[name].missing.copy()
+        data[row], missing[row] = (-1, True) if value is None else (value, False)
+        columns[name] = FeatureColumn(a[name].tag, data, categories or a[name].categories,
+                                      missing)
         return FeatureMatrix(a.kind, a.index, columns)
 
     assert a.equals(with_cell(total, 0, a[total].data[0]))
     assert not a.equals(with_cell(total, 1, 0))  # hole against a value
     assert not with_cell(total, 0, None).equals(a)  # value against a hole
-    assert not a.equals(with_cell(label, 3, "lo"))  # one label changed
+    assert not a.equals(with_cell(label, 3, 0))  # one label changed
+    assert not a.equals(with_cell(label, 3, 1, ("lo", "hi", "x")))  # a longer dictionary
+    # a mask that marks no cell marks the same cells as None
+    counts = np.arange(4, dtype=np.int64)
+    none, unmarked = (FeatureMatrix(a.kind, a.index, {"n": FeatureColumn(ValueTag.I64, counts,
+                                                                         missing=mask)})
+                      for mask in (None, np.zeros(4, dtype=bool)))
+    assert none.equals(unmarked) and unmarked.equals(none)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,10 +1282,15 @@ def unique_merge(groups, results):
         rows = np.searchsorted(index, g.grid.output_index())
         for fi, wrapper in enumerate(g.wrappers):
             for j, out_name in enumerate(wrapper.output_names):
-                data = features._missing_column(g.wrapper_tags[fi][j], len(index))
-                data[rows] = results[gi, fi][0][j]
+                col = results[gi, fi][0][j]
+                data = features._blank(col.tag, len(index))
+                data[rows] = col.data
+                missing = None
+                if col.tag is ValueTag.I64:  # sum and count
+                    missing = np.ones(len(index), dtype=bool)
+                    missing[rows] = False
                 columns[features.format_output_name(g.key[0], out_name, g.key[1], g.key[2])] = \
-                    FeatureColumn(g.wrapper_tags[fi][j], data)
+                    FeatureColumn(col.tag, data, None, missing)
     return FeatureMatrix(groups[0].grid.kind, index, columns)
 
 

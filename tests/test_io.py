@@ -1103,7 +1103,7 @@ def test_write_empty_matrix_header_only(tmp_path):
 def float_cells(x, index_rule=False):
     """The writers' cells of the float64 array ``x``: as a value column, or
     as a numeric index (render_number's rule)."""
-    columns = [] if index_rule else [(ValueTag.F64, x, None)]
+    columns = [] if index_rule else [(ValueTag.F64, x, None, None)]
     index = x if index_rule else np.zeros(len(x))
     text = stridekit_io._row_bytes(IndexKind.NUMERIC, index, columns, eol=False).decode()
     cells = text.split(",")[:-1]
@@ -1253,12 +1253,12 @@ def test_write_matrix_equals_csv_writer_oracle(tmp_path_factory, data, kind, n_r
     names = [data.draw(st.sampled_from(["c", "a,b", 'q"q', "nl\nx", "é", "", "m" * 3]))
              + str(j) for j in range(len(tags))]
     index = data.draw(sorted_index(kind, n_rows))
-    cols = {name: FeatureColumn(tag, data.draw(value_cells(tag, n_rows)))
-            for name, tag in zip(names, tags)}
-    matrix = FeatureMatrix(kind, index, cols)
+    cells = [(tag, data.draw(value_cells(tag, n_rows))) for tag in tags]
+    matrix = FeatureMatrix(kind, index, {name: FeatureColumn(tag, c)
+                                         for name, (tag, c) in zip(names, cells)})
     tmp = tmp_path_factory.mktemp("w")
     expected = written(reference_write, tmp / "ref.csv", tmp / "ref.csv", ["index", *names],
-                       kind, index, [(c.tag, c.data, None) for c in cols.values()])
+                       kind, index, [(tag, c, None) for tag, c in cells])
     # Small budgets put block boundaries inside the drawn row counts.
     with mock.patch.object(stridekit_io, "WRITE_BLOCK_CELLS", block_cells):
         assert written(write_matrix, tmp / "out.csv", matrix, tmp / "out.csv") == expected
@@ -1454,15 +1454,11 @@ def test_write_series_csv_extra_peak_does_not_grow_with_rows(tmp_path):
 @pytest.mark.parametrize("big", [2**63, -2**63 - 1, 2**70])
 @pytest.mark.parametrize("rows", [3, stridekit_io.WRITE_BLOCK_CELLS + 5])
 def test_an_i64_cell_outside_int64_is_refused_before_the_file_is_opened(tmp_path, big, rows):
+    # the column is typed when it is built, so no writer meets such a cell
     cells = np.array([7] * (rows - 2) + [big, None], dtype=object)
-    matrix = FeatureMatrix(IndexKind.NUMERIC, np.arange(float(rows)),
-                           {"n": FeatureColumn(ValueTag.I64, cells)})
-    path = tmp_path / "never.csv"
-    with pytest.raises(IoError) as err:
-        write_matrix(matrix, path)
-    assert str(err.value) == (f"cannot write {path}: column 'n' row {rows}: "
-                              f"{big} is outside the I64 range")
-    assert not path.exists()
+    with pytest.raises(LengthMismatch) as err:
+        FeatureColumn(ValueTag.I64, cells)
+    assert str(err.value) == f"i64 column cell {rows - 2}: an I64 output must fit int64, got {big}"
     edges = np.array([INT64_MIN, None, INT64_MAX], dtype=object)
     ok = tmp_path / "edges.csv"
     write_matrix(FeatureMatrix(IndexKind.NUMERIC, np.arange(3.0),

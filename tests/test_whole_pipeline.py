@@ -28,7 +28,7 @@ from stridekit import (
 from stridekit.errors import ParseError
 from stridekit.features import BlockKernel
 from stridekit.segment import build_grid, intersect_spans, segment_positions
-from stridekit.series import FLOAT_TAGS
+from stridekit.series import DTYPES, FLOAT_TAGS
 
 from test_acceptance import _oracle_battery
 
@@ -150,10 +150,12 @@ def outcome(series_set, collection, options, n_workers):
 
 
 def matrix_cells(column):
-    """A matrix column's cells, None where missing."""
+    """A matrix column's cells, None where missing, a label as its text."""
     if column.tag in FLOAT_TAGS:
         return [None if math.isnan(v) else v for v in column.data.astype(np.float64).tolist()]
-    return column.data.tolist()
+    cells, cats = column.data.tolist(), column.categories
+    missing = [False] * len(cells) if column.missing is None else column.missing.tolist()
+    return [None if m else c if cats is None else cats[c] for c, m in zip(cells, missing)]
 
 
 def loaded_cells(series):
@@ -191,8 +193,7 @@ def assert_reloads(matrix, path):
         event("reload: ParseError")
         assert "empty cell in non-numeric column" in str(exc)
         partial = [name for name in matrix.column_names
-                   if matrix[name].tag not in FLOAT_TAGS
-                   and len({v is None for v in matrix[name].data.tolist()}) == 2]
+                   if matrix[name].missing is not None and not matrix[name].missing.all()]
         assert partial, exc
         return
     event(f"reload: {'rows' if matrix.n_rows else 'empty'}")
@@ -204,6 +205,29 @@ def assert_reloads(matrix, path):
         want, got = matrix_cells(matrix[name]), loaded_cells(series)
         assert len(want) == len(got)
         assert all(same_cell(a, b) for a, b in zip(want, got)), name
+
+
+def assert_typed_columns(series_set, collection, options, matrix):
+    """Each column holds its tag's dtype, and a non-float column's
+    ``missing`` marks exactly the rows outside its grid (None may stand for
+    no row); a float column takes no mask."""
+    for (names, w, s), wrappers in collection.groups():
+        grid = build_grid(*intersect_spans([series_set[n] for n in names]), w, s,
+                          options.output_position)
+        outside = np.ones(matrix.n_rows, dtype=bool)
+        outside[np.searchsorted(matrix.index, grid.output_index())] = False
+        for wrapper in wrappers:
+            for out_name in wrapper.output_names:
+                column = matrix[format_output_name(names, out_name, w, s)]
+                assert column.data.dtype == DTYPES[column.tag]
+                if column.tag in FLOAT_TAGS:
+                    assert column.missing is None
+                else:
+                    missing = column.missing
+                    missing = np.zeros(matrix.n_rows, bool) if missing is None else missing
+                    assert missing.tolist() == outside.tolist()
+                event(f"typed: {column.tag.value}, "
+                      f"{'no mask' if column.missing is None else 'masked'}")
 
 
 EXACT = ("count", "min", "max", "first", "last")
@@ -224,15 +248,16 @@ def assert_oracle_cells(series_set, collection, options, matrix):
         positions = segment_positions(series, grid).tolist()
         rows = np.searchsorted(matrix.index, grid.output_index()).tolist()
         stored = series.values.data.tolist()
-        if series.values.tag is ValueTag.CATEGORICAL:
-            stored = [series.values.decode(c) for c in stored]
         numbers = [float(v) for v in series.values.data.tolist()]
         for wrapper in wrappers:
             name = wrapper.func.name if isinstance(wrapper.func, BlockKernel) else None
             moment = name in MOMENTS and series.values.tag in FLOAT_TAGS
             if name not in EXACT and not moment:
                 continue
-            cells = matrix[format_output_name(names, wrapper.output_names[0], w, s)].data
+            column = matrix[format_output_name(names, wrapper.output_names[0], w, s)]
+            cells = column.data  # first and last keep the series' codes and dictionary
+            assert column.categories == (series.values.categories if column.tag is
+                                         ValueTag.CATEGORICAL else None)
             for j in sorted(set(np.linspace(0, len(rows) - 1, SAMPLED_ROWS).astype(int).tolist())
                             if rows else ()):
                 lo, hi = positions[j]
@@ -272,6 +297,7 @@ def test_config_to_reloaded_csv_raises_only_stridekit_errors(data):
         return
     assert not isinstance(two, str), two
     assert one.equals(two)
+    assert_typed_columns(series_set, collection, options, one)
     assert_oracle_cells(series_set, collection, options, one)
     with tempfile.TemporaryDirectory() as tmp:
         assert_reloads(one, os.path.join(tmp, "features.csv"))
